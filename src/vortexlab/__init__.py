@@ -33,9 +33,10 @@ from .biot_savart import (
     velocity_from_vorticity_2d,
     velocity_from_vorticity_3d,
 )
-from .heat import DuhamelQuadrature, duhamel_derivative_term, heat_evolve
+from .heat import etd_weights, heat_evolve
 from .mild_solver import (
     ContractionFailureError,
+    ConvergenceError,
     MildSolveConfig,
     PicardTrace,
     StabilityError,

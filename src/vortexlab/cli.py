@@ -28,7 +28,7 @@ from .maxwell_wave import (
     strichartz_admissible,
     strichartz_ratio_experiment,
 )
-from .mild_solver import MildSolveConfig, calibrate_horizon, picard_solve
+from .mild_solver import MildSolveConfig, calibrate_horizon, picard_solve, require_converged
 from .oseen import oseen_dipole, sharpness_scaling_experiment
 from .random_data import two_mode_vorticity, wave_fixture_family
 from .fields import ScalarField, VectorField
@@ -70,7 +70,6 @@ EXPERIMENTS = {
         "t0": (float, False, 0.0),  # 0 -> calibrated from A0
         "t_horizon_cap": (float, False, 1.0),
         "nt": (int, False, 32),
-        "quad_m": (int, False, 64),
         "tol": (float, False, 1e-9),
         "max_iter": (int, False, 60),
     },
@@ -82,7 +81,6 @@ EXPERIMENTS = {
         "t_init": (float, False, 0.01),
         "t0": (float, True, None),
         "nt": (int, False, 32),
-        "quad_m": (int, False, 64),
         "tol": (float, False, 1e-10),
         "max_iter": (int, False, 60),
         "epsilons": (_parse_float_list, True, None),
@@ -189,8 +187,6 @@ def validate_config(kind, cfg):
                 raise ConfigError("dipole separation must be <= box_length/2")
         if cfg["nt"] < 8:
             raise ConfigError("nt must be >= 8")
-        if cfg["quad_m"] < 4:
-            raise ConfigError("quad_m must be >= 4")
         if not cfg["tol"] > 0:
             raise ConfigError("tol must be positive")
         if kind == "continuous-dependence":
@@ -267,12 +263,13 @@ def _run_picard(cfg, out_dir):
             omega0, grid, cfg["t_horizon_cap"]
         )
     solve_cfg = MildSolveConfig(
-        grid=grid, t0=t0, nt=cfg["nt"], quad_m=cfg["quad_m"],
+        grid=grid, t0=t0, nt=cfg["nt"],
         tol=cfg["tol"], max_iter=cfg["max_iter"],
     )
     traj, trace = picard_solve(omega0, solve_cfg)
     vio.write_trajectory_trace(
-        os.path.join(out_dir, f"picard-{cfg['seed']}.csv"), traj
+        os.path.join(out_dir, f"picard-{cfg['seed']}.csv"), traj.times,
+        trace.snapshot_reports,
     )
     summary = {
         "t0": t0,
@@ -285,6 +282,7 @@ def _run_picard(cfg, out_dir):
         "sup_Linf_v": max(r["Linf_v"] for r in trace.snapshot_reports),
     }
     vio.write_json(os.path.join(out_dir, f"picard-{cfg['seed']}.json"), summary)
+    require_converged(trace, solve_cfg)
     return summary
 
 
@@ -295,7 +293,7 @@ def _run_continuous_dependence(cfg, out_dir):
     grid = Grid(2, cfg["n"], cfg["box_length"])
     omega0 = _initial_vorticity(cfg, grid)
     solve_cfg = MildSolveConfig(
-        grid=grid, t0=cfg["t0"], nt=cfg["nt"], quad_m=cfg["quad_m"],
+        grid=grid, t0=cfg["t0"], nt=cfg["nt"],
         tol=cfg["tol"], max_iter=cfg["max_iter"],
     )
     bump = smooth_bump(grid)
@@ -460,6 +458,20 @@ def _print_kinds():
         print(f"  {kind}: {', '.join(required)}")
 
 
+def _thread_count(flag):
+    """--threads if given, else VORTEXLAB_THREADS, else 1."""
+    text = os.environ.get("VORTEXLAB_THREADS", "1") if flag is None else flag
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(
+            f"thread count (--threads or VORTEXLAB_THREADS) must be an integer >= 1, got {text!r}"
+        )
+    return threads
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="vortexlab",
@@ -484,10 +496,8 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage()
         return 2
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("VORTEXLAB_THREADS", "1"))
     try:
+        threads = _thread_count(args.threads)
         kind, cfg = parse_config(args.config)
         validate_config(kind, cfg)
     except (ConfigError, ValueError) as exc:

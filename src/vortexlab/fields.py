@@ -488,8 +488,14 @@ def load_field(path) -> ScalarField:
         magic = fh.read(4)
         if magic != _FIELD_MAGIC:
             raise ValueError(f"not a vortexlab field file: bad magic {magic!r}")
-        dim, n = struct.unpack("<BI", fh.read(5))
-        (L,) = struct.unpack("<d", fh.read(8))
+        header = fh.read(13)
+        if len(header) != 13:
+            raise ValueError(f"field file header is {len(header)} bytes, needs 13")
+        dim, n, L = struct.unpack("<BId", header)
         grid = Grid(dim, n, L)
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(grid.shape)
+        payload = fh.read()
+    if len(payload) != 8 * n**dim:
+        raise ValueError(f"field file payload is {len(payload)} bytes, "
+                         f"its header (dim={dim}, n={n}) needs {8 * n**dim}")
+    data = np.frombuffer(payload, dtype="<f8").reshape(grid.shape)
     return ScalarField(grid, data.astype(np.float64))

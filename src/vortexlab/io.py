@@ -4,9 +4,6 @@ import json
 
 import numpy as np
 
-from .fields import Trajectory
-from .mild_solver import snapshot_norms
-
 TRACE_COLUMNS = ("t", "L1", "W11", "Linf_v", "L2_gradv")
 
 
@@ -34,16 +31,11 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def trajectory_trace_rows(traj: Trajectory):
-    """Per-time norm rows (t, L1, W11, Linf_v, L2_gradv) of a vorticity trajectory."""
-    rows = []
-    for t, snap in traj:
-        rep = snapshot_norms(snap)
-        rows.append(
-            (float(t), rep["L1"], rep["W11"], rep["Linf_v"], rep["L2_gradv"])
-        )
-    return rows
-
-
-def write_trajectory_trace(path, traj: Trajectory):
-    write_csv(path, TRACE_COLUMNS, trajectory_trace_rows(traj))
+def write_trajectory_trace(path, times, reports):
+    """Per-time norm rows (t, L1, W11, Linf_v, L2_gradv) of a vorticity
+    trajectory, from its times and one ``snapshot_norms`` report per time."""
+    rows = [
+        (float(t), rep["L1"], rep["W11"], rep["Linf_v"], rep["L2_gradv"])
+        for t, rep in zip(times, reports, strict=True)
+    ]
+    write_csv(path, TRACE_COLUMNS, rows)

@@ -172,6 +172,9 @@ def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
     prev_src = j.curl_spectra(times[0]) if j is not None else None
 
     for i, t in enumerate(times):
+        # the panel [a_s, b_s] ends at t and starts at the previous step's t,
+        # so each step evaluates its trig factors once and carries them on
+        sin_t, cos_t = np.sin(kmag * t), np.cos(kmag * t)
         if j is not None and i > 0:
             src = j.curl_spectra(t)
             a_s, b_s = times[i - 1], t
@@ -179,12 +182,10 @@ def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
             # source interpolant exactly on the panel [a_s, b_s]; this keeps
             # constant-in-time sources exact (a sampled trapezoid rule is
             # orders too crude for the per-mode propagator's accuracy)
-            sin_a, cos_a = np.sin(kmag * a_s), np.cos(kmag * a_s)
-            sin_b, cos_b = np.sin(kmag * b_s), np.cos(kmag * b_s)
-            int_cos = (sin_b - sin_a) * inv_k
-            int_scos = (b_s * sin_b - a_s * sin_a) * inv_k + (cos_b - cos_a) * inv_k**2
-            int_sin = (cos_a - cos_b) * inv_k
-            int_ssin = (a_s * cos_a - b_s * cos_b) * inv_k + (sin_b - sin_a) * inv_k**2
+            int_cos = (sin_t - sin_a) * inv_k
+            int_scos = (b_s * sin_t - a_s * sin_a) * inv_k + (cos_t - cos_a) * inv_k**2
+            int_sin = (cos_a - cos_t) * inv_k
+            int_ssin = (a_s * cos_a - b_s * cos_t) * inv_k + (sin_t - sin_a) * inv_k**2
             for c in range(3):
                 sa, sb = prev_src[c], src[c]
                 alpha = (sa * b_s - sb * a_s) / dt
@@ -196,7 +197,7 @@ def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
                 cum_s0[c] += dt / 2.0 * (sa0 + sb0)
                 cum_s1[c] += dt * ((2.0 * a_s + b_s) * sa0 + (a_s + 2.0 * b_s) * sb0) / 6.0
             prev_src = src
-        cos_t, sin_t = np.cos(kmag * t), np.sin(kmag * t)
+        sin_a, cos_a = sin_t, cos_t
         comps_b = []
         comps_bt = []
         for a in range(3):

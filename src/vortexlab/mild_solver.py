@@ -16,12 +16,11 @@ from .fields import (
     NormReport,
     ScalarField,
     Trajectory,
-    VectorField,
     jacobian_magnitude,
     lp_norm,
     w11_norm,
 )
-from .heat import DuhamelQuadrature, duhamel_derivative_term, heat_evolve
+from .heat import etd_weights, heat_evolve
 
 
 class ContractionFailureError(RuntimeError):
@@ -32,12 +31,15 @@ class StabilityError(RuntimeError):
     """CFL-limited step refinement exhausted."""
 
 
+class ConvergenceError(RuntimeError):
+    """Picard iteration reached max_iter without meeting its tolerance."""
+
+
 @dataclass(frozen=True)
 class MildSolveConfig:
     grid: Grid
     t0: float
     nt: int = 32
-    quad_m: int = 64
     tol: float = 1e-9
     max_iter: int = 60
 
@@ -48,6 +50,8 @@ class MildSolveConfig:
             raise ValueError(f"nt must be >= 8, got {self.nt}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
     @property
     def times(self) -> np.ndarray:
@@ -64,52 +68,42 @@ class PicardTrace:
     snapshot_reports: list = dc_field(default_factory=list)  # NormReport per time
 
 
-def _flux_spectra(omega: ScalarField):
-    """Dealiased spectra of the advective flux v*w, plus the velocity field."""
+def _flux_divergence(omega: ScalarField):
+    """Dealiased spectrum of -div(v w), the advective source; v by Biot-Savart."""
+    g = omega.grid
     v = velocity_from_vorticity_2d(omega)
-    mask = omega.grid.dealias_mask()
-    out = []
-    for comp in v.components:
-        gh = np.fft.fftn(comp.samples * omega.samples)
-        out.append(np.where(mask, gh, 0.0))
-    return out, v
-
-
-def _stack_flux(traj: Trajectory):
-    specs = []
-    for snap in traj.snapshots:
-        gh, _ = _flux_spectra(snap)
-        specs.append(gh)
-    return specs
+    div = sum(
+        1j * g.deriv_wavenumber(a) * np.fft.fftn(comp.samples * omega.samples)
+        for a, comp in enumerate(v.components)
+    )
+    return np.where(g.dealias_mask(), -div, 0.0)
 
 
 def apply_T(omega_traj: Trajectory, omega0: ScalarField, cfg: MildSolveConfig) -> Trajectory:
-    """One application of the Duhamel fixed-point operator to a trajectory."""
+    """One application of the Duhamel fixed-point operator to a trajectory.
+
+    One streaming pass over the time lattice: the flux divergence of each
+    input snapshot is formed once, when the loop reaches its node, and its
+    linear interpolant between nodes is integrated exactly against the heat
+    kernel (``heat.etd_weights``).  Starting the recurrence from the spectrum
+    of omega0 folds in its heat evolution.
+    """
     _check_mean_zero(omega0, "initial vorticity")
     grid = cfg.grid
     times = cfg.times
     if len(omega_traj) != cfg.nt or not np.allclose(omega_traj.times, times):
         raise ValueError("input trajectory does not live on the config time lattice")
-    flux = _stack_flux(omega_traj)
-    dt = times[1] - times[0]
-
-    def g_of_s(s):
-        j = int(min(max(s / dt, 0.0), cfg.nt - 1 - 1e-12))
-        theta = (s - times[j]) / dt
-        return [
-            (1.0 - theta) * flux[j][a] + theta * flux[j + 1][a]
-            for a in range(grid.dim)
-        ]
-
+    e, w_old, w_new = etd_weights(grid.ksq(), times[1] - times[0])
+    s_hat = omega0.spectrum()
+    d_prev = _flux_divergence(omega_traj.snapshots[0])
     snaps = [omega0]
-    for t in times[1:]:
-        quad = DuhamelQuadrature(t, cfg.quad_m)
-        heat_part = heat_evolve(omega0, t)
-        duh = duhamel_derivative_term(g_of_s, t, quad, grid)
-        out = heat_part + duh
-        if not np.all(np.isfinite(out.samples)):
+    for snap in omega_traj.snapshots[1:]:
+        d_next = _flux_divergence(snap)
+        s_hat = e * s_hat + w_old * d_prev + w_new * d_next
+        if not np.all(np.isfinite(s_hat)):
             raise ArithmeticError("non-finite values in Duhamel term: iteration diverged")
-        snaps.append(out)
+        snaps.append(ScalarField.from_spectrum(grid, s_hat))
+        d_prev = d_next
     return Trajectory(times, snaps)
 
 
@@ -160,6 +154,15 @@ def picard_solve(omega0: ScalarField, cfg: MildSolveConfig):
     return current, trace
 
 
+def require_converged(trace: PicardTrace, cfg: MildSolveConfig):
+    """Raise ConvergenceError unless the solve behind ``trace`` met cfg.tol."""
+    if not trace.converged:
+        raise ConvergenceError(
+            f"Picard iteration did not converge in {trace.iterations} iterations: "
+            f"last sup-in-time W11 difference {trace.diff_w11[-1]:.6e} >= tol {cfg.tol:.6e}"
+        )
+
+
 def snapshot_norms(omega: ScalarField) -> NormReport:
     """Norm bundle of one vorticity snapshot: L1, W11, velocity sup and gradient L2."""
     rep = NormReport()
@@ -172,13 +175,13 @@ def snapshot_norms(omega: ScalarField) -> NormReport:
 
 
 def calibrate_horizon(omega0: ScalarField, grid: Grid, t_max: float, *,
-                      nt: int = 16, quad_m: int = 32, max_halvings: int = 20):
+                      nt: int = 16, max_halvings: int = 20):
     """Pick t0 = c/A0^2 adaptively: halve until the first measured
     contraction ratio is <= 1/2.  Returns (t0, ratio)."""
     a0 = w11_norm(omega0)
     t0 = min(1.0 / a0**2, t_max) if a0 > 0 else t_max
     for _ in range(max_halvings):
-        cfg = MildSolveConfig(grid=grid, t0=t0, nt=nt, quad_m=quad_m)
+        cfg = MildSolveConfig(grid=grid, t0=t0, nt=nt)
         ratio = first_contraction_ratio(omega0, cfg)
         if ratio <= 0.5:
             return t0, ratio
@@ -281,12 +284,16 @@ def reference_stepper(omega0: ScalarField, t0: float, nt_fine: int, *,
 
 def continuous_dependence_experiment(omega0: ScalarField, perturbations, cfg: MildSolveConfig):
     """Solve for omega0 and each perturbed datum; report input/output sizes,
-    their ratios, and (when >= 2 nonzero inputs) the log-log slope."""
-    base, _ = picard_solve(omega0, cfg)
+    their ratios, and (when >= 2 nonzero inputs) the log-log slope.
+
+    Raises ConvergenceError if any of the solves does not converge."""
+    base, trace = picard_solve(omega0, cfg)
+    require_converged(trace, cfg)
     rows = []
     for delta in perturbations:
         input_size = w11_norm(delta)
-        pert, _ = picard_solve(omega0 + delta, cfg)
+        pert, trace = picard_solve(omega0 + delta, cfg)
+        require_converged(trace, cfg)
         output_size = _sup_w11_diff(pert, base)
         ratio = output_size / input_size if input_size > 0 else 0.0
         rows.append(

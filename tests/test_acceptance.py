@@ -122,7 +122,7 @@ def test_criterion_03_picard_oracle_equivalence(verdict):
     rels = {}
     for label, (w0, t0) in cases.items():
         cfg = MildSolveConfig(
-            grid=w0.grid, t0=t0, nt=32, quad_m=64, tol=1e-10
+            grid=w0.grid, t0=t0, nt=32, tol=1e-10
         )
         traj, trace = picard_solve(w0, cfg)
         assert trace.converged
@@ -142,7 +142,7 @@ def test_criterion_04_contraction_scaling(verdict):
     t0s = [0.016, 0.008, 0.004, 0.002]
     ratios = [
         first_contraction_ratio(
-            w0, MildSolveConfig(grid=g, t0=t0, nt=8, quad_m=32)
+            w0, MildSolveConfig(grid=g, t0=t0, nt=8)
         )
         for t0 in t0s
     ]
@@ -164,7 +164,7 @@ def test_criterion_04_contraction_scaling(verdict):
 def test_criterion_05_continuous_dependence(verdict):
     g = Grid(2, 64, TWO_PI)
     w0 = two_mode_vorticity(g, 0.05)
-    cfg = MildSolveConfig(grid=g, t0=0.1, nt=8, quad_m=32, tol=1e-11)
+    cfg = MildSolveConfig(grid=g, t0=0.1, nt=8, tol=1e-11)
     bump = smooth_bump(g)
     perts = [bump * eps for eps in (1e-2, 1e-3, 1e-4)]
     rep = continuous_dependence_experiment(w0, perts, cfg)

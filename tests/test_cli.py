@@ -24,6 +24,18 @@ beta = 2.0
 """
 
 
+PICARD_CONFIG = """\
+[picard]
+seed = 4
+n = 16
+box_length = 6.283185307179586
+family = two-mode
+amplitude = 0.05
+t0 = 0.1
+nt = 8
+"""
+
+
 class TestListing:
     def test_list_prints_all_kinds(self, capsys):
         assert main(["--list"]) == 0
@@ -59,6 +71,13 @@ class TestParsing:
     def test_unknown_kind_rejected(self, tmp_path):
         path = write_config(tmp_path, "x.ini", "[nonsense]\nseed = 1\n")
         with pytest.raises(ConfigError, match="unknown experiment kind"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("kind", ["picard", "continuous-dependence"])
+    def test_removed_quad_m_key_rejected(self, tmp_path, kind):
+        body = PICARD_CONFIG.replace("[picard]", f"[{kind}]") + "quad_m = 64\n"
+        path = write_config(tmp_path, "p.ini", body)
+        with pytest.raises(ConfigError, match="unknown key 'quad_m'"):
             parse_config(path)
 
     def test_missing_required_key_named(self, tmp_path):
@@ -111,6 +130,16 @@ k = 0.25
         err = json.loads(capsys.readouterr().err)
         assert "inadmissible" in err["error"]
         assert "q_tilde" in err["error"]
+
+    @pytest.mark.parametrize("value", ["x", "0"])
+    def test_bad_thread_env_named(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("VORTEXLAB_THREADS", value)
+        path = write_config(tmp_path, "gn.ini", GN_CONFIG)
+        assert main(["--out", str(tmp_path / "out"), "run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "must be" in json.loads(err)["error"]
+        assert not (tmp_path / "out").exists()
 
     def test_wide_vortex_named(self):
         cfg = {
@@ -178,3 +207,27 @@ nt = 64
         assert main(["--out", str(out_dir), "run", path]) == 0
         summary = json.loads((out_dir / "wave-fixture-5.json").read_text())
         assert summary["max_error"] < 1e-6
+
+
+class TestNonConvergence:
+    def test_picard_writes_reports_then_fails(self, tmp_path, capsys):
+        path = write_config(tmp_path, "p.ini", PICARD_CONFIG + "max_iter = 1\n")
+        out_dir = tmp_path / "out"
+        assert main(["--out", str(out_dir), "run", path]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        message = json.loads(err)["error"]
+        assert "did not converge in 1 iterations" in message
+        assert "last sup-in-time W11 difference" in message
+        summary = json.loads((out_dir / "picard-4.json").read_text())
+        assert summary["converged"] is False and summary["iterations"] == 1
+        assert (out_dir / "picard-4.csv").exists()
+
+    def test_continuous_dependence_fails(self, tmp_path, capsys):
+        body = PICARD_CONFIG.replace("[picard]", "[continuous-dependence]")
+        path = write_config(
+            tmp_path, "cd.ini", body + "epsilons = 1e-3\nmax_iter = 1\n"
+        )
+        assert main(["--out", str(tmp_path / "out"), "run", path]) == 1
+        message = json.loads(capsys.readouterr().err)["error"]
+        assert "did not converge in 1 iterations" in message

@@ -303,6 +303,17 @@ class TestBinaryRoundtrip:
         assert back.grid == g64
         assert np.array_equal(back.samples, f.samples)
 
+    @pytest.mark.parametrize("keep, named", [
+        (17 + 4095 * 8, "payload is 32760 bytes.*needs 32768"),
+        (10, "header is 6 bytes, needs 13"),
+    ], ids=["payload", "header"])
+    def test_truncated_file_named(self, tmp_path, g64, keep, named):
+        p = tmp_path / "field.vxlf"
+        save_field(p, random_smooth(g64, 31))
+        p.write_bytes(p.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=named):
+            load_field(p)
+
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.vxlf"
         p.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -1,10 +1,10 @@
-"""Heat semigroup multiplier and the singular Duhamel quadrature."""
+"""Heat semigroup multiplier and the exact-in-time Duhamel weights."""
 
 import numpy as np
 import pytest
 
 from vortexlab.fields import Grid, ScalarField, VectorField
-from vortexlab.heat import DuhamelQuadrature, duhamel_derivative_term, heat_evolve
+from vortexlab.heat import SERIES_Z, etd_weights, heat_evolve
 
 TWO_PI = 2.0 * np.pi
 
@@ -55,70 +55,68 @@ class TestHeatEvolve:
         assert np.allclose(out.components[1].samples, 2.0 * single.samples)
 
 
-class TestDuhamelQuadrature:
-    def test_nodes_inside_interval(self):
-        q = DuhamelQuadrature(t=0.3, m=16)
-        assert np.all(q.nodes > 0.0) and np.all(q.nodes < 0.3)
-
-    def test_weights_sum_to_horizon(self):
-        q = DuhamelQuadrature(t=0.3, m=64)
-        # sum of weights = int_0^sqrt(t) 2 tau d tau = t (midpoint is exact
-        # on linear integrands)
-        assert np.sum(q.weights) == pytest.approx(0.3, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DuhamelQuadrature(t=0.0, m=16)
-        with pytest.raises(ValueError):
-            DuhamelQuadrature(t=0.1, m=3)
-
-    def test_resolves_inverse_sqrt_singularity(self):
-        # int_0^t (t-s)^{-1/2} ds = 2 sqrt(t), the worst-case kernel
-        t = 0.25
-        q = DuhamelQuadrature(t=t, m=64)
-        val = np.sum(q.weights / np.sqrt(t - q.nodes))
-        assert val == pytest.approx(2.0 * np.sqrt(t), rel=1e-12)
+def duhamel_march(s0, source, ksq, times):
+    """Exact-panel recurrence over a uniform lattice, source sampled at its nodes."""
+    e, w_old, w_new = etd_weights(ksq, times[1] - times[0])
+    s = s0
+    d_prev = source(times[0])
+    for t in times[1:]:
+        d_next = source(t)
+        s = e * s + w_old * d_prev + w_new * d_next
+        d_prev = d_next
+    return s
 
 
 class TestDuhamelDerivativeTerm:
     def test_zero_flux_gives_zero(self, g64):
-        q = DuhamelQuadrature(t=0.2, m=16)
+        # no source: the Duhamel term vanishes and only exp(t Lap) w0 is left
+        w0 = ScalarField.from_function(g64, lambda x, y: np.sin(x) * np.cos(3 * y) + np.cos(5 * y))
+        times = np.linspace(0.0, 0.3, 9)
         zero = np.zeros(g64.shape, dtype=np.complex128)
-        out = duhamel_derivative_term(lambda s: [zero, zero], 0.2, q, g64)
-        assert np.max(np.abs(out.samples)) == 0.0
-
-    def _single_mode_flux(self, g64, amp=0.7):
-        gh = np.zeros(g64.shape, dtype=np.complex128)
-        gh[1, 0] = amp * g64.n**2 / 2.0
-        gh[-1, 0] = amp * g64.n**2 / 2.0  # real flux amp*cos(x1) in axis 0
-        zero = np.zeros(g64.shape, dtype=np.complex128)
-        return gh, zero
+        assert np.all(duhamel_march(zero, lambda t: zero, g64.ksq(), times) == 0.0)
+        s = duhamel_march(w0.spectrum(), lambda t: zero, g64.ksq(), times)
+        out = ScalarField.from_spectrum(g64, s)
+        expect = heat_evolve(w0, times[-1])
+        assert np.max(np.abs(out.samples - expect.samples)) < 1e-12
 
     def test_constant_single_mode_closed_form(self, g64):
-        # flux g = (amp cos x1, 0), constant in s; the mode k = (1,0) gives
-        # -ik int_0^t e^{-(t-s)} ds * g_hat = -i (1 - e^{-t}) g_hat,
-        # i.e. samples amp (1 - e^{-t}) sin(x1)
-        t = 0.1
-        gh, zero = self._single_mode_flux(g64)
-        q = DuhamelQuadrature(t=t, m=64)
-        out = duhamel_derivative_term(lambda s: [gh, zero], t, q, g64)
+        # flux g = (amp cos x1, 0), constant in s; the mode k = (1,0) of the
+        # source -div g gives -ik int_0^t e^{-(t-s)} ds * g_hat
+        # = -i (1 - e^{-t}) g_hat, i.e. samples amp (1 - e^{-t}) sin(x1);
+        # a constant source is linear on every panel, so this is exact
+        t, amp = 0.1, 0.7
+        gh = np.zeros(g64.shape, dtype=np.complex128)
+        gh[1, 0] = amp * g64.n**2 / 2.0
+        gh[-1, 0] = amp * g64.n**2 / 2.0
+        d = -1j * g64.deriv_wavenumber(0) * gh
+        zero = np.zeros(g64.shape, dtype=np.complex128)
+        s = duhamel_march(zero, lambda _t: d, g64.ksq(), np.linspace(0.0, t, 5))
         x = g64.meshgrid()[0]
-        expect = 0.7 * (1.0 - np.exp(-t)) * np.sin(x)
-        assert np.max(np.abs(out.samples - expect)) < 1e-6
+        expect = amp * (1.0 - np.exp(-t)) * np.sin(x)
+        assert np.max(np.abs(ScalarField.from_spectrum(g64, s).samples - expect)) < 1e-13
 
-    def test_richardson_order_at_least_two(self, g64):
-        # s-dependent flux; compare m, 2m, 4m against a fine reference
+    def test_second_order_in_dt(self):
+        # source cos(3s) on modes |k|^2 = lam (lam = 0 hits the series branch,
+        # lam = 100 the stiff end); the exact Duhamel integral is
+        # (lam cos 3t + 3 sin 3t - lam e^{-lam t}) / (lam^2 + 9)
+        lam = np.array([0.0, 1.0, 4.0, 25.0, 100.0])
         t = 0.5
-        gh, zero = self._single_mode_flux(g64)
-
-        def g_of_s(s):
-            return [np.cos(3.0 * s) * gh, zero]
-
-        def run(m):
-            q = DuhamelQuadrature(t=t, m=m)
-            return duhamel_derivative_term(g_of_s, t, q, g64).samples
-
-        ref = run(2048)
-        errs = [np.max(np.abs(run(m) - ref)) for m in (16, 32, 64)]
+        exact = (lam * np.cos(3 * t) + 3 * np.sin(3 * t) - lam * np.exp(-lam * t)) / (lam**2 + 9)
+        errs = []
+        for nt in (17, 33, 65):
+            s = duhamel_march(np.zeros_like(lam), lambda s: np.cos(3 * s) * np.ones_like(lam),
+                              lam, np.linspace(0.0, t, nt))
+            errs.append(np.abs(s - exact))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-        assert np.all(orders >= 1.9)
+        assert np.all(orders > 1.9) and np.all(orders < 2.1)
+
+
+class TestEtdWeights:
+    def test_series_and_closed_form_agree_at_threshold(self):
+        z = np.array([np.nextafter(SERIES_Z, 0.0), SERIES_Z])  # series, closed form
+        for weights in etd_weights(z, 1.0):
+            assert abs(weights[0] - weights[1]) <= 1e-13 * abs(weights[1])
+
+    def test_nonpositive_dt_rejected(self, g64):
+        with pytest.raises(ValueError):
+            etd_weights(g64.ksq(), 0.0)

@@ -34,7 +34,7 @@ def dipole(grid, t_init=0.005, sep=None, alpha0=1.0):
 
 class TestApplyT:
     def test_zero_everything(self, g64):
-        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8, quad_m=8)
+        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
         zero = ScalarField.zeros(g64)
         traj = Trajectory(cfg.times, [zero] * cfg.nt)
         out = apply_T(traj, zero, cfg)
@@ -43,7 +43,7 @@ class TestApplyT:
     def test_zero_flux_reduces_to_heat_evolution(self, g64):
         # a zero input trajectory has zero advective flux, so T returns the
         # bare heat evolution of the initial datum
-        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8, quad_m=8)
+        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
         w0 = dipole(g64)
         traj = Trajectory(cfg.times, [ScalarField.zeros(g64)] * cfg.nt)
         out = apply_T(traj, w0, cfg)
@@ -60,7 +60,7 @@ class TestApplyT:
         d2s = []
         t0s = [0.01, 0.02, 0.04]
         for t0 in t0s:
-            cfg = MildSolveConfig(grid=g, t0=t0, nt=16, quad_m=32)
+            cfg = MildSolveConfig(grid=g, t0=t0, nt=16)
             guess = Trajectory(cfg.times, [heat_evolve(w0, t) for t in cfg.times])
             first = apply_T(guess, w0, cfg)
             second = apply_T(first, w0, cfg)
@@ -74,7 +74,7 @@ class TestApplyT:
         assert slope >= 1.4
 
     def test_wrong_time_lattice_rejected(self, g64):
-        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8, quad_m=8)
+        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
         zero = ScalarField.zeros(g64)
         bad = Trajectory(np.linspace(0.0, 0.2, 8), [zero] * 8)
         with pytest.raises(ValueError):
@@ -83,14 +83,14 @@ class TestApplyT:
 
 class TestPicardSolve:
     def test_zero_datum_converges_immediately(self, g64):
-        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8, quad_m=8)
+        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
         traj, trace = picard_solve(ScalarField.zeros(g64), cfg)
         assert trace.converged and trace.iterations == 1
         assert all(np.max(np.abs(s.samples)) == 0.0 for s in traj.snapshots)
 
     def test_matches_reference_stepper(self, g64):
         w0 = two_mode_vorticity(g64, 0.05)
-        cfg = MildSolveConfig(grid=g64, t0=0.2, nt=16, quad_m=64)
+        cfg = MildSolveConfig(grid=g64, t0=0.2, nt=16)
         traj, trace = picard_solve(w0, cfg)
         assert trace.converged
         ref = reference_stepper(w0, cfg.t0, cfg.nt)
@@ -106,7 +106,7 @@ class TestPicardSolve:
         w0 = ScalarField.from_function(
             g64, lambda x, y: eps * (np.cos(x) + np.cos(y))
         )
-        cfg = MildSolveConfig(grid=g64, t0=0.5, nt=8, quad_m=32)
+        cfg = MildSolveConfig(grid=g64, t0=0.5, nt=8)
         traj, trace = picard_solve(w0, cfg)
         assert trace.converged
         for t, snap in traj:
@@ -115,7 +115,7 @@ class TestPicardSolve:
 
     def test_dipole_circulation_conserved(self, g64):
         w0 = dipole(g64)
-        cfg = MildSolveConfig(grid=g64, t0=0.02, nt=8, quad_m=32)
+        cfg = MildSolveConfig(grid=g64, t0=0.02, nt=8)
         traj, trace = picard_solve(w0, cfg)
         assert trace.converged
         assert all(abs(s.mean()) < 1e-12 for s in traj.snapshots)
@@ -123,7 +123,7 @@ class TestPicardSolve:
 
     def test_noncontracting_horizon_raises(self, g64):
         w0 = dipole(g64, t_init=0.002, sep=np.pi / 4.0, alpha0=60.0)
-        cfg = MildSolveConfig(grid=g64, t0=0.5, nt=8, quad_m=16, max_iter=12)
+        cfg = MildSolveConfig(grid=g64, t0=0.5, nt=8, max_iter=12)
         with pytest.raises((ContractionFailureError, ArithmeticError)):
             picard_solve(w0, cfg)
 
@@ -131,14 +131,14 @@ class TestPicardSolve:
 class TestContractionDiagnostics:
     def test_first_ratio_small_for_small_data(self, g64):
         w0 = two_mode_vorticity(g64, 0.05)
-        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8, quad_m=32)
+        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
         assert first_contraction_ratio(w0, cfg) < 0.5
 
     def test_ratio_decreases_with_horizon(self, g64):
         w0 = dipole(g64)
         ratios = [
             first_contraction_ratio(
-                w0, MildSolveConfig(grid=g64, t0=t0, nt=8, quad_m=32)
+                w0, MildSolveConfig(grid=g64, t0=t0, nt=8)
             )
             for t0 in (0.04, 0.02, 0.01)
         ]
@@ -177,14 +177,14 @@ class TestReferenceStepper:
 class TestContinuousDependence:
     def test_zero_perturbation(self, g64):
         w0 = two_mode_vorticity(g64, 0.05)
-        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8, quad_m=32)
+        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
         rep = continuous_dependence_experiment(w0, [ScalarField.zeros(g64)], cfg)
         assert rep["rows"][0]["output_w11"] == 0.0
         assert rep["slope"] is None
 
     def test_linear_response_slope(self, g64):
         w0 = two_mode_vorticity(g64, 0.05)
-        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8, quad_m=32, tol=1e-11)
+        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8, tol=1e-11)
         bump = smooth_bump(g64)
         perts = [bump * eps for eps in (1e-2, 1e-3, 1e-4)]
         rep = continuous_dependence_experiment(w0, perts, cfg)
@@ -192,7 +192,7 @@ class TestContinuousDependence:
 
     def test_proportional_perturbation_ratio_bounded(self, g64):
         w0 = two_mode_vorticity(g64, 0.05)
-        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8, quad_m=32, tol=1e-11)
+        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8, tol=1e-11)
         perts = [w0 * eps for eps in (1e-2, 1e-3)]
         rep = continuous_dependence_experiment(w0, perts, cfg)
         ratios = [r["ratio"] for r in rep["rows"]]
