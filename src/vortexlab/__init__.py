@@ -16,7 +16,6 @@ from .fields import (
     divergence,
     gradient,
     hs_norm,
-    inverse_transform,
     jacobian_magnitude,
     load_field,
     lp_norm,

@@ -61,16 +61,11 @@ class RatioReport:
 def _random_scalar(grid: Grid, beta: float, rng) -> ScalarField:
     """Mean-zero random field with the spec's spectral decay; Nyquist planes
     zeroed so spectral refinement reproduces the field exactly."""
-    white = rng.standard_normal(grid.shape)
-    coeffs = np.fft.fftn(white)
-    decay = (1.0 + grid.ksq()) ** (-beta / 2.0)
-    coeffs = coeffs * decay
-    coeffs.ravel()[0] = 0.0
-    nyq = grid.n // 2
+    coeffs = np.fft.rfftn(rng.standard_normal(grid.shape))
+    coeffs *= (1.0 + grid.ksq()) ** (-beta / 2.0)
+    coeffs.flat[0] = 0.0
     for a in range(grid.dim):
-        idx = [slice(None)] * grid.dim
-        idx[a] = nyq
-        coeffs[tuple(idx)] = 0.0
+        np.moveaxis(coeffs, a, 0)[grid.n // 2] = 0.0
     f = ScalarField.from_spectrum(grid, coeffs)
     scale = float(np.max(np.abs(f.samples)))
     return f * (1.0 / scale) if scale > 0 else f

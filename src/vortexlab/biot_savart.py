@@ -8,7 +8,13 @@ configurations (dipoles).  The inverse Laplacian zero mode is set to zero
 
 import numpy as np
 
-from .fields import Grid, ScalarField, VectorField, divergence, lp_norm
+from .fields import (
+    ScalarField,
+    VectorField,
+    divergence_spectrum,
+    hs_sq,
+    mean_is_negligible,
+)
 
 
 class CirculationObstructionError(ValueError):
@@ -16,29 +22,23 @@ class CirculationObstructionError(ValueError):
 
 
 def _check_mean_zero(f: ScalarField, what: str):
-    scale = float(np.max(np.abs(f.samples)))
-    if scale > 0 and abs(f.mean()) > 1e-10 * scale:
+    if not mean_is_negligible(f):
         raise CirculationObstructionError(
             f"circulation obstruction on torus: {what} has nonzero mean "
             f"{f.mean():.3e} (|mean| must be <= 1e-10 * max|field|)"
         )
 
 
-def _inv_ksq(grid: Grid) -> np.ndarray:
-    ksq = grid.ksq().copy()
-    flat = ksq.ravel()
-    flat[0] = 1.0  # zero mode handled separately (set to zero downstream)
-    return 1.0 / ksq
-
-
 class SolenoidalVectorField(VectorField):
-    """VectorField whose discrete divergence is negligible relative to its size."""
+    """VectorField whose discrete divergence is negligible relative to its size
+    (both L2 norms, taken by Parseval on the component spectra)."""
 
     def __init__(self, components):
         super().__init__(components)
-        size = lp_norm(self, 2)
+        g = self.grid
+        size = np.sqrt(sum(hs_sq(g, c.spectrum()) for c in self.components))
         if size > 0:
-            div = lp_norm(divergence(self), 2)
+            div = np.sqrt(hs_sq(g, divergence_spectrum(self)))
             if div > 1e-8 * size:
                 raise ValueError(
                     f"field is not solenoidal: |div|_2 = {div:.3e} vs 1e-8 * |u|_2"
@@ -51,16 +51,12 @@ def velocity_from_vorticity_2d(omega: ScalarField) -> SolenoidalVectorField:
     if g.dim != 2:
         raise ValueError("velocity_from_vorticity_2d requires a 2D scalar field")
     _check_mean_zero(omega, "vorticity")
-    what = omega.spectrum()
-    inv = _inv_ksq(g)
-    k0 = g.deriv_wavenumber(0)
-    k1 = g.deriv_wavenumber(1)
-    v0 = 1j * k1 * what * inv
-    v1 = -1j * k0 * what * inv
-    v0.ravel()[0] = 0.0
-    v1.ravel()[0] = 0.0
+    psi = g.kpow(-2.0) * omega.spectrum()
     return SolenoidalVectorField(
-        [ScalarField.from_spectrum(g, v0), ScalarField.from_spectrum(g, v1)]
+        [
+            ScalarField.from_spectrum(g, 1j * g.deriv_wavenumber(1) * psi),
+            ScalarField.from_spectrum(g, -1j * g.deriv_wavenumber(0) * psi),
+        ]
     )
 
 
@@ -71,20 +67,15 @@ def velocity_from_vorticity_3d(omega: VectorField) -> SolenoidalVectorField:
         raise ValueError("velocity_from_vorticity_3d requires a 3D vector field")
     for c in omega.components:
         _check_mean_zero(c, "vorticity component")
-    inv = _inv_ksq(g)
+    inv = g.kpow(-2.0)
     k = [g.deriv_wavenumber(a) for a in range(3)]
     w = [c.spectrum() for c in omega.components]
-    curl = [
-        1j * (k[1] * w[2] - k[2] * w[1]),
-        1j * (k[2] * w[0] - k[0] * w[2]),
-        1j * (k[0] * w[1] - k[1] * w[0]),
-    ]
-    comps = []
-    for c in curl:
-        vc = c * inv
-        vc.ravel()[0] = 0.0
-        comps.append(ScalarField.from_spectrum(g, vc))
-    return SolenoidalVectorField(comps)
+    return SolenoidalVectorField(
+        [
+            ScalarField.from_spectrum(g, 1j * (k[i] * w[j] - k[j] * w[i]) * inv)
+            for i, j in ((1, 2), (2, 0), (0, 1))
+        ]
+    )
 
 
 def leray_project(u: VectorField) -> SolenoidalVectorField:
@@ -103,8 +94,8 @@ def leray_project(u: VectorField) -> SolenoidalVectorField:
     proj = [uh[a] - k[a] * kdotu * inv for a in range(g.dim)]
     # pure-gradient inputs leave only roundoff; snap that to exact zero so
     # the solenoidal invariant is not tested against noise
-    size_in = np.sqrt(sum(np.sum(np.abs(c) ** 2) for c in uh))
-    size_out = np.sqrt(sum(np.sum(np.abs(c) ** 2) for c in proj))
+    size_in = np.sqrt(sum(hs_sq(g, c) for c in uh))
+    size_out = np.sqrt(sum(hs_sq(g, c) for c in proj))
     if size_out <= 1e-12 * size_in:
         proj = [np.zeros_like(c) for c in proj]
     return SolenoidalVectorField(

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import io as vio
 from .bb_lab import RandomFieldSpec, bb_ratio_2d, bb_ratio_3d, gn_ratio, refinement_study
-from .fields import Grid, lp_norm
+from .fields import Grid, ScalarField, VectorField, lp_norm
 from .maxwell_wave import (
     CurrentDensity,
     StrichartzExponents,
@@ -31,7 +31,6 @@ from .maxwell_wave import (
 from .mild_solver import MildSolveConfig, calibrate_horizon, picard_solve, require_converged
 from .oseen import oseen_dipole, sharpness_scaling_experiment
 from .random_data import two_mode_vorticity, wave_fixture_family
-from .fields import ScalarField, VectorField
 
 
 class ConfigError(ValueError):
@@ -317,11 +316,8 @@ def _run_continuous_dependence(cfg, out_dir):
     return summary
 
 
-_RATIO_FNS = {
-    "bb-ratio-2d": (2, bb_ratio_2d),
-    "bb-ratio-3d": (3, bb_ratio_3d),
-    "gn-ratio": (2, gn_ratio),
-}
+_RATIO_FNS = {"bb-ratio-2d": (2, bb_ratio_2d), "bb-ratio-3d": (3, bb_ratio_3d),
+              "gn-ratio": (2, gn_ratio)}
 
 
 def _run_ratio_family(kind, cfg, out_dir, threads):
@@ -336,8 +332,13 @@ def _run_ratio_family(kind, cfg, out_dir, threads):
         return n_eval, refinement_study(spec, fn, [n_eval])
 
     if threads > 1 and len(levels) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, levels))
+        # finest level here: in a pool thread's malloc arena, its freed blocks made peak RSS vary
+        finest = levels.index(max(levels))
+        with ThreadPoolExecutor(max_workers=threads - 1) as ex:
+            rest = [ex.submit(one, m) for i, m in enumerate(levels) if i != finest]
+            mine = one(levels[finest])
+            results = [f.result() for f in rest]
+        results.insert(finest, mine)
     else:
         results = [one(m) for m in levels]
     rows = []

@@ -2,10 +2,16 @@
 
 Conventions, fixed once for the whole package:
 
-* Transforms use ``numpy.fft.fftn`` without extra normalization, so the
-  coefficient at wavevector 0 equals ``mean(f) * n**dim``.
-* Physical wavenumbers are ``2*pi*fftfreq(n, d=h)``; odd derivatives zero
-  the Nyquist mode so real fields stay real and derivatives antisymmetric.
+* Fields are real, so a spectrum is the ``numpy.fft.rfftn`` half spectrum
+  of shape ``Grid.spectral_shape``: the last axis keeps wavenumbers 0..n/2
+  only (its last column is the Nyquist wavenumber +n/2), the rest follow by
+  Hermitian symmetry.  Without extra normalization the coefficient at
+  wavevector 0 (flat index 0) equals ``mean(f) * n**dim``.
+* Physical wavenumbers are ``2*pi*fftfreq(n, d=h)`` (``rfftfreq`` on the
+  last axis); odd derivatives zero the Nyquist mode of every axis so real
+  fields stay real and derivatives antisymmetric.
+* Parseval sums weight each half-spectrum column by 2, except the zero and
+  Nyquist columns of the last axis (weight 1), their own mirror images.
 * All integral norms carry the cell measure ``h**dim`` so values converge
   to continuum integrals under refinement.
 * Vector magnitudes (including gradient tensors) are pointwise Euclidean.
@@ -13,6 +19,7 @@ Conventions, fixed once for the whole package:
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 import struct
 
 import numpy as np
@@ -24,7 +31,11 @@ _FIELD_MAGIC = b"VXLF"
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform isotropic periodic lattice, ``n`` points per axis, period ``box_length``."""
+    """Uniform isotropic periodic lattice, ``n`` points per axis, period ``box_length``.
+
+    Its spectral multipliers are cached per grid value, so equal grids share
+    them; every one is a read-only array on the half spectrum.
+    """
 
     dim: int
     n: int
@@ -47,6 +58,11 @@ class Grid:
         return (self.n,) * self.dim
 
     @property
+    def spectral_shape(self) -> tuple[int, ...]:
+        """Shape of the rfftn half spectrum."""
+        return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
+
+    @property
     def cell_measure(self) -> float:
         return self.h**self.dim
 
@@ -59,97 +75,103 @@ class Grid:
         return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
     def wavenumber(self, axis: int) -> np.ndarray:
-        """Physical wavenumbers 2*pi*k/L along `axis`, broadcast to full shape."""
-        return _wavenumbers(self.dim, self.n, self.box_length)[axis]
+        """Physical wavenumbers 2*pi*k/L along `axis`, broadcastable to the half spectrum."""
+        return self._wavenumbers(False)[axis]
 
     def deriv_wavenumber(self, axis: int) -> np.ndarray:
         """Wavenumbers for odd derivatives: Nyquist mode zeroed."""
-        return _deriv_wavenumbers(self.dim, self.n, self.box_length)[axis]
+        return self._wavenumbers(True)[axis]
 
+    @lru_cache(maxsize=32)
+    def _wavenumbers(self, zero_nyquist: bool) -> tuple[np.ndarray, ...]:
+        out = []
+        for axis in range(self.dim):
+            freq = np.fft.rfftfreq if axis == self.dim - 1 else np.fft.fftfreq
+            k1 = 2.0 * np.pi * freq(self.n, d=self.h)
+            if zero_nyquist:
+                k1[self.n // 2] = 0.0
+            shape = [1] * self.dim
+            shape[axis] = k1.size
+            out.append(_readonly(k1.reshape(shape)))
+        return tuple(out)
+
+    @lru_cache(maxsize=32)
     def ksq(self) -> np.ndarray:
-        return _ksq(self.dim, self.n, self.box_length)
+        return _readonly(sum(k**2 for k in self._wavenumbers(False)))
 
+    @lru_cache(maxsize=32)
     def kmag(self) -> np.ndarray:
-        return _kmag(self.dim, self.n, self.box_length)
+        return _readonly(np.sqrt(self.ksq()))
 
+    @lru_cache(maxsize=32)
+    def kpow(self, p: float) -> np.ndarray:
+        """Multiplier |k|^p with the zero mode set to 0; p = -2 is the
+        inverse Laplacian (-Lap)^{-1} in the mean-zero gauge."""
+        k = self.kmag()
+        with np.errstate(divide="ignore"):
+            return _readonly(np.where(k > 0, k**p, 0.0))
+
+    @lru_cache(maxsize=32)
+    def sobolev_weight(self, s: float) -> np.ndarray:
+        """Parseval weight (2 per half-spectrum column, 1 on the zero and
+        Nyquist columns of the last axis) times |k|^{2s}; the zero mode is
+        dropped for s != 0."""
+        col = np.full(self.n // 2 + 1, 2.0)
+        col[0] = col[-1] = 1.0
+        w = col.reshape((1,) * (self.dim - 1) + (-1,))
+        return _readonly(w * self.kpow(2.0 * s) if s != 0 else w)
+
+    @lru_cache(maxsize=32)
     def dealias_mask(self) -> np.ndarray:
-        return _dealias_mask(self.dim, self.n, self.box_length)
+        kcut = (2.0 / 3.0) * np.pi * self.n / self.box_length
+        mask = np.ones(self.spectral_shape, dtype=bool)
+        for k in self._wavenumbers(False):
+            mask &= np.abs(k) < kcut
+        return _readonly(mask)
 
 
-@lru_cache(maxsize=32)
-def _wavenumbers(dim, n, L):
-    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
-    out = []
-    for axis in range(dim):
-        shape = [1] * dim
-        shape[axis] = n
-        arr = k1.reshape(shape)
-        arr.flags.writeable = False
-        out.append(arr)
-    return tuple(out)
-
-
-@lru_cache(maxsize=32)
-def _deriv_wavenumbers(dim, n, L):
-    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
-    k1[n // 2] = 0.0
-    out = []
-    for axis in range(dim):
-        shape = [1] * dim
-        shape[axis] = n
-        arr = k1.reshape(shape).copy()
-        arr.flags.writeable = False
-        out.append(arr)
-    return tuple(out)
-
-
-@lru_cache(maxsize=32)
-def _ksq(dim, n, L):
-    ks = _wavenumbers(dim, n, L)
-    out = sum(k**2 for k in ks)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=32)
-def _kmag(dim, n, L):
-    out = np.sqrt(_ksq(dim, n, L))
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=32)
-def _dealias_mask(dim, n, L):
-    kcut = (2.0 / 3.0) * np.pi * n / L
-    ks = _wavenumbers(dim, n, L)
-    mask = np.ones((n,) * dim, dtype=bool)
-    for k in ks:
-        mask &= np.abs(k) < kcut
-    mask.flags.writeable = False
-    return mask
+def _readonly(a):
+    a.flags.writeable = False
+    return a
 
 
 class ScalarField:
-    """Real samples on a Grid with a lazily cached spectrum.
+    """A real field on a Grid, held in the domain it was built in.
 
-    Treated as immutable: the sample array is marked read-only.
+    Samples and the rfftn half spectrum are each computed on first use and
+    then cached; both are read-only.  Linear arithmetic keeps every domain
+    both operands already hold, and transforms only when they share none.
     """
 
-    __slots__ = ("grid", "samples", "_spectrum")
+    __slots__ = ("grid", "_samples", "_spectrum")
 
-    def __init__(self, grid: Grid, samples: np.ndarray, _spectrum=None):
-        samples = np.asarray(samples, dtype=np.float64)
-        if samples.shape != grid.shape:
-            raise ValueError(
-                f"samples shape {samples.shape} does not match grid {grid.shape}"
-            )
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("field samples must be finite")
-        samples = samples.copy() if samples.flags.writeable else samples
-        samples.flags.writeable = False
+    def __init__(self, grid: Grid, samples=None, *, spectrum=None):
+        """From real samples (checked finite; copied unless read-only), from
+        rfftn coefficients (see from_spectrum), or from both."""
+        if samples is not None:
+            samples = np.asarray(samples, dtype=np.float64)
+            if samples.shape != grid.shape:
+                raise ValueError(
+                    f"samples shape {samples.shape} does not match grid {grid.shape}"
+                )
+            if not np.all(np.isfinite(samples)):
+                raise ValueError("field samples must be finite")
+            samples = _readonly(samples.copy() if samples.flags.writeable else samples)
+        if spectrum is not None:
+            spectrum = np.asarray(spectrum, dtype=np.complex128)
+            if spectrum.shape != grid.spectral_shape:
+                raise ValueError(
+                    f"spectrum shape {spectrum.shape} is not the rfftn half "
+                    f"spectrum shape {grid.spectral_shape} of grid {grid.shape}"
+                )
+            if samples is None and not np.all(np.isfinite(spectrum)):
+                raise ValueError("field spectrum must be finite")
+            _readonly(spectrum)
+        elif samples is None:
+            raise ValueError("a field needs samples or a spectrum")
         self.grid = grid
-        self.samples = samples
-        self._spectrum = _spectrum
+        self._samples = samples
+        self._spectrum = spectrum
 
     @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField":
@@ -161,43 +183,61 @@ class ScalarField:
 
     @classmethod
     def from_spectrum(cls, grid: Grid, coeffs: np.ndarray) -> "ScalarField":
-        samples = np.fft.ifftn(coeffs).real
-        f = cls(grid, samples)
-        f._spectrum = np.asarray(coeffs, dtype=np.complex128)
-        return f
+        """Field with rfftn coefficients `coeffs` (shape grid.spectral_shape),
+        taken over without a copy and made read-only; the samples are
+        computed only when first read."""
+        return cls(grid, spectrum=coeffs)
+
+    @property
+    def samples(self) -> np.ndarray:
+        if self._samples is None:
+            g = self.grid
+            self._samples = _readonly(np.fft.irfftn(self._spectrum, s=g.shape, axes=range(g.dim)))
+        return self._samples
 
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            self._spectrum = np.fft.fftn(self.samples)
+            self._spectrum = _readonly(np.fft.rfftn(self._samples))
         return self._spectrum
 
     def mean(self) -> float:
         return float(self.samples.mean())
 
+    def _linear(self, op, *others) -> "ScalarField":
+        """op in every domain that self and `others` all hold, else on samples."""
+        fields = (self,) + others
+        for f in others:
+            _check_same_grid(self, f)
+        spectral = all(f._spectrum is not None for f in fields)
+        sampled = all(f._samples is not None for f in fields)
+        return ScalarField(
+            self.grid,
+            _readonly(op(*(f.samples for f in fields))) if sampled or not spectral else None,
+            spectrum=op(*(f._spectrum for f in fields)) if spectral else None,
+        )
+
     def __add__(self, other):
         if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return ScalarField(self.grid, self.samples + other.samples)
+            return self._linear(np.add, other)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, ScalarField):
-            _check_same_grid(self, other)
-            return ScalarField(self.grid, self.samples - other.samples)
+            return self._linear(np.subtract, other)
         return NotImplemented
 
     def __mul__(self, c):
         if isinstance(c, (int, float)):
-            return ScalarField(self.grid, self.samples * c)
+            return self._linear(lambda a: a * c)
         if isinstance(c, ScalarField):
             _check_same_grid(self, c)
-            return ScalarField(self.grid, self.samples * c.samples)
+            return ScalarField(self.grid, _readonly(self.samples * c.samples))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ScalarField(self.grid, -self.samples)
+        return self._linear(np.negative)
 
     def __repr__(self):
         return f"ScalarField(dim={self.grid.dim}, n={self.grid.n}, L={self.grid.box_length})"
@@ -231,7 +271,7 @@ class VectorField:
         return np.stack([c.samples for c in self.components])
 
     def magnitude(self) -> ScalarField:
-        return ScalarField(self.grid, kernels.magnitude(self.component_samples()))
+        return ScalarField(self.grid, _readonly(kernels.magnitude(self.component_samples())))
 
     def __add__(self, other):
         if isinstance(other, VectorField):
@@ -317,38 +357,39 @@ class Trajectory:
 # spectral calculus
 
 def transform(f: ScalarField) -> np.ndarray:
-    """Forward FFT coefficients of f (numpy fftn convention)."""
+    """rfftn half-spectrum coefficients of f."""
     return f.spectrum()
 
 
-def inverse_transform(coeffs: np.ndarray, grid: Grid) -> ScalarField:
-    return ScalarField.from_spectrum(grid, coeffs)
+def _dspec(f: ScalarField, axis: int) -> np.ndarray:
+    """Spectrum of the derivative of f along `axis`."""
+    return 1j * f.grid.deriv_wavenumber(axis) * f.spectrum()
 
 
 def derivative(f: ScalarField, axis: int) -> ScalarField:
     g = f.grid
     if not 0 <= axis < g.dim:
         raise ValueError(f"axis {axis} out of range for dim {g.dim}")
-    return ScalarField.from_spectrum(g, 1j * g.deriv_wavenumber(axis) * f.spectrum())
+    return ScalarField.from_spectrum(g, _dspec(f, axis))
 
 
 def gradient(f: ScalarField) -> VectorField:
     return VectorField([derivative(f, a) for a in range(f.grid.dim)])
 
 
+def divergence_spectrum(v: VectorField) -> np.ndarray:
+    return sum(_dspec(c, a) for a, c in enumerate(v.components))
+
+
 def divergence(v: VectorField) -> ScalarField:
-    g = v.grid
-    coeffs = sum(
-        1j * g.deriv_wavenumber(a) * v.components[a].spectrum()
-        for a in range(g.dim)
-    )
-    return ScalarField.from_spectrum(g, coeffs)
+    return ScalarField.from_spectrum(v.grid, divergence_spectrum(v))
 
 
 def curl2d(v: VectorField) -> ScalarField:
     if v.grid.dim != 2:
         raise ValueError("curl2d requires a 2D field")
-    return derivative(v.components[1], 0) - derivative(v.components[0], 1)
+    c = v.components
+    return ScalarField.from_spectrum(v.grid, _dspec(c[1], 0) - _dspec(c[0], 1))
 
 
 def curl3d(v: VectorField) -> VectorField:
@@ -357,20 +398,20 @@ def curl3d(v: VectorField) -> VectorField:
     c = v.components
     return VectorField(
         [
-            derivative(c[2], 1) - derivative(c[1], 2),
-            derivative(c[0], 2) - derivative(c[2], 0),
-            derivative(c[1], 0) - derivative(c[0], 1),
+            ScalarField.from_spectrum(v.grid, _dspec(c[i], j) - _dspec(c[j], i))
+            for i, j in ((2, 1), (0, 2), (1, 0))
         ]
     )
 
 
+def gradient_tensor(v: VectorField) -> np.ndarray:
+    """Samples of every d_a v_c, component-major, shape (dim*dim, *grid.shape)."""
+    return np.stack([derivative(c, a).samples for c in v.components for a in range(v.grid.dim)])
+
+
 def jacobian_magnitude(v: VectorField) -> ScalarField:
     """Pointwise Frobenius magnitude of the gradient tensor of v."""
-    rows = []
-    for comp in v.components:
-        for a in range(v.grid.dim):
-            rows.append(derivative(comp, a).samples)
-    return ScalarField(v.grid, kernels.magnitude(np.stack(rows)))
+    return ScalarField(v.grid, _readonly(kernels.magnitude(gradient_tensor(v))))
 
 
 def spectral_refine(f: ScalarField, n_new: int) -> ScalarField:
@@ -386,18 +427,17 @@ def spectral_refine(f: ScalarField, n_new: int) -> ScalarField:
         return f
     if n_new % 2 != 0:
         raise ValueError("n_new must be even")
-    old = np.fft.fftshift(f.spectrum())
-    # zero the old Nyquist planes (index 0 after fftshift for even n)
-    for a in range(g.dim):
-        idx = [slice(None)] * g.dim
-        idx[a] = 0
-        old[tuple(idx)] = 0.0
-    new = np.zeros((n_new,) * g.dim, dtype=np.complex128)
-    lo = (n_new - g.n) // 2
-    sl = tuple(slice(lo, lo + g.n) for _ in range(g.dim))
-    new[sl] = old
-    new = np.fft.ifftshift(new) * (n_new / g.n) ** g.dim
-    return ScalarField.from_spectrum(Grid(g.dim, n_new, g.box_length), new)
+    fine = Grid(g.dim, n_new, g.box_length)
+    half = g.n // 2
+    old = f.spectrum()
+    new = np.zeros(fine.spectral_shape, dtype=np.complex128)
+    # wavenumbers 0..half-1 and -(half-1)..-1 sit at the same index from the
+    # front and from the back on both grids; the last axis has no negatives
+    keep = (slice(0, half), slice(1 - half, None))
+    for corner in product(keep, repeat=g.dim - 1):
+        idx = corner + (slice(0, half),)
+        new[idx] = old[idx] * (n_new / g.n) ** g.dim
+    return ScalarField.from_spectrum(fine, new)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +462,27 @@ def w11_norm(f: ScalarField) -> float:
     return lp_norm(f, 1) + lp_norm(gradient(f), 1)
 
 
+def hs_sq(grid: Grid, coeffs: np.ndarray, s: float = 0.0) -> float:
+    """Squared homogeneous H^s norm of the field with half-spectrum `coeffs`,
+    by weighted Parseval; s = 0 gives the squared L2 norm, zero mode included."""
+    power = coeffs.real**2 + coeffs.imag**2
+    return float(np.sum(grid.sobolev_weight(s) * power)) * grid.cell_measure / grid.n**grid.dim
+
+
+def mean_is_negligible(f: ScalarField) -> bool:
+    """Whether |mean(f)| <= 1e-10 * max|f| (an all-zero field passes).
+
+    Decided from the spectrum when |mean| <= 1e-10 * rms: rms <= max|f|, so
+    that implies the sample test.  Only other fields read their samples.
+    """
+    g = f.grid
+    c = f.spectrum()
+    rms = np.sqrt(hs_sq(g, c) / g.box_length**g.dim)
+    if abs(c.flat[0].real) / g.n**g.dim <= 1e-10 * rms:
+        return True
+    return abs(f.mean()) <= 1e-10 * float(np.max(np.abs(f.samples)))
+
+
 def hs_norm(f, s: float) -> float:
     """Homogeneous Sobolev norm, normalized so hs_norm(f, 0) == lp_norm(f, 2)
     on mean-zero fields.  Zero mode excluded for s != 0; s < 0 requires a
@@ -431,29 +492,21 @@ def hs_norm(f, s: float) -> float:
         return float(
             np.sqrt(sum(hs_norm(c, s) ** 2 for c in f.components))
         )
-    g = f.grid
-    if s < 0:
-        scale = float(np.max(np.abs(f.samples)))
-        if scale == 0.0:
-            return 0.0
-        if abs(f.mean()) > 1e-10 * scale:
-            raise ValueError(
-                "homogeneous norm undefined: s < 0 requires a mean-zero field"
-            )
-    coeffs = f.spectrum()
-    power = np.abs(coeffs) ** 2
-    kmag = g.kmag()
-    flat_p = power.ravel().copy()
-    flat_k = kmag.ravel()
-    if s == 0:
-        weighted = flat_p  # plain Parseval, equals the L2 norm
-    else:
-        flat_p[0] = 0.0  # zero mode excluded (index 0 in fft layout)
-        with np.errstate(divide="ignore"):
-            w = np.where(flat_k > 0, flat_k**(2.0 * s), 0.0)
-        weighted = flat_p * w
-    total = np.sum(weighted)
-    return float(np.sqrt(total * g.cell_measure / g.n**g.dim))
+    if s < 0 and not mean_is_negligible(f):
+        raise ValueError(
+            "homogeneous norm undefined: s < 0 requires a mean-zero field"
+        )
+    return float(np.sqrt(hs_sq(f.grid, f.spectrum(), s)))
+
+
+def time_lq_norm(values, dt: float, q: float) -> float:
+    """L^q norm in time of values on a uniform lattice of step dt, trapezoid rule."""
+    values = np.asarray(values)
+    if np.isinf(q):
+        return float(np.max(values))
+    weights = np.full(len(values), dt)
+    weights[0] = weights[-1] = dt / 2
+    return float(np.sum(weights * values**q) ** (1.0 / q))
 
 
 def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
@@ -462,13 +515,8 @@ def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
         raise ValueError("mixed_norm needs at least 2 time samples")
     if q < 1 or r < 1:
         raise ValueError("exponents must satisfy 1 <= q, r <= inf")
-    vals = np.array([lp_norm(f, r) for f in traj.snapshots])
-    if np.isinf(q):
-        return float(np.max(vals))
-    dt = traj.times[1] - traj.times[0]
-    weights = np.full(len(vals), dt)
-    weights[0] = weights[-1] = dt / 2
-    return float(np.sum(weights * vals**q) ** (1.0 / q))
+    vals = [lp_norm(f, r) for f in traj.snapshots]
+    return time_lq_norm(vals, traj.times[1] - traj.times[0], q)
 
 
 # ---------------------------------------------------------------------------
@@ -497,5 +545,5 @@ def load_field(path) -> ScalarField:
     if len(payload) != 8 * n**dim:
         raise ValueError(f"field file payload is {len(payload)} bytes, "
                          f"its header (dim={dim}, n={n}) needs {8 * n**dim}")
-    data = np.frombuffer(payload, dtype="<f8").reshape(grid.shape)
-    return ScalarField(grid, data.astype(np.float64))
+    # a read-only view of the immutable payload, so the field keeps it uncopied
+    return ScalarField(grid, np.frombuffer(payload, dtype="<f8").reshape(grid.shape))

@@ -25,9 +25,7 @@ def heat_evolve(f, t: float):
         raise ValueError(f"heat_evolve requires t >= 0, got {t}")
     if isinstance(f, VectorField):
         return VectorField([heat_evolve(c, t) for c in f.components])
-    g = f.grid
-    mult = np.exp(-g.ksq() * t)
-    return ScalarField.from_spectrum(g, mult * f.spectrum())
+    return ScalarField.from_spectrum(f.grid, np.exp(-f.grid.ksq() * t) * f.spectrum())
 
 
 def etd_weights(ksq: np.ndarray, dt: float):

@@ -4,8 +4,7 @@ Each kernel exists twice: ``*_numpy`` (vectorized numpy, always available)
 and ``*_numba`` (an ``@njit`` loop).  The public unsuffixed name is bound at
 import time according to the ``VORTEXLAB_NO_NUMBA`` flag, see
 :mod:`vortexlab._accel`.  Both paths agree to ~1e-12 relative (summation
-order differs); ``benchmarks/bench_kernels.py`` times them against each
-other.
+order differs).
 """
 
 import numpy as np

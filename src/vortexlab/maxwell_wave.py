@@ -18,10 +18,12 @@ from .fields import (
     Trajectory,
     VectorField,
     curl3d,
-    derivative,
+    gradient_tensor,
     hs_norm,
     jacobian_magnitude,
     lp_norm,
+    mean_is_negligible,
+    time_lq_norm,
 )
 
 
@@ -105,6 +107,7 @@ class HarmonicCurrentDensity(CurrentDensity):
         self.sigma = sigma
         self._curl_cos = [c.spectrum() for c in curl3d(j_cos).components]
         self._curl_sin = [c.spectrum() for c in curl3d(j_sin).components]
+        self._grad_cache = {}
 
     def evaluate(self, t: float) -> VectorField:
         a, b = np.cos(self.sigma * t), np.sin(self.sigma * t)
@@ -122,21 +125,14 @@ class HarmonicCurrentDensity(CurrentDensity):
     def smoothed_gradient_tensors(self, k_power: float):
         """Cached stacks of the (-Lap)^{k/2} gradient tensor samples of both
         harmonic parts, shape (9, n^3) each."""
-        cache = getattr(self, "_grad_cache", None)
-        if cache is None:
-            cache = {}
-            self._grad_cache = cache
+        cache = self._grad_cache
         if k_power not in cache:
             stacks = []
             for part in (self.j_cos, self.j_sin):
                 smoothed = VectorField(
                     [fractional_laplacian(c, k_power) for c in part.components]
                 )
-                rows = []
-                for comp in smoothed.components:
-                    for axis in range(3):
-                        rows.append(derivative(comp, axis).samples.ravel())
-                stacks.append(np.stack(rows))
+                stacks.append(gradient_tensor(smoothed).reshape(9, -1))
             cache[k_power] = tuple(stacks)
         return cache[k_power]
 
@@ -158,15 +154,13 @@ def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
     times = np.linspace(0.0, T, nt)
     dt = times[1] - times[0]
     kmag = grid.kmag()
-    inv_k = kmag.copy()
-    inv_k.ravel()[0] = 1.0
-    inv_k = 1.0 / inv_k
+    inv_k = grid.kpow(-1.0)
     zero = (0, 0, 0)
 
     b0h = [c.spectrum() for c in B0.components]
     b1h = [c.spectrum() for c in B1.components]
-    cum_cos = [np.zeros(grid.shape, dtype=np.complex128) for _ in range(3)]
-    cum_sin = [np.zeros(grid.shape, dtype=np.complex128) for _ in range(3)]
+    cum_cos = [np.zeros(grid.spectral_shape, dtype=np.complex128) for _ in range(3)]
+    cum_sin = [np.zeros(grid.spectral_shape, dtype=np.complex128) for _ in range(3)]
     cum_s0 = np.zeros(3, dtype=np.complex128)  # int S(0-mode) ds
     cum_s1 = np.zeros(3, dtype=np.complex128)  # int s S(0-mode) ds
     prev_src = j.curl_spectra(times[0]) if j is not None else None
@@ -236,24 +230,9 @@ def wave_energy(B: VectorField, Bt: VectorField) -> float:
 def fractional_laplacian(f: ScalarField, power: float) -> ScalarField:
     """Multiplier |k|^power; the zero mode is dropped (mean-zero input for
     power < 0, same obstruction as the homogeneous Sobolev norms)."""
-    g = f.grid
-    if power < 0:
-        scale = float(np.max(np.abs(f.samples)))
-        if scale > 0 and abs(f.mean()) > 1e-10 * scale:
-            raise ValueError("fractional_laplacian with power < 0 needs a mean-zero field")
-    kmag = g.kmag().copy()
-    kmag.ravel()[0] = 1.0
-    coeffs = kmag**power * f.spectrum()
-    coeffs.ravel()[0] = 0.0
-    return ScalarField.from_spectrum(g, coeffs)
-
-
-def _time_lq_norm(values: np.ndarray, dt: float, q: float) -> float:
-    if np.isinf(q):
-        return float(np.max(values))
-    w = np.full(len(values), dt)
-    w[0] = w[-1] = dt / 2.0
-    return float(np.sum(w * np.asarray(values) ** q) ** (1.0 / q))
+    if power < 0 and not mean_is_negligible(f):
+        raise ValueError("fractional_laplacian with power < 0 needs a mean-zero field")
+    return ScalarField.from_spectrum(f.grid, f.grid.kpow(power) * f.spectrum())
 
 
 def source_gradient_l1(j: CurrentDensity, t: float, k_power: float) -> float:
@@ -292,11 +271,11 @@ def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,
         grad_norms.append(
             source_gradient_l1(j, t, e.k) if j is not None else 0.0
         )
-    lhs = _time_lq_norm(np.asarray(lr_norms), dt, e.q) + sup_hs + sup_hs_dt
+    lhs = time_lq_norm(lr_norms, dt, e.q) + sup_hs + sup_hs_dt
     rhs = (
         hs_norm(B0, e.s)
         + hs_norm(B1, e.s - 1.0)
-        + _time_lq_norm(np.asarray(grad_norms), dt, _dual(e.q_tilde))
+        + time_lq_norm(grad_norms, dt, _dual(e.q_tilde))
     )
     return lhs, rhs
 

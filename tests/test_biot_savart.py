@@ -37,7 +37,7 @@ def g3():
 def random_mean_zero(grid, seed, beta=3.0):
     """Admissible random field: mean-zero, Nyquist-free, smooth decay."""
     rng = np.random.default_rng(seed)
-    coeffs = np.fft.fftn(rng.standard_normal(grid.shape))
+    coeffs = np.fft.rfftn(rng.standard_normal(grid.shape))
     coeffs *= (1.0 + grid.ksq()) ** (-beta / 2.0)
     coeffs.ravel()[0] = 0.0
     nyq = grid.n // 2

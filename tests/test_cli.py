@@ -182,17 +182,21 @@ class TestRun:
             assert a[name] == b[name]
 
     def test_thread_count_invariance(self, tmp_path):
-        body = GN_CONFIG + "n_eval = 32 64\n"
+        # the finest level runs on the calling thread, the others in the pool;
+        # reports keep the config's level order at every thread count
+        body = GN_CONFIG + "n_eval = 40 64 32\n"
         path = write_config(tmp_path, "gn-sweep.ini", body)
         outputs = []
-        for threads, sub in ((1, "t1"), (4, "t4")):
-            out_dir = tmp_path / sub
+        for threads in (1, 2, 4):
+            out_dir = tmp_path / f"t{threads}"
             assert main(
                 ["--threads", str(threads), "--out", str(out_dir), "run", path]
             ) == 0
             outputs.append(read_outputs(out_dir))
+        levels = json.loads(outputs[0]["gn-ratio-3.json"])["levels"]
+        assert [lv["n_eval"] for lv in levels] == [40, 64, 32]
         for name in ("gn-ratio-3.csv", "gn-ratio-3.json"):
-            assert outputs[0][name] == outputs[1][name]
+            assert outputs[0][name] == outputs[1][name] == outputs[2][name]
 
     def test_wave_fixture_run(self, tmp_path):
         body = """\

@@ -17,6 +17,7 @@ from vortexlab.fields import (
     jacobian_magnitude,
     load_field,
     lp_norm,
+    mean_is_negligible,
     mixed_norm,
     save_field,
     spectral_refine,
@@ -39,9 +40,21 @@ def g3_16():
 
 def random_smooth(grid, seed, beta=3.0):
     rng = np.random.default_rng(seed)
-    coeffs = np.fft.fftn(rng.standard_normal(grid.shape))
+    coeffs = np.fft.rfftn(rng.standard_normal(grid.shape))
     coeffs *= (1.0 + grid.ksq()) ** (-beta / 2.0)
     return ScalarField.from_spectrum(grid, coeffs)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counts of numpy.fft.rfftn / irfftn calls made after the fixture starts."""
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
 
 class TestGrid:
@@ -74,12 +87,12 @@ class TestGrid:
     def test_dealias_mask_cuts_top_third(self, g64):
         mask = g64.dealias_mask()
         cut = (2.0 / 3.0) * np.pi * 64 / TWO_PI
-        keep = np.ones(g64.shape, dtype=bool)
+        keep = np.ones(g64.spectral_shape, dtype=bool)
         for a in range(2):
             keep &= np.abs(g64.wavenumber(a)) < cut
         assert np.array_equal(mask, keep)
         assert mask[0, 0]
-        assert not mask[32, 0]
+        assert not mask[32, 0] and not mask[0, 32]
 
 
 class TestTransformRoundtrip:
@@ -104,6 +117,57 @@ class TestTransformRoundtrip:
         f = random_smooth(g3_16, 5)
         back = ScalarField.from_spectrum(g3_16, f.spectrum())
         assert np.max(np.abs(back.samples - f.samples)) < 1e-12
+
+
+class TestHalfSpectrumField:
+    def test_full_layout_spectrum_rejected(self):
+        g = Grid(2, 16, TWO_PI)
+        full = np.fft.fftn(np.random.default_rng(0).standard_normal(g.shape))
+        with pytest.raises(ValueError, match=r"\(16, 16\).*\(16, 9\)"):
+            ScalarField.from_spectrum(g, full)
+
+    def test_nonfinite_coefficients_rejected(self, g64):
+        coeffs = np.zeros(g64.spectral_shape, dtype=np.complex128)
+        coeffs[1, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            ScalarField.from_spectrum(g64, coeffs)
+
+    def test_samples_computed_once_on_first_read(self, g64, fft_calls):
+        f = ScalarField.from_spectrum(g64, np.ones(g64.spectral_shape, dtype=np.complex128))
+        assert fft_calls["irfftn"] == 0
+        assert f.samples is f.samples
+        assert fft_calls["irfftn"] == 1
+
+    def test_linear_arithmetic_keeps_domains(self, g64, fft_calls):
+        f, h = random_smooth(g64, 11), random_smooth(g64, 12)
+        before = dict(fft_calls)
+        combo = -(f * 2.0 + h - f)
+        combo.spectrum()
+        assert fft_calls == before
+        expect = -(f.samples + h.samples)
+        assert np.max(np.abs(combo.samples - expect)) < 1e-12 * np.max(np.abs(expect))
+
+
+class TestMeanZeroCheck:
+    def test_decided_from_spectrum(self, g64, fft_calls):
+        coeffs = random_smooth(g64, 8).spectrum().copy()
+        coeffs[0, 0] = 0.0
+        f = ScalarField.from_spectrum(g64, coeffs)
+        assert mean_is_negligible(f)
+        assert hs_norm(f, -1) > 0
+        assert fft_calls["irfftn"] == 0
+
+    def test_fallback_reads_samples(self, g64, fft_calls):
+        # one spike: |mean| = 1e-11 exceeds 1e-10 * rms (~1.6e-12) but not
+        # 1e-10 * max|f| (~1e-10), so only the sample test can accept it
+        x = np.zeros(g64.shape)
+        x[3, 5] = 1.0
+        x += 1e-11 - x.mean()
+        f = ScalarField.from_spectrum(g64, ScalarField(g64, x).spectrum())
+        assert mean_is_negligible(f)
+        assert fft_calls["irfftn"] == 1
+        assert hs_norm(f, -1) > 0
+        assert not mean_is_negligible(ScalarField(g64, x + 1e-9))
 
 
 class TestCalculus:

@@ -72,7 +72,7 @@ class TestDuhamelDerivativeTerm:
         # no source: the Duhamel term vanishes and only exp(t Lap) w0 is left
         w0 = ScalarField.from_function(g64, lambda x, y: np.sin(x) * np.cos(3 * y) + np.cos(5 * y))
         times = np.linspace(0.0, 0.3, 9)
-        zero = np.zeros(g64.shape, dtype=np.complex128)
+        zero = np.zeros(g64.spectral_shape, dtype=np.complex128)
         assert np.all(duhamel_march(zero, lambda t: zero, g64.ksq(), times) == 0.0)
         s = duhamel_march(w0.spectrum(), lambda t: zero, g64.ksq(), times)
         out = ScalarField.from_spectrum(g64, s)
@@ -85,11 +85,11 @@ class TestDuhamelDerivativeTerm:
         # = -i (1 - e^{-t}) g_hat, i.e. samples amp (1 - e^{-t}) sin(x1);
         # a constant source is linear on every panel, so this is exact
         t, amp = 0.1, 0.7
-        gh = np.zeros(g64.shape, dtype=np.complex128)
+        gh = np.zeros(g64.spectral_shape, dtype=np.complex128)
         gh[1, 0] = amp * g64.n**2 / 2.0
         gh[-1, 0] = amp * g64.n**2 / 2.0
         d = -1j * g64.deriv_wavenumber(0) * gh
-        zero = np.zeros(g64.shape, dtype=np.complex128)
+        zero = np.zeros(g64.spectral_shape, dtype=np.complex128)
         s = duhamel_march(zero, lambda _t: d, g64.ksq(), np.linspace(0.0, t, 5))
         x = g64.meshgrid()[0]
         expect = amp * (1.0 - np.exp(-t)) * np.sin(x)
