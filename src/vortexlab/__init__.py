@@ -22,7 +22,6 @@ from .fields import (
     mixed_norm,
     save_field,
     spectral_refine,
-    transform,
     w11_norm,
 )
 from .biot_savart import (

@@ -24,8 +24,6 @@ import struct
 
 import numpy as np
 
-from . import kernels
-
 _FIELD_MAGIC = b"VXLF"
 
 
@@ -133,6 +131,11 @@ class Grid:
 def _readonly(a):
     a.flags.writeable = False
     return a
+
+
+def _magnitude(comps: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean magnitude of a stack of components, shape (c, ...)."""
+    return _readonly(np.sqrt(np.sum(comps * comps, axis=0)))
 
 
 class ScalarField:
@@ -271,7 +274,7 @@ class VectorField:
         return np.stack([c.samples for c in self.components])
 
     def magnitude(self) -> ScalarField:
-        return ScalarField(self.grid, _readonly(kernels.magnitude(self.component_samples())))
+        return ScalarField(self.grid, _magnitude(self.component_samples()))
 
     def __add__(self, other):
         if isinstance(other, VectorField):
@@ -356,11 +359,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # spectral calculus
 
-def transform(f: ScalarField) -> np.ndarray:
-    """rfftn half-spectrum coefficients of f."""
-    return f.spectrum()
-
-
 def _dspec(f: ScalarField, axis: int) -> np.ndarray:
     """Spectrum of the derivative of f along `axis`."""
     return 1j * f.grid.deriv_wavenumber(axis) * f.spectrum()
@@ -411,7 +409,7 @@ def gradient_tensor(v: VectorField) -> np.ndarray:
 
 def jacobian_magnitude(v: VectorField) -> ScalarField:
     """Pointwise Frobenius magnitude of the gradient tensor of v."""
-    return ScalarField(v.grid, _readonly(kernels.magnitude(gradient_tensor(v))))
+    return ScalarField(v.grid, _magnitude(gradient_tensor(v)))
 
 
 def spectral_refine(f: ScalarField, n_new: int) -> ScalarField:
@@ -451,7 +449,13 @@ def lp_norm(f, p: float) -> float:
         f = f.magnitude()
     if np.isinf(p):
         return float(np.max(np.abs(f.samples)))
-    s = kernels.abs_pow_sum(f.samples, float(p))
+    a = f.samples
+    if p == 1:
+        s = float(np.sum(np.abs(a)))
+    elif p == 2:
+        s = float(np.sum(a * a))
+    else:
+        s = float(np.sum(np.abs(a) ** float(p)))
     return float((s * f.grid.cell_measure) ** (1.0 / p))
 
 

@@ -7,6 +7,8 @@ psi(z) = (1 - e^-z - z e^-z)/z^2, the weights are E = e^-z,
 w_old = dt psi(z) and w_new = dt (phi1(z) - psi(z)).  For z < SERIES_Z the
 closed forms cancel badly, so truncated Taylor series are used there
 (cf. Kassam & Trefethen 2005); both branches agree to ~1e-15 at SERIES_Z.
+That series/closed-form evaluation, ``_series_or_closed``, also builds the
+wave solver's panel weights (``maxwell_wave.wave_weights``).
 """
 
 from math import factorial
@@ -28,6 +30,17 @@ def heat_evolve(f, t: float):
     return ScalarField.from_spectrum(f.grid, np.exp(-f.grid.ksq() * t) * f.spectrum())
 
 
+def _series_or_closed(z: np.ndarray, coeff, closed):
+    """An entire function of z >= 0: the Horner sum of coeff(n) (-z)^n over
+    SERIES_TERMS terms where z < SERIES_Z, else closed(z), which is never
+    handed a z below SERIES_Z (those entries get 1, so z = 0 stays finite)."""
+    small = z < SERIES_Z
+    series = 0.0
+    for n in reversed(range(SERIES_TERMS)):
+        series = coeff(n) - z * series
+    return np.where(small, series, closed(np.where(small, 1.0, z)))
+
+
 def etd_weights(ksq: np.ndarray, dt: float):
     """Per-mode (E, w_old, w_new) of one Duhamel panel of length dt: for a
     source linear from d_old to d_new across the panel,
@@ -36,13 +49,7 @@ def etd_weights(ksq: np.ndarray, dt: float):
     if not dt > 0:
         raise ValueError(f"etd_weights requires dt > 0, got {dt}")
     z = np.asarray(ksq, dtype=np.float64) * dt
-    small = z < SERIES_Z
-    # Horner: phi1 = sum (-z)^n / (n+1)!,  psi = sum (-z)^n / (n! (n+2))
-    phi1_s = psi_s = 0.0
-    for n in reversed(range(SERIES_TERMS)):
-        phi1_s = 1.0 / factorial(n + 1) - z * phi1_s
-        psi_s = 1.0 / (factorial(n) * (n + 2)) - z * psi_s
-    zc = np.where(small, 1.0, z)  # keeps the closed forms finite at z = 0
-    phi1 = np.where(small, phi1_s, -np.expm1(-zc) / zc)
-    psi = np.where(small, psi_s, (-np.expm1(-zc) - zc * np.exp(-zc)) / zc**2)
+    phi1 = _series_or_closed(z, lambda n: 1.0 / factorial(n + 1), lambda z: -np.expm1(-z) / z)
+    psi = _series_or_closed(z, lambda n: 1.0 / (factorial(n) * (n + 2)),
+                            lambda z: (-np.expm1(-z) - z * np.exp(-z)) / z**2)
     return np.exp(-z), dt * psi, dt * (phi1 - psi)

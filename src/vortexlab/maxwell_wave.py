@@ -1,14 +1,18 @@
 """Spectral solver for B_tt - Lap B = curl j and mixed-norm experiments.
 
-The propagator is exact per Fourier mode; only the source time integral is
-approximated: the source is interpolated linearly between stored times and
-integrated against the oscillatory kernel exactly on each panel, one
-cumulative update per step.  Constant-in-time sources are thus exact.  On the
-torus dispersive decay degrades once the light cone wraps, so experiments
-restrict T <= L/4 and record that restriction in their reports.
+Each step is one exact panel of the per-mode equation B_tt + |k|^2 B = S:
+the propagator is exact, and the source, interpolated linearly between
+stored times, is integrated exactly against the oscillatory kernel.  The
+panel weights depend only on |k| dt, so they are computed once per run and
+the step loop does no trig; the zero mode (kernel t - s) is the |k| -> 0
+limit of the same weights, not a special case.  Sources linear in time
+are thus exact.  On the torus dispersive decay degrades once the light cone
+wraps, so experiments restrict T <= L/4 and record that restriction in
+their reports.
 """
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -17,6 +21,7 @@ from .fields import (
     ScalarField,
     Trajectory,
     VectorField,
+    _magnitude,
     curl3d,
     gradient_tensor,
     hs_norm,
@@ -25,6 +30,7 @@ from .fields import (
     mean_is_negligible,
     time_lq_norm,
 )
+from .heat import _series_or_closed
 
 
 @dataclass(frozen=True)
@@ -137,11 +143,46 @@ class HarmonicCurrentDensity(CurrentDensity):
         return cache[k_power]
 
 
+def wave_weights(kmag: np.ndarray, dt: float):
+    """Per-mode weights (cos x, sin x/|k|, a0, a1, c1) of one panel of
+    length dt, x = |k| dt.  For a source linear from d_old to d_new across
+    the panel the exact step of B_tt + |k|^2 B = S is
+
+        B+   = cos x B + (sin x/|k|) B_t + a1 d_old + (a0 - a1) d_new
+        B_t+ = -|k| sin x B + cos x B_t + c1 d_old + (sin x/|k| - c1) d_new
+
+    with a0 = (1 - cos x)/|k|^2, a1 = (sin x - x cos x)/(|k|^3 dt) and
+    c1 = (x sin x + cos x - 1)/(|k|^2 dt).  Each is an entire function of
+    z = x^2, evaluated by its series below heat.SERIES_Z, so |k| = 0 needs
+    no special case (there a0 = dt^2/2, a1 = dt^2/3, c1 = dt/2)."""
+    x = np.asarray(kmag, dtype=np.float64) * dt
+    z = x * x
+
+    def in_x(f):  # the closed forms read more simply in x = sqrt(z)
+        return lambda z: f(np.sqrt(z))
+
+    sinc = dt * _series_or_closed(z, lambda n: 1.0 / factorial(2 * n + 1),
+                                  in_x(lambda x: np.sin(x) / x))
+    a0 = dt**2 * _series_or_closed(z, lambda n: 1.0 / factorial(2 * n + 2),
+                                   in_x(lambda x: (1.0 - np.cos(x)) / x**2))
+    a1 = dt**2 * _series_or_closed(z, lambda n: 1.0 / ((2 * n + 3) * factorial(2 * n + 1)),
+                                   in_x(lambda x: (np.sin(x) - x * np.cos(x)) / x**3))
+    c1 = dt * _series_or_closed(z, lambda n: 1.0 / ((2 * n + 2) * factorial(2 * n)),
+                                in_x(lambda x: (x * np.sin(x) + np.cos(x) - 1.0) / x**2))
+    return np.cos(x), sinc, a0, a1, c1
+
+
+def _vector(grid: Grid, spectra) -> VectorField:
+    return VectorField([ScalarField.from_spectrum(grid, c) for c in spectra])
+
+
 def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
                T: float, nt: int):
-    """Generator over (t, B, dB/dt) on nt uniform times; exact per-mode
-    propagator, source integrated exactly against its piecewise-linear
-    time interpolant via cumulative cos/sin moments."""
+    """Generator over (t, B, dB/dt) on nt uniform times.
+
+    A fixed-factor recurrence on the spectra (B, dB/dt): each step is the
+    exact panel of ``wave_weights``, with the source integrated exactly
+    against its piecewise-linear time interpolant; the zero mode included."""
     grid = B0.grid
     if grid.dim != 3:
         raise ValueError("wave solver expects 3D fields")
@@ -153,62 +194,21 @@ def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
         raise ValueError("T must be positive")
     times = np.linspace(0.0, T, nt)
     dt = times[1] - times[0]
-    kmag = grid.kmag()
-    inv_k = grid.kpow(-1.0)
-    zero = (0, 0, 0)
+    cos_x, sinc, a0, a1, c1 = wave_weights(grid.kmag(), dt)
+    k_sin = -grid.ksq() * sinc  # -|k| sin x
+    a_new, c_new = a0 - a1, sinc - c1
 
-    b0h = [c.spectrum() for c in B0.components]
-    b1h = [c.spectrum() for c in B1.components]
-    cum_cos = [np.zeros(grid.spectral_shape, dtype=np.complex128) for _ in range(3)]
-    cum_sin = [np.zeros(grid.spectral_shape, dtype=np.complex128) for _ in range(3)]
-    cum_s0 = np.zeros(3, dtype=np.complex128)  # int S(0-mode) ds
-    cum_s1 = np.zeros(3, dtype=np.complex128)  # int s S(0-mode) ds
-    prev_src = j.curl_spectra(times[0]) if j is not None else None
-
+    b = np.stack([c.spectrum() for c in B0.components])
+    bt = np.stack([c.spectrum() for c in B1.components])
+    d_new = np.stack(j.curl_spectra(times[0])) if j is not None else None
     for i, t in enumerate(times):
-        # the panel [a_s, b_s] ends at t and starts at the previous step's t,
-        # so each step evaluates its trig factors once and carries them on
-        sin_t, cos_t = np.sin(kmag * t), np.cos(kmag * t)
-        if j is not None and i > 0:
-            src = j.curl_spectra(t)
-            a_s, b_s = times[i - 1], t
-            # integrate cos(|k| s) / sin(|k| s) against the piecewise-linear
-            # source interpolant exactly on the panel [a_s, b_s]; this keeps
-            # constant-in-time sources exact (a sampled trapezoid rule is
-            # orders too crude for the per-mode propagator's accuracy)
-            int_cos = (sin_t - sin_a) * inv_k
-            int_scos = (b_s * sin_t - a_s * sin_a) * inv_k + (cos_t - cos_a) * inv_k**2
-            int_sin = (cos_a - cos_t) * inv_k
-            int_ssin = (a_s * cos_a - b_s * cos_t) * inv_k + (sin_t - sin_a) * inv_k**2
-            for c in range(3):
-                sa, sb = prev_src[c], src[c]
-                alpha = (sa * b_s - sb * a_s) / dt
-                beta = (sb - sa) / dt
-                cum_cos[c] += alpha * int_cos + beta * int_scos
-                cum_sin[c] += alpha * int_sin + beta * int_ssin
-                # zero mode moments (kernel t - s), exact for linear sources
-                sa0, sb0 = sa[zero], sb[zero]
-                cum_s0[c] += dt / 2.0 * (sa0 + sb0)
-                cum_s1[c] += dt * ((2.0 * a_s + b_s) * sa0 + (a_s + 2.0 * b_s) * sb0) / 6.0
-            prev_src = src
-        sin_a, cos_a = sin_t, cos_t
-        comps_b = []
-        comps_bt = []
-        for a in range(3):
-            bh = cos_t * b0h[a] + sin_t * inv_k * b1h[a]
-            bth = -kmag * sin_t * b0h[a] + cos_t * b1h[a]
+        if i > 0:
+            b, bt = cos_x * b + sinc * bt, k_sin * b + cos_x * bt
             if j is not None:
-                bh = bh + inv_k * (sin_t * cum_cos[a] - cos_t * cum_sin[a])
-                bth = bth + cos_t * cum_cos[a] + sin_t * cum_sin[a]
-            # zero mode: kernel (t - s); homogeneous part B0 + t B1
-            bh[zero] = b0h[a][zero] + t * b1h[a][zero]
-            bth[zero] = b1h[a][zero]
-            if j is not None:
-                bh[zero] += t * cum_s0[a] - cum_s1[a]
-                bth[zero] += cum_s0[a]
-            comps_b.append(ScalarField.from_spectrum(grid, bh))
-            comps_bt.append(ScalarField.from_spectrum(grid, bth))
-        yield float(t), VectorField(comps_b), VectorField(comps_bt)
+                d_old, d_new = d_new, np.stack(j.curl_spectra(t))
+                b += a1 * d_old + a_new * d_new
+                bt += c1 * d_old + c_new * d_new
+        yield float(t), _vector(grid, b), _vector(grid, bt)
 
 
 def solve_wave(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
@@ -242,11 +242,9 @@ def source_gradient_l1(j: CurrentDensity, t: float, k_power: float) -> float:
     smoothed first and the tensor magnitude taken after.
     """
     if isinstance(j, HarmonicCurrentDensity):
-        from . import kernels
-
         ta, tb = j.smoothed_gradient_tensors(k_power)
         a, b = np.cos(j.sigma * t), np.sin(j.sigma * t)
-        mag = kernels.magnitude(a * ta + b * tb)
+        mag = _magnitude(a * ta + b * tb)
         return float(np.sum(mag) * j.grid.cell_measure)
     jt = j.evaluate(t)
     smoothed = VectorField([fractional_laplacian(c, k_power) for c in jt.components])

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .fields import Grid, ScalarField, VectorField, lp_norm, gradient, w11_norm
 
 # closed-form constants of the profile:
@@ -59,7 +58,7 @@ def oseen_vorticity(p: OseenParams, grid: Grid) -> ScalarField:
     _check_width(p.t, grid)
     X, Y = _min_image_displacements(grid, p.center)
     r2 = X * X + Y * Y
-    return ScalarField(grid, kernels.oseen_vorticity_profile(r2, p.t, p.alpha0))
+    return ScalarField(grid, p.alpha0 / (4.0 * np.pi * p.t) * np.exp(-r2 / (4.0 * p.t)))
 
 
 def oseen_velocity(p: OseenParams, grid: Grid) -> VectorField:
@@ -68,8 +67,11 @@ def oseen_velocity(p: OseenParams, grid: Grid) -> VectorField:
         raise ValueError("Oseen profiles are 2D")
     _check_width(p.t, grid)
     X, Y = _min_image_displacements(grid, p.center)
-    vx, vy = kernels.oseen_velocity_profile(X, Y, p.t, p.alpha0)
-    return VectorField([ScalarField(grid, vx), ScalarField(grid, vy)])
+    r2 = X * X + Y * Y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fac = p.alpha0 / (2.0 * np.pi) * (1.0 - np.exp(-r2 / (4.0 * p.t))) / r2
+    fac = np.where(r2 > 0.0, fac, 0.0)
+    return VectorField([ScalarField(grid, -Y * fac), ScalarField(grid, X * fac)])
 
 
 def oseen_dipole(alpha0: float, separation: float, grid: Grid, t: float,

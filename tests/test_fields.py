@@ -21,7 +21,6 @@ from vortexlab.fields import (
     mixed_norm,
     save_field,
     spectral_refine,
-    transform,
     w11_norm,
 )
 
@@ -98,11 +97,11 @@ class TestGrid:
 class TestTransformRoundtrip:
     def test_zero_field(self, g64):
         f = ScalarField.zeros(g64)
-        assert np.all(transform(f) == 0.0)
+        assert np.all(f.spectrum() == 0.0)
 
     def test_single_mode_has_two_coefficients(self, g64):
         f = ScalarField.from_function(g64, lambda x, y: np.cos(x))
-        coeffs = transform(f)
+        coeffs = f.spectrum()
         nonzero = np.abs(coeffs) > 1e-8 * np.max(np.abs(coeffs))
         assert nonzero.sum() == 2
         assert nonzero[1, 0] and nonzero[-1, 0]
@@ -227,6 +226,18 @@ class TestLpNorms:
     def test_p_below_one_rejected(self, g64):
         with pytest.raises(ValueError):
             lp_norm(ScalarField.zeros(g64), 0.5)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 1.5, 3.0])
+    def test_matches_direct_sum(self, g64, p, layout):
+        a = np.random.default_rng(17).standard_normal((128, 128))[::2, ::2]
+        if layout == "contiguous":
+            a = np.ascontiguousarray(a)
+        a.flags.writeable = False  # a read-only view is taken over uncopied
+        f = ScalarField(g64, a)
+        assert f.samples.flags.c_contiguous == (layout == "contiguous")
+        expect = (np.sum(np.abs(a) ** p) * g64.cell_measure) ** (1.0 / p)
+        assert lp_norm(f, p) == pytest.approx(expect, rel=1e-12)
 
 
 class TestW11:

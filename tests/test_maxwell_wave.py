@@ -22,7 +22,9 @@ from vortexlab.maxwell_wave import (
     strichartz_ratio_experiment,
     strichartz_sides,
     wave_energy,
+    wave_weights,
 )
+from vortexlab.heat import SERIES_Z
 from vortexlab.random_data import random_vector_field, wave_fixture_family
 
 TWO_PI = 2.0 * np.pi
@@ -161,6 +163,73 @@ class TestForcedSolve:
             solve_wave(zero, zero, None, 0.0, 8)
         with pytest.raises(ValueError):
             solve_wave(zero, zero, None, 1.0, 1)
+
+
+def cos2x_e3(grid):
+    """The field (0, 0, cos 2x1), whose curl is (0, 2 sin 2x1, 0)."""
+    x = grid.meshgrid()[0]
+    return VectorField([ScalarField.zeros(grid), ScalarField.zeros(grid),
+                        ScalarField(grid, np.cos(2.0 * x))])
+
+
+class TestPanelRecurrence:
+    def test_series_and_closed_form_agree_at_threshold(self):
+        x = np.array([np.nextafter(np.sqrt(SERIES_Z), 0.0), np.nextafter(np.sqrt(SERIES_Z), 1.0)])
+        assert x[0] ** 2 < SERIES_Z <= x[1] ** 2  # series, closed form
+        for weights in wave_weights(x, 1.0):
+            assert abs(weights[0] - weights[1]) <= 1e-13 * abs(weights[1])
+
+    def test_zero_mode_weights(self):
+        dt = 0.3
+        weights = wave_weights(np.zeros(1), dt)
+        expect = (1.0, dt, dt**2 / 2, dt**2 / 3, dt / 2)  # kernel t - s
+        for w, e in zip(weights, expect):
+            assert w[0] == pytest.approx(e, rel=1e-15)
+
+    def test_second_order_in_dt(self, g16):
+        # j = (0, 0, cos 2x cos 3t): curl j = (0, 2 sin 2x cos 3t, 0), so from
+        # rest B_y = 2 (cos 3t - cos 2t) / (4 - 9) sin 2x exactly
+        x = g16.meshgrid()[0]
+        zero = VectorField.zeros(g16)
+        j = HarmonicCurrentDensity(cos2x_e3(g16), zero, 3.0)
+        T = np.pi / 2
+        exact = 2.0 * (np.cos(3 * T) - np.cos(2 * T)) / (4.0 - 9.0) * np.sin(2.0 * x)
+        errs = []
+        for nt in (17, 33, 65):
+            b = solve_wave(zero, zero, j, T, nt)[0].snapshots[-1]
+            errs.append(np.max(np.abs(b.components[1].samples - exact)))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(orders > 1.9) and np.all(orders < 2.1)
+
+    def test_linear_in_time_source_exact(self, g16):
+        # j = (0, 0, t cos 2x): curl j = (0, 2t sin 2x, 0) is its own linear
+        # interpolant, so from rest B_y = (t/2 - sin(2t)/4) sin 2x to roundoff
+        x = g16.meshgrid()[0]
+        j_field = cos2x_e3(g16)
+        j = CurrentDensity(g16, lambda t: j_field * t)
+        zero = VectorField.zeros(g16)
+        traj_b, traj_bt = solve_wave(zero, zero, j, np.pi / 2, 9)
+        for (t, b), (_, bt) in zip(traj_b, traj_bt):
+            by = (t / 2 - np.sin(2 * t) / 4) * np.sin(2.0 * x)
+            bty = (1 - np.cos(2 * t)) / 2 * np.sin(2.0 * x)
+            assert np.max(np.abs(b.components[1].samples - by)) < 1e-14
+            assert np.max(np.abs(bt.components[1].samples - bty)) < 1e-14
+
+    def test_means_move_ballistically(self, g16):
+        # the zero mode obeys B_tt = 0 (curl j has no mean): mean B = m0 + t m1
+        rng = np.random.default_rng(5)
+        m0, m1 = (1.0, -2.0, 0.5), (0.3, 0.7, -1.1)
+        B0, B1 = (
+            VectorField([c + ScalarField(g16, np.full(g16.shape, m))
+                         for c, m in zip(random_vector_field(g16, rng).components, means)])
+            for means in (m0, m1)
+        )
+        j = HarmonicCurrentDensity(random_vector_field(g16, rng), random_vector_field(g16, rng), 1.3)
+        traj_b, traj_bt = solve_wave(B0, B1, j, np.pi / 2, 17)
+        for (t, b), (_, bt) in zip(traj_b, traj_bt):
+            for a in range(3):
+                assert abs(b.components[a].mean() - (m0[a] + t * m1[a])) < 1e-13
+                assert abs(bt.components[a].mean() - m1[a]) < 1e-13
 
 
 class TestFractionalLaplacian:

@@ -1,5 +1,7 @@
 """Closed-form vortex profiles, the dipole datum, and t^{-1/2} scaling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,17 @@ class TestSingleVortex:
         dy = (Y - p.center[1] + L / 2.0) % L - L / 2.0
         radial = dx * v.components[0].samples + dy * v.components[1].samples
         assert np.max(np.abs(radial)) < 1e-12
+
+    def test_velocity_at_lattice_center(self):
+        # the center on a lattice point: r = 0 there, where the closed form is 0/0
+        g = Grid(2, 64, TWO_PI)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            v = oseen_velocity(OseenParams(1.0, (0.0, 0.0), 0.01), g)
+        vx, vy = (c.samples for c in v.components)
+        assert vx[0, 0] == 0.0 and vy[0, 0] == 0.0
+        assert np.all(np.isfinite(vx)) and np.all(np.isfinite(vy))
+        assert np.max(np.hypot(vx, vy)) > 0.0
 
 
 class TestDipole:
