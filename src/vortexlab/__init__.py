@@ -22,6 +22,7 @@ from .fields import (
     mixed_norm,
     save_field,
     spectral_refine,
+    spectral_restrict,
     w11_norm,
 )
 from .biot_savart import (

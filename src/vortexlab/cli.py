@@ -11,6 +11,7 @@ import argparse
 import configparser
 import json
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -444,6 +445,7 @@ def run_experiment(kind, cfg, out_dir, threads=1):
         "config": {k: v for k, v in cfg.items()},
         "version": __version__,
         "threads": threads,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__},
         "wall_clock_seconds": time.time() - start,
     }
     vio.write_json(os.path.join(out_dir, "manifest.json"), manifest)

@@ -18,7 +18,7 @@ Conventions, fixed once for the whole package:
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 import struct
 
@@ -118,6 +118,13 @@ class Grid:
         col[0] = col[-1] = 1.0
         w = col.reshape((1,) * (self.dim - 1) + (-1,))
         return _readonly(w * self.kpow(2.0 * s) if s != 0 else w)
+
+    @lru_cache(maxsize=32)
+    def band_index(self) -> np.ndarray:
+        """Largest |wavenumber index| of each mode over the axes: an m-point
+        grid holds, off its Nyquist planes, the modes with index < m/2."""
+        k = reduce(np.maximum, [np.abs(k) for k in self._wavenumbers(False)])
+        return _readonly(np.rint(k * self.box_length / (2.0 * np.pi)).astype(np.int64))
 
     @lru_cache(maxsize=32)
     def dealias_mask(self) -> np.ndarray:
@@ -425,17 +432,41 @@ def spectral_refine(f: ScalarField, n_new: int) -> ScalarField:
         return f
     if n_new % 2 != 0:
         raise ValueError("n_new must be even")
-    fine = Grid(g.dim, n_new, g.box_length)
-    half = g.n // 2
+    return _resample(f, n_new)
+
+
+def spectral_restrict(f: ScalarField, n_new: int) -> ScalarField:
+    """Resample f on a coarser grid: the exact inverse of spectral_refine.
+
+    Raises ValueError unless every nonzero coefficient of f lies on the
+    n_new lattice off its Nyquist planes, all that grid holds unambiguously.
+    """
+    g = f.grid
+    if n_new > g.n:
+        raise ValueError("spectral_restrict only coarsens (n_new <= n)")
+    if n_new == g.n:
+        return f
+    if np.any(f.spectrum()[g.band_index() >= n_new // 2]):
+        raise ValueError(f"field has content outside the {n_new}-point lattice "
+                         "or on its Nyquist planes")
+    return _resample(f, n_new)
+
+
+def _resample(f: ScalarField, n_new: int) -> ScalarField:
+    """f's modes off the Nyquist planes of the coarser of its grid and the
+    n_new grid, rescaled onto the n_new grid; every other mode is dropped."""
+    g = f.grid
+    new_grid = Grid(g.dim, n_new, g.box_length)
+    half = min(g.n, n_new) // 2
     old = f.spectrum()
-    new = np.zeros(fine.spectral_shape, dtype=np.complex128)
+    new = np.zeros(new_grid.spectral_shape, dtype=np.complex128)
     # wavenumbers 0..half-1 and -(half-1)..-1 sit at the same index from the
     # front and from the back on both grids; the last axis has no negatives
     keep = (slice(0, half), slice(1 - half, None))
     for corner in product(keep, repeat=g.dim - 1):
         idx = corner + (slice(0, half),)
         new[idx] = old[idx] * (n_new / g.n) ** g.dim
-    return ScalarField.from_spectrum(fine, new)
+    return ScalarField.from_spectrum(new_grid, new)
 
 
 # ---------------------------------------------------------------------------

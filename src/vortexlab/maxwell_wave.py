@@ -9,6 +9,15 @@ limit of the same weights, not a special case.  Sources linear in time
 are thus exact.  On the torus dispersive decay degrades once the light cone
 wraps, so experiments restrict T <= L/4 and record that restriction in
 their reports.
+
+The recurrence never fills a mode that the data and source leave empty, so
+``strichartz_sides`` steps a triple, and takes its H^s norms, on the lattice
+of its band limit: the smallest even m >= 8 whose lattice, Nyquist planes
+excluded, holds every nonzero coefficient of B0, B1 and a harmonic current.
+Only the physical-space norms use the evaluation grid: L^r of B after an
+exact ``spectral_refine``, and L^1 of the caller's source.  A generic
+current (support unknown) or content on the grid's Nyquist planes keeps
+every step on the evaluation grid.
 """
 
 from dataclasses import dataclass
@@ -21,13 +30,14 @@ from .fields import (
     ScalarField,
     Trajectory,
     VectorField,
-    _magnitude,
     curl3d,
     gradient_tensor,
     hs_norm,
     jacobian_magnitude,
     lp_norm,
     mean_is_negligible,
+    spectral_refine,
+    spectral_restrict,
     time_lq_norm,
 )
 from .heat import _series_or_closed
@@ -100,8 +110,8 @@ class CurrentDensity:
 class HarmonicCurrentDensity(CurrentDensity):
     """j(x, t) = j_cos(x) cos(sigma t) + j_sin(x) sin(sigma t).
 
-    Curl spectra and gradient tensors are precomputed once, so per-time
-    evaluation is pointwise only.
+    Curl spectra and the source norm's three gradient planes are
+    precomputed once, so per-time evaluation is pointwise only.
     """
 
     def __init__(self, j_cos: VectorField, j_sin: VectorField, sigma: float):
@@ -128,18 +138,19 @@ class HarmonicCurrentDensity(CurrentDensity):
         a, b = np.cos(self.sigma * t), np.sin(self.sigma * t)
         return [a * ca + b * cb for ca, cb in zip(self._curl_cos, self._curl_sin)]
 
-    def smoothed_gradient_tensors(self, k_power: float):
-        """Cached stacks of the (-Lap)^{k/2} gradient tensor samples of both
-        harmonic parts, shape (9, n^3) each."""
+    def smoothed_gradient_planes(self, k_power: float):
+        """Cached pointwise (P, Q, R) = (Ta.Ta, Ta.Tb, Tb.Tb), where Ta and Tb
+        are the (-Lap)^{k/2} gradient tensors of j_cos and j_sin, so that
+        |a Ta + b Tb|^2 = a^2 P + 2ab Q + b^2 R."""
         cache = self._grad_cache
         if k_power not in cache:
-            stacks = []
-            for part in (self.j_cos, self.j_sin):
-                smoothed = VectorField(
-                    [fractional_laplacian(c, k_power) for c in part.components]
-                )
-                stacks.append(gradient_tensor(smoothed).reshape(9, -1))
-            cache[k_power] = tuple(stacks)
+            ta, tb = (
+                gradient_tensor(VectorField([fractional_laplacian(c, k_power)
+                                             for c in part.components]))
+                for part in (self.j_cos, self.j_sin)
+            )
+            cache[k_power] = tuple(np.sum(x * y, axis=0)
+                                   for x, y in ((ta, ta), (ta, tb), (tb, tb)))
         return cache[k_power]
 
 
@@ -242,28 +253,57 @@ def source_gradient_l1(j: CurrentDensity, t: float, k_power: float) -> float:
     smoothed first and the tensor magnitude taken after.
     """
     if isinstance(j, HarmonicCurrentDensity):
-        ta, tb = j.smoothed_gradient_tensors(k_power)
+        p, q, r = j.smoothed_gradient_planes(k_power)
         a, b = np.cos(j.sigma * t), np.sin(j.sigma * t)
-        mag = _magnitude(a * ta + b * tb)
-        return float(np.sum(mag) * j.grid.cell_measure)
+        # clipped at 0: where a Ta + b Tb nearly cancels, roundoff in the
+        # three terms can leave a tiny negative square
+        sq = (a * a) * p + (2.0 * a * b) * q + (b * b) * r
+        return float(np.sum(np.sqrt(np.maximum(sq, 0.0, out=sq))) * j.grid.cell_measure)
     jt = j.evaluate(t)
     smoothed = VectorField([fractional_laplacian(c, k_power) for c in jt.components])
     return lp_norm(jacobian_magnitude(smoothed), 1)
+
+
+def _on_band_lattice(B0: VectorField, B1: VectorField, j: CurrentDensity | None):
+    """(B0, B1, j) restricted to the lattice of their band limit, and the map
+    of a field there back to their grid; as they are, with the identity, when
+    that lattice is not coarser or the current is generic (support unknown)."""
+    grid = B0.grid
+    harmonic = isinstance(j, HarmonicCurrentDensity)
+    fields = [B0, B1] + ([j.j_cos, j.j_sin] if harmonic else [])
+    m = grid.n  # also on a grid mismatch, which wave_steps then names
+    if (j is None or harmonic) and all(v.grid == grid for v in fields):
+        support = np.any([c.spectrum() != 0 for v in fields for c in v.components], axis=0)
+        m = max(8, 2 * int(grid.band_index()[support].max(initial=0)) + 2)
+    if m >= grid.n:
+        return B0, B1, j, lambda v: v
+
+    def restrict(v):
+        return VectorField([spectral_restrict(c, m) for c in v.components])
+
+    def refine(v):
+        return VectorField([spectral_refine(c, grid.n) for c in v.components])
+
+    if j is not None:
+        j = HarmonicCurrentDensity(restrict(j.j_cos), restrict(j.j_sin), j.sigma)
+    return restrict(B0), restrict(B1), j, refine
 
 
 def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,
                      j: CurrentDensity, T: float, nt: int):
     """Left and right side of the mixed-norm estimate for one data triple.
 
-    Streaming over the time lattice, so no full trajectory is stored.
+    Streaming over the time lattice, so no full trajectory is stored, and on
+    the lattice of the triple's band limit (see the module docstring).
     """
     dt = T / (nt - 1)
     lr_norms = []
     sup_hs = 0.0
     sup_hs_dt = 0.0
     grad_norms = []
-    for t, b, bt in wave_steps(B0, B1, j, T, nt):
-        lr_norms.append(lp_norm(b, e.r))
+    b0, b1, jc, to_grid = _on_band_lattice(B0, B1, j)
+    for t, b, bt in wave_steps(b0, b1, jc, T, nt):
+        lr_norms.append(lp_norm(to_grid(b), e.r))
         sup_hs = max(sup_hs, hs_norm(b, e.s))
         sup_hs_dt = max(sup_hs_dt, hs_norm(bt, e.s - 1.0))
         grad_norms.append(

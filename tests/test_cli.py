@@ -2,7 +2,9 @@
 
 import json
 import os
+import platform
 
+import numpy as np
 import pytest
 
 from vortexlab.cli import EXPERIMENTS, main, parse_config, validate_config, ConfigError
@@ -173,6 +175,9 @@ class TestRun:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["experiment"] == "gn-ratio"
         assert manifest["config"]["seed"] == 3
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+        }
 
     def test_rerun_byte_identical(self, tmp_path):
         a = read_outputs(run_gn(tmp_path, "a"))

@@ -10,11 +10,13 @@ from vortexlab.fields import (
     divergence,
     hs_norm,
     lp_norm,
+    spectral_refine,
 )
 from vortexlab.maxwell_wave import (
     CurrentDensity,
     HarmonicCurrentDensity,
     StrichartzExponents,
+    _on_band_lattice,
     fractional_laplacian,
     solve_wave,
     source_gradient_l1,
@@ -257,6 +259,19 @@ class TestSourceGradientL1:
             b = source_gradient_l1(generic, t, 0.75)
             assert a == pytest.approx(b, rel=1e-12)
 
+    def test_three_plane_norm_at_cancellation(self, g16):
+        # j_sin = j_cos at sigma t = 3 pi/4: cos + sin, and so the true
+        # magnitude, is roundoff, while each of the three planes is O(1)
+        rng = np.random.default_rng(4)
+        j = random_vector_field(g16, rng)
+        fast = HarmonicCurrentDensity(j, j, 1.0)
+        generic = CurrentDensity(g16, fast.evaluate)
+        t = 0.75 * np.pi
+        got = source_gradient_l1(fast, t, 0.75)
+        assert np.isfinite(got) and got >= 0.0
+        scale = source_gradient_l1(fast, 0.0, 0.75)
+        assert abs(got - source_gradient_l1(generic, t, 0.75)) <= 1e-12 * scale
+
 
 class TestRatioSuite:
     EXPONENTS = StrichartzExponents(4.0, 4.0, 4.0, 0.5, 0.75)
@@ -302,6 +317,49 @@ class TestRatioSuite:
         a, b = (r["family_max"] for r in reports)
         assert abs(b - a) < 0.1 * a
         assert reports[0]["time_horizon_restriction"].startswith("T <= L/4")
+
+
+class TestBandLatticeStepping:
+    """strichartz_sides steps a band-limited triple on the lattice of its
+    band limit; wrapping the current as a generic CurrentDensity hides its
+    support and forces the full grid, which is the reference here."""
+
+    EXPONENTS = StrichartzExponents(4.0, 4.0, 4.0, 0.5, 0.75)
+
+    @staticmethod
+    def padded_triple(n, n_eval, seed):
+        rng = np.random.default_rng(seed)
+        g = Grid(3, n, TWO_PI)
+        B0, B1, j_cos, j_sin = (
+            VectorField([spectral_refine(c, n_eval)
+                         for c in random_vector_field(g, rng).components])
+            for _ in range(4)
+        )
+        return B0, B1, HarmonicCurrentDensity(j_cos, j_sin, 1.3)
+
+    def assert_matches_full_grid(self, B0, B1, j, lattice):
+        assert _on_band_lattice(B0, B1, j)[0].grid.n == lattice
+        T = TWO_PI / 4.0
+        got = strichartz_sides(self.EXPONENTS, B0, B1, j, T, 17)
+        full = strichartz_sides(self.EXPONENTS, B0, B1, CurrentDensity(B0.grid, j.evaluate), T, 17)
+        assert got == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_padded_triple_matches_full_grid(self, n):
+        B0, B1, j = self.padded_triple(n, 32, seed=n)
+        self.assert_matches_full_grid(B0, B1, j, lattice=n)
+
+    @pytest.mark.parametrize("index, lattice", [(8, 18), (16, 32)])
+    def test_content_beyond_the_padding(self, index, lattice):
+        # one coefficient at k = (0, 0, index) on the 32-point grid: at 8 the
+        # triple is not band-limited to 16 and needs the 18-point lattice; at
+        # 16, the grid's Nyquist plane, only the full grid holds it
+        B0, B1, j = self.padded_triple(16, 32, seed=5)
+        c = B0.components[0]
+        spec = c.spectrum().copy()
+        spec[0, 0, index] += 0.5 * np.abs(spec).max()
+        B0 = VectorField([ScalarField.from_spectrum(c.grid, spec), *B0.components[1:]])
+        self.assert_matches_full_grid(B0, B1, j, lattice)
 
 
 class TestFixtureFamily:

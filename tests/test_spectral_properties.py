@@ -2,6 +2,7 @@
 references written here with ``numpy.fft.fftn``, on random real fields."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vortexlab.biot_savart import (
@@ -18,6 +19,7 @@ from vortexlab.fields import (
     divergence,
     hs_norm,
     spectral_refine,
+    spectral_restrict,
 )
 from vortexlab.heat import heat_evolve
 
@@ -129,6 +131,14 @@ def random_vector(grid, rng, mean_zero=False):
     return VectorField([random_field(grid, rng, mean_zero) for _ in range(grid.dim)])
 
 
+def band_limited(grid, rng):
+    """Random real field with its Nyquist planes zeroed, built from its spectrum."""
+    coeffs = np.fft.rfftn(rng.standard_normal(grid.shape))
+    for a in range(grid.dim):
+        np.moveaxis(coeffs, a, 0)[grid.n // 2] = 0.0
+    return ScalarField.from_spectrum(grid, coeffs)
+
+
 def assert_close(got, expect):
     scale = max(np.max(np.abs(expect)), 1e-300)
     assert np.max(np.abs(got - expect)) <= REL * scale
@@ -190,6 +200,29 @@ def test_spectral_refine_band_limited(grid, seed, factor):
         # unrestricted input: its Nyquist planes are dropped, as in the reference
         raw = ScalarField(grid, white)
         assert_close(spectral_refine(raw, n_new).samples, ref_refine(raw, n_new))
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds)
+def test_spectral_restrict_inverts_refine(grid, seed):
+    f = band_limited(grid, np.random.default_rng(seed))
+    back = spectral_restrict(spectral_refine(f, 2 * grid.n), grid.n)
+    assert back.grid == grid
+    assert np.array_equal(back.spectrum(), f.spectrum())
+    assert np.array_equal(back.samples, f.samples)
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds)
+def test_spectral_restrict_rejects_content_off_the_lattice(grid, seed):
+    # one coefficient outside the n lattice, or on its Nyquist planes
+    rng = np.random.default_rng(seed)
+    fine = spectral_refine(band_limited(grid, rng), 2 * grid.n)
+    empty = np.flatnonzero(fine.spectrum() == 0)
+    spec = fine.spectrum().copy()
+    spec.flat[rng.choice(empty)] = 1.0
+    with pytest.raises(ValueError, match="outside"):
+        spectral_restrict(ScalarField.from_spectrum(fine.grid, spec), grid.n)
 
 
 @PROPERTY
