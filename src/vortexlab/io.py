@@ -29,13 +29,3 @@ def write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_trajectory_trace(path, times, reports):
-    """Per-time norm rows (t, L1, W11, Linf_v, L2_gradv) of a vorticity
-    trajectory, from its times and one ``snapshot_norms`` report per time."""
-    rows = [
-        (float(t), rep["L1"], rep["W11"], rep["Linf_v"], rep["L2_gradv"])
-        for t, rep in zip(times, reports, strict=True)
-    ]
-    write_csv(path, TRACE_COLUMNS, rows)

@@ -296,7 +296,6 @@ def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,
     Streaming over the time lattice, so no full trajectory is stored, and on
     the lattice of the triple's band limit (see the module docstring).
     """
-    dt = T / (nt - 1)
     lr_norms = []
     sup_hs = 0.0
     sup_hs_dt = 0.0
@@ -309,6 +308,7 @@ def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,
         grad_norms.append(
             source_gradient_l1(j, t, e.k) if j is not None else 0.0
         )
+    dt = T / (nt - 1)  # after the loop: wave_steps rejects nt < 2 first
     lhs = time_lq_norm(lr_norms, dt, e.q) + sup_hs + sup_hs_dt
     rhs = (
         hs_norm(B0, e.s)

@@ -37,6 +37,23 @@ t0 = 0.1
 nt = 8
 """
 
+# the kind-specific keys of one small config per experiment kind
+TINY_KEYS = {
+    "oseen-scaling": "t_min = 0.001\nt_max = 0.01\nt_count = 3\n",
+    "picard": "family = two-mode\nnt = 8\nt_horizon_cap = 0.2\n",
+    "continuous-dependence": "family = two-mode\nt0 = 0.1\nnt = 8\nepsilons = 1e-3 1e-2\n",
+    "bb-ratio-2d": "count = 2\nn_eval = 16 24\n",
+    "bb-ratio-3d": "count = 2\n",
+    "gn-ratio": "count = 2\n",
+    "maxwell-strichartz": "count = 1\nnt = 9\nq = 4.0\nr = 4.0\nq_tilde = 4.0\ns = 0.5\nk = 0.75\n",
+    "wave-fixture": "nt = 16\n",
+}
+
+
+def tiny_config(kind):
+    n = 8 if kind in ("bb-ratio-3d", "maxwell-strichartz", "wave-fixture") else 16
+    return f"[{kind}]\nseed = 7\nn = {n}\nbox_length = 6.283185307179586\n" + TINY_KEYS[kind]
+
 
 class TestListing:
     def test_list_prints_all_kinds(self, capsys):
@@ -143,6 +160,30 @@ k = 0.25
         assert "must be" in json.loads(err)["error"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kind, old, new, message",
+        [
+            ("picard", "nt = 8\n", "nt = 8\nmax_iter = 0\n", "max_iter must be >= 1, got 0"),
+            ("continuous-dependence", "nt = 8\n", "nt = 8\nmax_iter = 0\n",
+             "max_iter must be >= 1, got 0"),
+            ("picard", "t_horizon_cap = 0.2", "t_horizon_cap = -1",
+             "t_horizon_cap must be positive, got -1.0"),
+            ("maxwell-strichartz", "nt = 9", "nt = 1", "nt must be >= 2"),
+            ("wave-fixture", "nt = 16\n", "nt = 16\nhorizon = -1\n",
+             "horizon must be positive, got -1.0"),
+        ],
+        ids=["picard-max_iter", "continuous-dependence-max_iter", "picard-t_horizon_cap",
+             "maxwell-strichartz-nt", "wave-fixture-horizon"],
+    )
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, old, new, message):
+        body = tiny_config(kind)
+        assert old in body
+        path = write_config(tmp_path, "c.ini", body.replace(old, new))
+        assert main(["validate", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == message
+
     def test_wide_vortex_named(self):
         cfg = {
             "seed": 0, "n": 32, "box_length": 2.0, "out": ".",
@@ -216,6 +257,20 @@ nt = 64
         assert main(["--out", str(out_dir), "run", path]) == 0
         summary = json.loads((out_dir / "wave-fixture-5.json").read_text())
         assert summary["max_error"] < 1e-6
+
+
+class TestEveryKind:
+    def test_tiny_config_per_kind(self):
+        assert set(TINY_KEYS) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("kind", sorted(TINY_KEYS))
+    def test_runs_end_to_end(self, tmp_path, kind):
+        path = write_config(tmp_path, "c.ini", tiny_config(kind))
+        out_dir = tmp_path / "out"
+        assert main(["--threads", "2", "--out", str(out_dir), "run", path]) == 0
+        assert set(os.listdir(out_dir)) == {f"{kind}-7.csv", f"{kind}-7.json", "manifest.json"}
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["experiment"] == kind
 
 
 class TestNonConvergence:

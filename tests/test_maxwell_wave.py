@@ -299,6 +299,12 @@ class TestRatioSuite:
         )
         assert rep["discarded"] == 1 and rep["rows"] == []
 
+    def test_single_time_sample_rejected(self, g16):
+        # the time step T/(nt-1) is taken only after wave_steps has checked nt
+        zero = VectorField.zeros(g16)
+        with pytest.raises(ValueError, match="nt must be >= 2"):
+            strichartz_sides(self.EXPONENTS, single_mode_b(g16), zero, None, 1.0, 1)
+
     def test_inadmissible_exponents_rejected(self, g16):
         zero = VectorField.zeros(g16)
         bad = StrichartzExponents(4.0, 4.0, 2.0, 0.5, 0.25)
