@@ -4,6 +4,7 @@ The continuum constants are never asserted; the lab measures family maxima
 of the estimate ratios over seeded random fields and checks that they are
 stable under grid refinement.  Random fields are built from a fixed master
 mode lattice, so refinement changes only the quadrature, not the function.
+The fields are drawn by ``random_data``.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -25,6 +26,7 @@ from .fields import (
     lp_norm,
     spectral_refine,
 )
+from .random_data import _random_scalar, check_n_eval, random_vector_field
 
 
 @dataclass(frozen=True)
@@ -58,37 +60,25 @@ class RatioReport:
     refinement: list = dc_field(default_factory=list)  # (n, family_max) pairs
 
 
-def _random_scalar(grid: Grid, beta: float, rng) -> ScalarField:
-    """Mean-zero random field with the spec's spectral decay; Nyquist planes
-    zeroed so spectral refinement reproduces the field exactly."""
-    coeffs = np.fft.rfftn(rng.standard_normal(grid.shape))
-    coeffs *= (1.0 + grid.ksq()) ** (-beta / 2.0)
-    coeffs.flat[0] = 0.0
-    for a in range(grid.dim):
-        np.moveaxis(coeffs, a, 0)[grid.n // 2] = 0.0
-    f = ScalarField.from_spectrum(grid, coeffs)
-    scale = float(np.max(np.abs(f.samples)))
-    return f * (1.0 / scale) if scale > 0 else f
-
-
 def random_family(spec: RandomFieldSpec, n_eval: int | None = None):
-    """Deterministic list of admissible fields; sample i uses child seed
-    (spec.seed, i), so growing count keeps earlier samples unchanged."""
+    """Iterator over the admissible fields, scalar in 2D and solenoidal in
+    3D; sample i is built from child seed (spec.seed, i) when it is reached,
+    so growing count keeps earlier samples unchanged.  The arguments are
+    checked at the call."""
     grid = spec.grid
-    out = []
-    for i in range(spec.count):
-        rng = np.random.default_rng((spec.seed, i))
-        if spec.dim == 2:
-            f = _random_scalar(grid, spec.beta, rng)
-            if n_eval is not None:
-                f = spectral_refine(f, n_eval)
-            out.append(f)
-        else:
-            comps = [_random_scalar(grid, spec.beta, rng) for _ in range(3)]
-            if n_eval is not None:
-                comps = [spectral_refine(c, n_eval) for c in comps]
-            out.append(leray_project(VectorField(comps)))
-    return out
+    check_n_eval(grid, n_eval)
+    return (_family_member(spec, grid, np.random.default_rng((spec.seed, i)), n_eval)
+            for i in range(spec.count))
+
+
+def _family_member(spec: RandomFieldSpec, grid: Grid, rng, n_eval: int | None):
+    if spec.dim == 2:
+        f = _random_scalar(grid, spec.beta, rng)
+    else:
+        f = random_vector_field(grid, rng, spec.beta)
+    if n_eval is not None:
+        f = spectral_refine(f, n_eval)
+    return f if spec.dim == 2 else leray_project(f)
 
 
 def _check_nonconstant(den: float, scale: float, what: str):

@@ -52,12 +52,8 @@ def velocity_from_vorticity_2d(omega: ScalarField) -> SolenoidalVectorField:
         raise ValueError("velocity_from_vorticity_2d requires a 2D scalar field")
     _check_mean_zero(omega, "vorticity")
     psi = g.kpow(-2.0) * omega.spectrum()
-    return SolenoidalVectorField(
-        [
-            ScalarField.from_spectrum(g, 1j * g.deriv_wavenumber(1) * psi),
-            ScalarField.from_spectrum(g, -1j * g.deriv_wavenumber(0) * psi),
-        ]
-    )
+    return SolenoidalVectorField.from_spectra(
+        g, [1j * g.deriv_wavenumber(1) * psi, -1j * g.deriv_wavenumber(0) * psi])
 
 
 def velocity_from_vorticity_3d(omega: VectorField) -> SolenoidalVectorField:
@@ -70,12 +66,8 @@ def velocity_from_vorticity_3d(omega: VectorField) -> SolenoidalVectorField:
     inv = g.kpow(-2.0)
     k = [g.deriv_wavenumber(a) for a in range(3)]
     w = [c.spectrum() for c in omega.components]
-    return SolenoidalVectorField(
-        [
-            ScalarField.from_spectrum(g, 1j * (k[i] * w[j] - k[j] * w[i]) * inv)
-            for i, j in ((1, 2), (2, 0), (0, 1))
-        ]
-    )
+    return SolenoidalVectorField.from_spectra(
+        g, [1j * (k[i] * w[j] - k[j] * w[i]) * inv for i, j in ((1, 2), (2, 0), (0, 1))])
 
 
 def leray_project(u: VectorField) -> SolenoidalVectorField:
@@ -98,6 +90,4 @@ def leray_project(u: VectorField) -> SolenoidalVectorField:
     size_out = np.sqrt(sum(hs_sq(g, c) for c in proj))
     if size_out <= 1e-12 * size_in:
         proj = [np.zeros_like(c) for c in proj]
-    return SolenoidalVectorField(
-        [ScalarField.from_spectrum(g, ph) for ph in proj]
-    )
+    return SolenoidalVectorField.from_spectra(g, proj)

@@ -35,7 +35,7 @@ from .maxwell_wave import (CurrentDensity, StrichartzExponents, solve_wave,
 from .mild_solver import (MildSolveConfig, calibrate_horizon, continuous_dependence_experiment,
                           picard_solve, require_converged)
 from .oseen import oseen_dipole, sharpness_scaling_experiment
-from .random_data import smooth_bump, two_mode_vorticity, wave_fixture_family
+from .random_data import check_n_eval, smooth_bump, two_mode_vorticity, wave_fixture_family
 
 
 class ConfigError(ValueError):
@@ -170,8 +170,7 @@ def _build_ratio(dim, cfg):
     spec = RandomFieldSpec(seed=cfg["seed"], beta=cfg["beta"], dim=dim, n=grid.n,
                            box_length=grid.box_length, count=cfg["count"])
     for m in cfg["n_eval"] or []:
-        _check(m >= grid.n, "n_eval entries must be >= n (refinement only)")
-        _check(m % 2 == 0, "n_eval entries must be even")
+        check_n_eval(grid, m)
     return spec
 
 

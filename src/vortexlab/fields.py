@@ -15,10 +15,13 @@ Conventions, fixed once for the whole package:
 * All integral norms carry the cell measure ``h**dim`` so values converge
   to continuum integrals under refinement.
 * Vector magnitudes (including gradient tensors) are pointwise Euclidean.
+* A per-field operation decorated ``componentwise`` (resampling, the heat
+  semigroup, the fractional Laplacian) takes a VectorField too, and applies
+  to each component with the same arguments; callers never map components.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, wraps
 from itertools import product
 import struct
 
@@ -217,7 +220,8 @@ class ScalarField:
         """op in every domain that self and `others` all hold, else on samples."""
         fields = (self,) + others
         for f in others:
-            _check_same_grid(self, f)
+            if f.grid != self.grid:
+                raise ValueError(f"grid mismatch: {self.grid} vs {f.grid}")
         spectral = all(f._spectrum is not None for f in fields)
         sampled = all(f._samples is not None for f in fields)
         return ScalarField(
@@ -239,9 +243,6 @@ class ScalarField:
     def __mul__(self, c):
         if isinstance(c, (int, float)):
             return self._linear(lambda a: a * c)
-        if isinstance(c, ScalarField):
-            _check_same_grid(self, c)
-            return ScalarField(self.grid, _readonly(self.samples * c.samples))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -277,6 +278,15 @@ class VectorField:
     def zeros(cls, grid: Grid) -> "VectorField":
         return cls([ScalarField.zeros(grid) for _ in range(grid.dim)])
 
+    @classmethod
+    def from_spectra(cls, grid: Grid, spectra) -> "VectorField":
+        """Field whose component c is ScalarField.from_spectrum(grid, spectra[c])."""
+        return cls([ScalarField.from_spectrum(grid, c) for c in spectra])
+
+    def spectra(self) -> np.ndarray:
+        """Component half spectra stacked, shape (dim, *grid.spectral_shape)."""
+        return np.stack([c.spectrum() for c in self.components])
+
     def component_samples(self) -> np.ndarray:
         return np.stack([c.samples for c in self.components])
 
@@ -290,17 +300,8 @@ class VectorField:
             )
         return NotImplemented
 
-    def __sub__(self, other):
-        if isinstance(other, VectorField):
-            return VectorField(
-                [a - b for a, b in zip(self.components, other.components)]
-            )
-        return NotImplemented
-
     def __mul__(self, c):
         if isinstance(c, (int, float)):
-            return VectorField([comp * c for comp in self.components])
-        if isinstance(c, ScalarField):
             return VectorField([comp * c for comp in self.components])
         return NotImplemented
 
@@ -310,9 +311,15 @@ class VectorField:
         return f"VectorField(dim={self.grid.dim}, n={self.grid.n}, L={self.grid.box_length})"
 
 
-def _check_same_grid(a, b):
-    if a.grid != b.grid:
-        raise ValueError(f"grid mismatch: {a.grid} vs {b.grid}")
+def componentwise(op):
+    """Lift op(f: ScalarField, *args) -> ScalarField to VectorFields, one
+    component at a time with the same arguments."""
+    @wraps(op)
+    def lifted(f, *args):
+        if isinstance(f, VectorField):
+            return VectorField([op(c, *args) for c in f.components])
+        return op(f, *args)
+    return lifted
 
 
 @dataclass
@@ -401,12 +408,8 @@ def curl3d(v: VectorField) -> VectorField:
     if v.grid.dim != 3:
         raise ValueError("curl3d requires a 3D field")
     c = v.components
-    return VectorField(
-        [
-            ScalarField.from_spectrum(v.grid, _dspec(c[i], j) - _dspec(c[j], i))
-            for i, j in ((2, 1), (0, 2), (1, 0))
-        ]
-    )
+    return VectorField.from_spectra(
+        v.grid, [_dspec(c[i], j) - _dspec(c[j], i) for i, j in ((2, 1), (0, 2), (1, 0))])
 
 
 def gradient_tensor(v: VectorField) -> np.ndarray:
@@ -419,6 +422,7 @@ def jacobian_magnitude(v: VectorField) -> ScalarField:
     return ScalarField(v.grid, _magnitude(gradient_tensor(v)))
 
 
+@componentwise
 def spectral_refine(f: ScalarField, n_new: int) -> ScalarField:
     """Resample f on a finer grid by zero-padding its spectrum.
 
@@ -435,6 +439,7 @@ def spectral_refine(f: ScalarField, n_new: int) -> ScalarField:
     return _resample(f, n_new)
 
 
+@componentwise
 def spectral_restrict(f: ScalarField, n_new: int) -> ScalarField:
     """Resample f on a coarser grid: the exact inverse of spectral_refine.
 
@@ -467,6 +472,15 @@ def _resample(f: ScalarField, n_new: int) -> ScalarField:
         idx = corner + (slice(0, half),)
         new[idx] = old[idx] * (n_new / g.n) ** g.dim
     return ScalarField.from_spectrum(new_grid, new)
+
+
+@componentwise
+def fractional_laplacian(f: ScalarField, power: float) -> ScalarField:
+    """Multiplier |k|^power; the zero mode is dropped (mean-zero input for
+    power < 0, same obstruction as the homogeneous Sobolev norms)."""
+    if power < 0 and not mean_is_negligible(f):
+        raise ValueError("fractional_laplacian with power < 0 needs a mean-zero field")
+    return ScalarField.from_spectrum(f.grid, f.grid.kpow(power) * f.spectrum())
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +521,14 @@ def hs_sq(grid: Grid, coeffs: np.ndarray, s: float = 0.0) -> float:
 def mean_is_negligible(f: ScalarField) -> bool:
     """Whether |mean(f)| <= 1e-10 * max|f| (an all-zero field passes).
 
-    Decided from the spectrum when |mean| <= 1e-10 * rms: rms <= max|f|, so
-    that implies the sample test.  Only other fields read their samples.
+    Decided from the spectrum when the mean is exactly 0, or else when
+    |mean| <= 1e-10 * rms: rms <= max|f|, so that implies the sample test.
+    Only other fields read their samples.
     """
     g = f.grid
     c = f.spectrum()
-    rms = np.sqrt(hs_sq(g, c) / g.box_length**g.dim)
-    if abs(c.flat[0].real) / g.n**g.dim <= 1e-10 * rms:
+    mean = abs(c.flat[0].real) / g.n**g.dim
+    if mean == 0 or mean <= 1e-10 * np.sqrt(hs_sq(g, c) / g.box_length**g.dim):
         return True
     return abs(f.mean()) <= 1e-10 * float(np.max(np.abs(f.samples)))
 

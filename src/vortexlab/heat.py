@@ -15,18 +15,17 @@ from math import factorial
 
 import numpy as np
 
-from .fields import ScalarField, VectorField
+from .fields import ScalarField, componentwise
 
 SERIES_Z = 0.1
 SERIES_TERMS = 12  # truncation error < 1e-17 relative for z < SERIES_Z
 
 
-def heat_evolve(f, t: float):
+@componentwise
+def heat_evolve(f: ScalarField, t: float) -> ScalarField:
     """Apply exp(t * Laplacian) (viscosity 1) to a scalar or vector field."""
     if t < 0:
         raise ValueError(f"heat_evolve requires t >= 0, got {t}")
-    if isinstance(f, VectorField):
-        return VectorField([heat_evolve(c, t) for c in f.components])
     return ScalarField.from_spectrum(f.grid, np.exp(-f.grid.ksq() * t) * f.spectrum())
 
 

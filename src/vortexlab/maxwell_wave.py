@@ -27,15 +27,14 @@ import numpy as np
 
 from .fields import (
     Grid,
-    ScalarField,
     Trajectory,
     VectorField,
     curl3d,
+    fractional_laplacian,
     gradient_tensor,
     hs_norm,
     jacobian_magnitude,
     lp_norm,
-    mean_is_negligible,
     spectral_refine,
     spectral_restrict,
     time_lq_norm,
@@ -58,11 +57,14 @@ def _dual(q_tilde: float) -> float:
     return q_tilde / (q_tilde - 1.0)
 
 
-def strichartz_admissible(e: StrichartzExponents, tol: float = 1e-12):
-    """Check the wave compatibility, scale-invariance, and range conditions.
+def strichartz_admissible(e: StrichartzExponents):
+    """Check the range, wave compatibility, and scale-invariance conditions.
 
-    Returns (verdict, reasons); reasons lists every violated condition.
+    Returns (verdict, reasons).  When a range condition fails, reasons lists
+    every violated range condition and nothing else (the other two divide by
+    q, r and q_tilde - 1); otherwise it lists every violated condition.
     """
+    tol = 1e-12  # slack of the compatibility and scale-invariance conditions
     reasons = []
     if not (2.0 <= e.q):
         reasons.append(f"range violated: q must satisfy 2 <= q <= inf, got {e.q}")
@@ -72,6 +74,8 @@ def strichartz_admissible(e: StrichartzExponents, tol: float = 1e-12):
         )
     if not (2.0 <= e.r < np.inf):
         reasons.append(f"range violated: r must satisfy 2 <= r < inf, got {e.r}")
+    if reasons:
+        return False, reasons
     if 1.0 / e.q + 1.0 / e.r > 0.5 + tol:
         reasons.append(
             f"wave compatibility violated: 1/q + 1/r = {1 / e.q + 1 / e.r:.6g} > 1/2"
@@ -102,9 +106,9 @@ class CurrentDensity:
             raise ValueError("current density evaluated on the wrong grid")
         return j
 
-    def curl_spectra(self, t: float):
-        c = curl3d(self.evaluate(t))
-        return [comp.spectrum() for comp in c.components]
+    def curl_spectra(self, t: float) -> np.ndarray:
+        """Stacked half spectra of curl j(t), shape (3, *spectral_shape)."""
+        return curl3d(self.evaluate(t)).spectra()
 
 
 class HarmonicCurrentDensity(CurrentDensity):
@@ -121,22 +125,16 @@ class HarmonicCurrentDensity(CurrentDensity):
         self.j_cos = j_cos
         self.j_sin = j_sin
         self.sigma = sigma
-        self._curl_cos = [c.spectrum() for c in curl3d(j_cos).components]
-        self._curl_sin = [c.spectrum() for c in curl3d(j_sin).components]
+        self._curl_cos = curl3d(j_cos).spectra()
+        self._curl_sin = curl3d(j_sin).spectra()
         self._grad_cache = {}
 
     def evaluate(self, t: float) -> VectorField:
-        a, b = np.cos(self.sigma * t), np.sin(self.sigma * t)
-        return VectorField(
-            [
-                ScalarField(self.grid, a * ca.samples + b * cb.samples)
-                for ca, cb in zip(self.j_cos.components, self.j_sin.components)
-            ]
-        )
+        return self.j_cos * np.cos(self.sigma * t) + self.j_sin * np.sin(self.sigma * t)
 
-    def curl_spectra(self, t: float):
+    def curl_spectra(self, t: float) -> np.ndarray:
         a, b = np.cos(self.sigma * t), np.sin(self.sigma * t)
-        return [a * ca + b * cb for ca, cb in zip(self._curl_cos, self._curl_sin)]
+        return a * self._curl_cos + b * self._curl_sin
 
     def smoothed_gradient_planes(self, k_power: float):
         """Cached pointwise (P, Q, R) = (Ta.Ta, Ta.Tb, Tb.Tb), where Ta and Tb
@@ -144,11 +142,8 @@ class HarmonicCurrentDensity(CurrentDensity):
         |a Ta + b Tb|^2 = a^2 P + 2ab Q + b^2 R."""
         cache = self._grad_cache
         if k_power not in cache:
-            ta, tb = (
-                gradient_tensor(VectorField([fractional_laplacian(c, k_power)
-                                             for c in part.components]))
-                for part in (self.j_cos, self.j_sin)
-            )
+            ta, tb = (gradient_tensor(fractional_laplacian(part, k_power))
+                      for part in (self.j_cos, self.j_sin))
             cache[k_power] = tuple(np.sum(x * y, axis=0)
                                    for x, y in ((ta, ta), (ta, tb), (tb, tb)))
         return cache[k_power]
@@ -183,10 +178,6 @@ def wave_weights(kmag: np.ndarray, dt: float):
     return np.cos(x), sinc, a0, a1, c1
 
 
-def _vector(grid: Grid, spectra) -> VectorField:
-    return VectorField([ScalarField.from_spectrum(grid, c) for c in spectra])
-
-
 def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
                T: float, nt: int):
     """Generator over (t, B, dB/dt) on nt uniform times.
@@ -209,17 +200,16 @@ def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
     k_sin = -grid.ksq() * sinc  # -|k| sin x
     a_new, c_new = a0 - a1, sinc - c1
 
-    b = np.stack([c.spectrum() for c in B0.components])
-    bt = np.stack([c.spectrum() for c in B1.components])
-    d_new = np.stack(j.curl_spectra(times[0])) if j is not None else None
+    b, bt = B0.spectra(), B1.spectra()
+    d_new = j.curl_spectra(times[0]) if j is not None else None
     for i, t in enumerate(times):
         if i > 0:
             b, bt = cos_x * b + sinc * bt, k_sin * b + cos_x * bt
             if j is not None:
-                d_old, d_new = d_new, np.stack(j.curl_spectra(t))
+                d_old, d_new = d_new, j.curl_spectra(t)
                 b += a1 * d_old + a_new * d_new
                 bt += c1 * d_old + c_new * d_new
-        yield float(t), _vector(grid, b), _vector(grid, bt)
+        yield float(t), VectorField.from_spectra(grid, b), VectorField.from_spectra(grid, bt)
 
 
 def solve_wave(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
@@ -238,14 +228,6 @@ def wave_energy(B: VectorField, Bt: VectorField) -> float:
     return lp_norm(Bt, 2) ** 2 + lp_norm(jacobian_magnitude(B), 2) ** 2
 
 
-def fractional_laplacian(f: ScalarField, power: float) -> ScalarField:
-    """Multiplier |k|^power; the zero mode is dropped (mean-zero input for
-    power < 0, same obstruction as the homogeneous Sobolev norms)."""
-    if power < 0 and not mean_is_negligible(f):
-        raise ValueError("fractional_laplacian with power < 0 needs a mean-zero field")
-    return ScalarField.from_spectrum(f.grid, f.grid.kpow(power) * f.spectrum())
-
-
 def source_gradient_l1(j: CurrentDensity, t: float, k_power: float) -> float:
     """|(-Lap)^{k/2} grad j(t)|_L1 with the Frobenius pointwise magnitude.
 
@@ -259,9 +241,7 @@ def source_gradient_l1(j: CurrentDensity, t: float, k_power: float) -> float:
         # three terms can leave a tiny negative square
         sq = (a * a) * p + (2.0 * a * b) * q + (b * b) * r
         return float(np.sum(np.sqrt(np.maximum(sq, 0.0, out=sq))) * j.grid.cell_measure)
-    jt = j.evaluate(t)
-    smoothed = VectorField([fractional_laplacian(c, k_power) for c in jt.components])
-    return lp_norm(jacobian_magnitude(smoothed), 1)
+    return lp_norm(jacobian_magnitude(fractional_laplacian(j.evaluate(t), k_power)), 1)
 
 
 def _on_band_lattice(B0: VectorField, B1: VectorField, j: CurrentDensity | None):
@@ -277,16 +257,11 @@ def _on_band_lattice(B0: VectorField, B1: VectorField, j: CurrentDensity | None)
         m = max(8, 2 * int(grid.band_index()[support].max(initial=0)) + 2)
     if m >= grid.n:
         return B0, B1, j, lambda v: v
-
-    def restrict(v):
-        return VectorField([spectral_restrict(c, m) for c in v.components])
-
-    def refine(v):
-        return VectorField([spectral_refine(c, grid.n) for c in v.components])
-
     if j is not None:
-        j = HarmonicCurrentDensity(restrict(j.j_cos), restrict(j.j_sin), j.sigma)
-    return restrict(B0), restrict(B1), j, refine
+        j = HarmonicCurrentDensity(spectral_restrict(j.j_cos, m), spectral_restrict(j.j_sin, m),
+                                   j.sigma)
+    b0, b1 = spectral_restrict(B0, m), spectral_restrict(B1, m)
+    return b0, b1, j, lambda v: spectral_refine(v, grid.n)
 
 
 def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,

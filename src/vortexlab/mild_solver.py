@@ -23,6 +23,11 @@ from .fields import (
 )
 from .heat import etd_weights, heat_evolve
 
+CALIBRATION_NT = 16  # time samples of each trial horizon in calibrate_horizon
+MAX_HALVINGS = 20  # trial horizons calibrate_horizon halves through
+CFL = 0.25  # reference_stepper's substep, as a fraction of h / max|v|
+MAX_SUBSTEPS = 200000  # per output interval of reference_stepper
+
 
 class ContractionFailureError(RuntimeError):
     """Fixed-point iteration is not contracting; t0 is too large for A0."""
@@ -175,14 +180,13 @@ def snapshot_norms(omega: ScalarField) -> NormReport:
     return rep
 
 
-def calibrate_horizon(omega0: ScalarField, grid: Grid, t_max: float, *,
-                      nt: int = 16, max_halvings: int = 20):
+def calibrate_horizon(omega0: ScalarField, grid: Grid, t_max: float):
     """Pick t0 = c/A0^2 adaptively: halve until the first measured
     contraction ratio is <= 1/2.  Returns (t0, ratio)."""
     a0 = w11_norm(omega0)
     t0 = min(1.0 / a0**2, t_max) if a0 > 0 else t_max
-    for _ in range(max_halvings):
-        cfg = MildSolveConfig(grid=grid, t0=t0, nt=nt)
+    for _ in range(MAX_HALVINGS):
+        cfg = MildSolveConfig(grid=grid, t0=t0, nt=CALIBRATION_NT)
         ratio = first_contraction_ratio(omega0, cfg)
         if ratio <= 0.5:
             return t0, ratio
@@ -220,8 +224,7 @@ def _nonlinear_rhs(w_hat, grid: Grid):
     return -(1j * k[0] * g0 + 1j * k[1] * g1), max(np.max(np.abs(v0)), np.max(np.abs(v1)))
 
 
-def reference_stepper(omega0: ScalarField, t0: float, nt_fine: int, *,
-                      cfl: float = 0.25, max_substeps: int = 200000) -> Trajectory:
+def reference_stepper(omega0: ScalarField, t0: float, nt_fine: int) -> Trajectory:
     """IF-RK4 pseudo-spectral integration of the vorticity equation.
 
     Adaptive CFL substepping between the nt_fine stored output times; the
@@ -240,12 +243,12 @@ def reference_stepper(omega0: ScalarField, t0: float, nt_fine: int, *,
     for i in range(nt_fine - 1):
         span = times[i + 1] - times[i]
         _, vmax = _nonlinear_rhs(w_hat, grid)
-        dt_cfl = cfl * grid.h / max(vmax, 1e-12)
+        dt_cfl = CFL * grid.h / max(vmax, 1e-12)
         nsub = max(1, int(np.ceil(span / dt_cfl)))
-        if nsub > max_substeps:
+        if nsub > MAX_SUBSTEPS:
             raise StabilityError(
                 f"CFL requires {nsub} substeps over one output interval "
-                f"(limit {max_substeps}); flow too fast for this grid"
+                f"(limit {MAX_SUBSTEPS}); flow too fast for this grid"
             )
         dt = span / nsub
         e_half = np.exp(-ksq * dt / 2.0)

@@ -99,21 +99,19 @@ def oseen_dipole(alpha0: float, separation: float, grid: Grid, t: float,
     return plus + minus
 
 
-def sharpness_scaling_experiment(grid: Grid, t_list, alpha0: float = 1.0,
-                                 center=None):
+def sharpness_scaling_experiment(grid: Grid, t_list, alpha0: float = 1.0):
     """Tabulate the W^{1,1} and velocity-sup norms of the profile over t_list
     and fit their log-log slopes (both should sit near -1/2).
 
-    The default center sits a quarter cell off the box center: lattice-
-    aligned centers sample the |x| kink of |grad w| and the flat maximum of
-    |v| exactly on symmetry points, which inflates quadrature error.
+    The center sits a quarter cell off the box center: lattice-aligned
+    centers sample the |x| kink of |grad w| and the flat maximum of |v|
+    exactly on symmetry points, which inflates quadrature error.
     """
     t_list = np.asarray(list(t_list), dtype=float)
     if len(t_list) < 2:
         raise ValueError("need at least two times to fit a slope")
-    if center is None:
-        c = grid.box_length / 2.0 + 0.25 * grid.h
-        center = (c, c)
+    c = grid.box_length / 2.0 + 0.25 * grid.h
+    center = (c, c)
     rows = []
     for t in t_list:
         p = OseenParams(alpha0, center, float(t))

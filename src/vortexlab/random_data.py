@@ -1,8 +1,8 @@
-"""Deterministic test-data families shared by the CLI and the experiments."""
+"""Deterministic test-data families shared by the CLI and the experiments;
+every seeded draw is made here."""
 
 import numpy as np
 
-from .bb_lab import _random_scalar
 from .fields import Grid, ScalarField, VectorField, spectral_refine
 from .maxwell_wave import HarmonicCurrentDensity
 
@@ -18,13 +18,13 @@ def two_mode_vorticity(grid: Grid, amplitude: float) -> ScalarField:
     return ScalarField(grid, amplitude * (np.cos(k1 * x) + np.cos(2.0 * k1 * y)))
 
 
-def smooth_bump(grid: Grid, width_fraction: float = 1.0 / 32.0) -> ScalarField:
-    """Localized mean-zero bump: the x-derivative of a Gaussian at the box
-    center (odd symmetry makes the lattice mean cancel)."""
+def smooth_bump(grid: Grid) -> ScalarField:
+    """Localized mean-zero bump: the x-derivative of a Gaussian of width L/32
+    at the box center (odd symmetry makes the lattice mean cancel)."""
     if grid.dim != 2:
         raise ValueError("smooth_bump is 2D")
     L = grid.box_length
-    sigma = width_fraction * L
+    sigma = L / 32.0
     x = grid.axis_coords()
     d = (x - L / 2.0 + L / 2.0) % L - L / 2.0
     X, Y = np.meshgrid(d, d, indexing="ij")
@@ -32,35 +32,50 @@ def smooth_bump(grid: Grid, width_fraction: float = 1.0 / 32.0) -> ScalarField:
     return ScalarField(grid, (X / sigma**2) * g)
 
 
+def _random_scalar(grid: Grid, beta: float, rng) -> ScalarField:
+    """Mean-zero random field with |f_hat(k)| ~ (1+|k|^2)^(-beta/2), scaled
+    to max|f| = 1; Nyquist planes zeroed so spectral refinement reproduces
+    the field exactly."""
+    coeffs = np.fft.rfftn(rng.standard_normal(grid.shape))
+    coeffs *= (1.0 + grid.ksq()) ** (-beta / 2.0)
+    coeffs.flat[0] = 0.0
+    for a in range(grid.dim):
+        np.moveaxis(coeffs, a, 0)[grid.n // 2] = 0.0
+    f = ScalarField.from_spectrum(grid, coeffs)
+    scale = float(np.max(np.abs(f.samples)))
+    return f * (1.0 / scale) if scale > 0 else f
+
+
 def random_vector_field(grid: Grid, rng, beta: float = 2.0) -> VectorField:
     """Mean-zero random vector field with smooth spectral decay."""
     return VectorField([_random_scalar(grid, beta, rng) for _ in range(grid.dim)])
 
 
-def wave_fixture_family(grid: Grid, seed: int, count: int, beta: float = 2.0,
-                        n_eval: int | None = None):
+def check_n_eval(grid: Grid, n_eval: int | None):
+    """Reject an evaluation grid that no family member could be refined onto."""
+    if n_eval is not None and (n_eval < grid.n or n_eval % 2 != 0):
+        raise ValueError(f"n_eval must be even and >= n = {grid.n}, got {n_eval}")
+
+
+def wave_fixture_family(grid: Grid, seed: int, count: int, n_eval: int | None = None):
     """Seeded (B0, B1, j) triples for the mixed-norm ratio experiments.
 
     B0, B1 are mean-zero with smooth decay; j oscillates harmonically in
     time with a seeded frequency, so its curl never vanishes identically.
     With ``n_eval`` the same fields (fixed mode content) are resampled on a
-    finer grid, for refinement-stability runs.
+    finer grid, for refinement-stability runs.  An iterator: fixture i is
+    built from child seed (seed, i) when it is reached; the arguments are
+    checked at the call.
     """
     if grid.dim != 3:
         raise ValueError("wave fixtures are 3D")
+    check_n_eval(grid, n_eval)
+    return (_wave_fixture(grid, np.random.default_rng((seed, i)), n_eval) for i in range(count))
 
-    def refine(v: VectorField) -> VectorField:
-        if n_eval is None or n_eval == grid.n:
-            return v
-        return VectorField([spectral_refine(c, n_eval) for c in v.components])
 
-    out = []
-    for i in range(count):
-        rng = np.random.default_rng((seed, i))
-        B0 = refine(random_vector_field(grid, rng, beta))
-        B1 = refine(random_vector_field(grid, rng, beta))
-        j_cos = refine(random_vector_field(grid, rng, beta))
-        j_sin = refine(random_vector_field(grid, rng, beta))
-        sigma = float(rng.uniform(0.5, 2.0)) * 2.0 * np.pi / grid.box_length
-        out.append((B0, B1, HarmonicCurrentDensity(j_cos, j_sin, sigma)))
-    return out
+def _wave_fixture(grid: Grid, rng, n_eval: int | None):
+    B0, B1, j_cos, j_sin = (random_vector_field(grid, rng) for _ in range(4))
+    if n_eval is not None:
+        B0, B1, j_cos, j_sin = (spectral_refine(v, n_eval) for v in (B0, B1, j_cos, j_sin))
+    sigma = float(rng.uniform(0.5, 2.0)) * 2.0 * np.pi / grid.box_length
+    return B0, B1, HarmonicCurrentDensity(j_cos, j_sin, sigma)

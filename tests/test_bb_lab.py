@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vortexlab import bb_lab
 from vortexlab.bb_lab import (
     RandomFieldSpec,
     bb_ratio_2d,
@@ -105,6 +106,20 @@ class TestRandomFamily:
         )
         for w in random_family(spec):
             assert lp_norm(divergence(w), 2) <= 1e-10 * lp_norm(w, 2)
+
+    def test_members_built_when_reached(self, monkeypatch):
+        drawn = []
+        draw = bb_lab._random_scalar
+        monkeypatch.setattr(bb_lab, "_random_scalar", lambda *args: drawn.append(1) or draw(*args))
+        family = random_family(self.spec2d(count=4))
+        assert drawn == []
+        next(iter(family))
+        assert len(drawn) == 1
+
+    @pytest.mark.parametrize("n_eval", [65, 32])  # odd, and coarser than n = 64
+    def test_bad_n_eval_rejected_at_the_call(self, n_eval):
+        with pytest.raises(ValueError, match="n_eval must be even and >= n = 64"):
+            random_family(self.spec2d(), n_eval=n_eval)
 
     def test_refined_family_same_mode_content(self):
         spec = self.spec2d(count=2)

@@ -184,6 +184,14 @@ k = 0.25
         assert captured.out == "" and captured.err.count("\n") == 1
         assert json.loads(captured.err)["error"] == message
 
+    def test_zero_q_range_named(self, tmp_path, capsys):
+        body = tiny_config("maxwell-strichartz")
+        assert "\nq = 4.0\n" in body
+        path = write_config(tmp_path, "c.ini", body.replace("\nq = 4.0\n", "\nq = 0\n"))
+        assert main(["validate", path]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            "inadmissible exponents: range violated: q must satisfy 2 <= q <= inf, got 0.0")
+
     def test_wide_vortex_named(self):
         cfg = {
             "seed": 0, "n": 32, "box_length": 2.0, "out": ".",

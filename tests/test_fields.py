@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vortexlab import fields
 from vortexlab.fields import (
     Grid,
     NormReport,
@@ -14,6 +15,7 @@ from vortexlab.fields import (
     divergence,
     gradient,
     hs_norm,
+    hs_sq,
     jacobian_magnitude,
     load_field,
     lp_norm,
@@ -167,6 +169,17 @@ class TestMeanZeroCheck:
         assert fft_calls["irfftn"] == 1
         assert hs_norm(f, -1) > 0
         assert not mean_is_negligible(ScalarField(g64, x + 1e-9))
+
+    def test_exact_zero_mean_needs_no_parseval_sum(self, g64, monkeypatch):
+        sums = []
+        monkeypatch.setattr(fields, "hs_sq", lambda *args: sums.append(args) or hs_sq(*args))
+        coeffs = random_smooth(g64, 8).spectrum().copy()
+        coeffs[0, 0] = 0.0
+        assert mean_is_negligible(ScalarField.from_spectrum(g64, coeffs.copy()))
+        assert sums == []
+        coeffs[0, 0] = 1e-3
+        assert not mean_is_negligible(ScalarField.from_spectrum(g64, coeffs))
+        assert len(sums) == 1
 
 
 class TestCalculus:

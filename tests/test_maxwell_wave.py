@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vortexlab import random_data
 from vortexlab.fields import (
     Grid,
     ScalarField,
@@ -66,6 +67,17 @@ class TestAdmissibility:
         )
         assert not ok
         assert any("2 < q_tilde" in r for r in reasons)
+
+    @pytest.mark.parametrize("q, r, q_tilde, named", [
+        (0.0, 4.0, 4.0, "q must satisfy 2 <= q"),
+        (4.0, 0.0, 4.0, "r must satisfy 2 <= r"),
+        (4.0, 4.0, 1.0, "q_tilde must satisfy 2 < q_tilde"),
+        (4.0, 4.0, 0.0, "q_tilde must satisfy 2 < q_tilde"),
+    ])
+    def test_zero_divisor_range_violation_named(self, q, r, q_tilde, named):
+        ok, reasons = strichartz_admissible(StrichartzExponents(q, r, q_tilde, 0.5, 0.75))
+        assert not ok
+        assert len(reasons) == 1 and named in reasons[0]
 
     def test_infinite_exponents_allowed(self):
         # q = q_tilde = inf: 1/q = 0, dual exponent 1
@@ -381,3 +393,19 @@ class TestFixtureFamily:
     def test_2d_grid_rejected(self):
         with pytest.raises(ValueError):
             wave_fixture_family(Grid(2, 16, TWO_PI), seed=0, count=1)
+
+    def test_members_built_when_reached(self, g16, monkeypatch):
+        drawn = []
+        draw = random_data.random_vector_field
+        monkeypatch.setattr(random_data, "random_vector_field",
+                            lambda *args: drawn.append(1) or draw(*args))
+        family = wave_fixture_family(g16, seed=2, count=3, n_eval=32)
+        assert drawn == []
+        B0, B1, j = next(iter(family))
+        assert len(drawn) == 4
+        assert B0.grid.n == B1.grid.n == j.grid.n == 32
+
+    @pytest.mark.parametrize("n_eval", [17, 8])  # odd, and coarser than n = 16
+    def test_bad_n_eval_rejected_at_the_call(self, g16, n_eval):
+        with pytest.raises(ValueError, match="n_eval must be even and >= n = 16"):
+            wave_fixture_family(g16, seed=0, count=1, n_eval=n_eval)

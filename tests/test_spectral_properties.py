@@ -17,6 +17,7 @@ from vortexlab.fields import (
     curl3d,
     derivative,
     divergence,
+    fractional_laplacian,
     hs_norm,
     spectral_refine,
     spectral_restrict,
@@ -149,6 +150,18 @@ def assert_vector_close(v, expects):
         assert_close(c.samples, e)
 
 
+def assert_componentwise(op, v, *args):
+    """op on the vector field v equals op on each component, bitwise."""
+    out = op(v, *args)
+    assert isinstance(out, VectorField)
+    for got, c in zip(out.components, v.components, strict=True):
+        expect = op(c, *args)
+        assert got.grid == expect.grid
+        assert np.array_equal(got.spectrum(), expect.spectrum())
+        assert np.array_equal(got.samples, expect.samples)
+    return out
+
+
 # --- properties ----------------------------------------------------------------
 
 @PROPERTY
@@ -223,6 +236,41 @@ def test_spectral_restrict_rejects_content_off_the_lattice(grid, seed):
     spec.flat[rng.choice(empty)] = 1.0
     with pytest.raises(ValueError, match="outside"):
         spectral_restrict(ScalarField.from_spectrum(fine.grid, spec), grid.n)
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds)
+def test_vector_refine_and_restrict(grid, seed):
+    rng = np.random.default_rng(seed)
+    v = VectorField([band_limited(grid, rng) for _ in range(grid.dim)])
+    fine = assert_componentwise(spectral_refine, v, 2 * grid.n)
+    back = assert_componentwise(spectral_restrict, fine, grid.n)
+    assert all(np.array_equal(b.spectrum(), c.spectrum())
+               for b, c in zip(back.components, v.components))
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds)
+def test_vector_restrict_rejects_content_off_the_lattice_in_one_component(grid, seed):
+    rng = np.random.default_rng(seed)
+    fine = spectral_refine(VectorField([band_limited(grid, rng) for _ in range(grid.dim)]),
+                           2 * grid.n)
+    comps = list(fine.components)
+    a = rng.integers(grid.dim)
+    spec = comps[a].spectrum().copy()
+    spec.flat[rng.choice(np.flatnonzero(spec == 0))] = 1.0
+    comps[a] = ScalarField.from_spectrum(fine.grid, spec)
+    with pytest.raises(ValueError, match="outside"):
+        spectral_restrict(VectorField(comps), grid.n)
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds, t=st.floats(0.0, 0.5),
+       power=st.sampled_from([-1.0, 0.5, 2.0]))
+def test_vector_heat_evolve_and_fractional_laplacian(grid, seed, t, power):
+    v = random_vector(grid, np.random.default_rng(seed), mean_zero=True)
+    assert_componentwise(heat_evolve, v, t)
+    assert_componentwise(fractional_laplacian, v, power)
 
 
 @PROPERTY
