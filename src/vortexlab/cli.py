@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from . import io as vio
-from .bb_lab import RandomFieldSpec, bb_ratio_2d, bb_ratio_3d, gn_ratio, refinement_study
+from .bb_lab import RandomFieldSpec, bb_ratio_2d, bb_ratio_3d, family_ratio_report, gn_ratio
 from .fields import Grid, ScalarField, VectorField, lp_norm
 from .maxwell_wave import (CurrentDensity, StrichartzExponents, solve_wave,
                            strichartz_admissible, strichartz_ratio_experiment)
@@ -176,20 +176,11 @@ def _build_ratio(dim, cfg):
 
 def _run_ratio(ratio_fn, spec, cfg, threads):
     levels = cfg["n_eval"] or [cfg["n"]]
-
-    def one(n_eval):
-        return n_eval, refinement_study(spec, ratio_fn, [n_eval])
-
-    if threads > 1 and len(levels) > 1:
-        # finest level here: in a pool thread's malloc arena, its freed blocks made peak RSS vary
-        finest = levels.index(max(levels))
-        with ThreadPoolExecutor(max_workers=threads - 1) as ex:
-            rest = [ex.submit(one, m) for i, m in enumerate(levels) if i != finest]
-            mine = one(levels[finest])
-            results = [f.result() for f in rest]
-        results.insert(finest, mine)
-    else:
-        results = [one(m) for m in levels]
+    # the samples of each level spread over the pool; rows come back in sample order
+    workers = min(threads, spec.count * len(levels))
+    with ThreadPoolExecutor(max_workers=workers) as ex:  # no thread starts unless mapped
+        map_fn = ex.map if workers > 1 else map
+        results = [(m, family_ratio_report(spec, ratio_fn, m, map_fn)) for m in levels]
     rows = [(cfg["seed"], n_eval, cfg["beta"], r["sample"], r["ratio"])
             for n_eval, rep in results for r in rep.rows]
     levels = [{"n_eval": n_eval, "family_max": rep.family_max, "family_mean": rep.family_mean,
@@ -365,7 +356,8 @@ def main(argv=None):
     parser.add_argument("--list", action="store_true",
                         help="list experiment kinds and required keys")
     parser.add_argument("--threads", type=int, default=None,
-                        help="sweep thread count (default: env VORTEXLAB_THREADS or 1)")
+                        help="threads that share the samples of a ratio run "
+                        "(default: env VORTEXLAB_THREADS or 1)")
     parser.add_argument("--out", default=None, help="output directory override")
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("run", help="run an experiment config").add_argument("config")

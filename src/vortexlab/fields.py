@@ -18,6 +18,9 @@ Conventions, fixed once for the whole package:
 * A per-field operation decorated ``componentwise`` (resampling, the heat
   semigroup, the fractional Laplacian) takes a VectorField too, and applies
   to each component with the same arguments; callers never map components.
+* A field whose nonzero coefficients all have index < m/2 on every axis is
+  the exact refinement of one on the m-point grid (its band lattice, m even
+  and >= 8): spectral work can run there and refine only what is sampled.
 """
 
 from dataclasses import dataclass, field
@@ -143,9 +146,14 @@ def _readonly(a):
     return a
 
 
-def _magnitude(comps: np.ndarray) -> np.ndarray:
-    """Pointwise Euclidean magnitude of a stack of components, shape (c, ...)."""
-    return _readonly(np.sqrt(np.sum(comps * comps, axis=0)))
+def _magnitude(comps) -> np.ndarray:
+    """Pointwise Euclidean magnitude of an iterable of component arrays,
+    added in the order of ``np.sum(stack * stack, axis=0)``, unstacked."""
+    comps = iter(comps)
+    acc = next(comps) ** 2
+    for c in comps:
+        acc += c * c
+    return _readonly(np.sqrt(acc, out=acc))
 
 
 class ScalarField:
@@ -287,11 +295,8 @@ class VectorField:
         """Component half spectra stacked, shape (dim, *grid.spectral_shape)."""
         return np.stack([c.spectrum() for c in self.components])
 
-    def component_samples(self) -> np.ndarray:
-        return np.stack([c.samples for c in self.components])
-
     def magnitude(self) -> ScalarField:
-        return ScalarField(self.grid, _magnitude(self.component_samples()))
+        return ScalarField(self.grid, _magnitude(c.samples for c in self.components))
 
     def __add__(self, other):
         if isinstance(other, VectorField):
@@ -419,7 +424,8 @@ def gradient_tensor(v: VectorField) -> np.ndarray:
 
 def jacobian_magnitude(v: VectorField) -> ScalarField:
     """Pointwise Frobenius magnitude of the gradient tensor of v."""
-    return ScalarField(v.grid, _magnitude(gradient_tensor(v)))
+    return ScalarField(v.grid, _magnitude(derivative(c, a).samples
+                                          for c in v.components for a in range(v.grid.dim)))
 
 
 @componentwise
@@ -455,6 +461,19 @@ def spectral_restrict(f: ScalarField, n_new: int) -> ScalarField:
         raise ValueError(f"field has content outside the {n_new}-point lattice "
                          "or on its Nyquist planes")
     return _resample(f, n_new)
+
+
+def on_band_lattice(*fields):
+    """(fields restricted to the smallest even m >= 8 whose lattice, Nyquist
+    planes excluded, holds all their nonzero coefficients, the map back to
+    their grid); as they are, with the identity, when m >= n."""
+    grid = fields[0].grid
+    comps = [c for f in fields for c in (f.components if isinstance(f, VectorField) else (f,))]
+    support = reduce(np.logical_or, (c.spectrum() != 0 for c in comps))
+    m = max(8, 2 * int(grid.band_index()[support].max(initial=0)) + 2)
+    if m >= grid.n:
+        return fields, lambda f: f
+    return tuple(spectral_restrict(f, m) for f in fields), lambda f: spectral_refine(f, grid.n)
 
 
 def _resample(f: ScalarField, n_new: int) -> ScalarField:

@@ -35,8 +35,7 @@ from .fields import (
     hs_norm,
     jacobian_magnitude,
     lp_norm,
-    spectral_refine,
-    spectral_restrict,
+    on_band_lattice,
     time_lq_norm,
 )
 from .heat import _series_or_closed
@@ -248,20 +247,14 @@ def _on_band_lattice(B0: VectorField, B1: VectorField, j: CurrentDensity | None)
     """(B0, B1, j) restricted to the lattice of their band limit, and the map
     of a field there back to their grid; as they are, with the identity, when
     that lattice is not coarser or the current is generic (support unknown)."""
-    grid = B0.grid
     harmonic = isinstance(j, HarmonicCurrentDensity)
     fields = [B0, B1] + ([j.j_cos, j.j_sin] if harmonic else [])
-    m = grid.n  # also on a grid mismatch, which wave_steps then names
-    if (j is None or harmonic) and all(v.grid == grid for v in fields):
-        support = np.any([c.spectrum() != 0 for v in fields for c in v.components], axis=0)
-        m = max(8, 2 * int(grid.band_index()[support].max(initial=0)) + 2)
-    if m >= grid.n:
-        return B0, B1, j, lambda v: v
-    if j is not None:
-        j = HarmonicCurrentDensity(spectral_restrict(j.j_cos, m), spectral_restrict(j.j_sin, m),
-                                   j.sigma)
-    b0, b1 = spectral_restrict(B0, m), spectral_restrict(B1, m)
-    return b0, b1, j, lambda v: spectral_refine(v, grid.n)
+    if not ((j is None or harmonic) and all(v.grid == B0.grid for v in fields)):
+        return B0, B1, j, lambda v: v  # a grid mismatch is named by wave_steps
+    (b0, b1, *parts), to_grid = on_band_lattice(*fields)
+    if parts and b0.grid != B0.grid:
+        j = HarmonicCurrentDensity(*parts, j.sigma)
+    return b0, b1, j, to_grid
 
 
 def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,

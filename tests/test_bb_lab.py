@@ -1,5 +1,7 @@
 """Estimate-ratio fixtures and seeded random-family stability checks."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,24 @@ from vortexlab.bb_lab import (
     random_family,
     refinement_study,
 )
-from vortexlab.fields import Grid, ScalarField, VectorField, divergence, lp_norm
+from vortexlab.biot_savart import (
+    leray_project,
+    velocity_from_vorticity_2d,
+    velocity_from_vorticity_3d,
+)
+from vortexlab.fields import (
+    Grid,
+    ScalarField,
+    VectorField,
+    curl3d,
+    derivative,
+    divergence,
+    gradient,
+    lp_norm,
+    spectral_refine,
+)
 from vortexlab.oseen import GRAD_L1_PREFACTOR, VMAX_PREFACTOR
+from vortexlab.random_data import random_vector_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -182,3 +200,149 @@ class TestFamilyReports:
             assert all(np.isfinite(ratios)) and min(ratios) > 0
             print(f"beta={beta}: mean={np.mean(ratios):.4f} "
                   f"std={np.std(ratios):.4f}")
+
+
+# --- band-lattice evaluation ---------------------------------------------------
+
+def stacked_magnitude(comps):
+    stack = np.stack(comps)
+    return np.sqrt(np.sum(stack * stack, axis=0))
+
+
+def full_grid_check(den, omega, what):
+    comps = omega.components if isinstance(omega, VectorField) else (omega,)
+    scale = max(float(np.max(np.abs(c.samples))) for c in comps)
+    if den <= 1e-12 * max(scale, 1.0):
+        raise ValueError(f"{what} rejected: denominator vanishes (constant field)")
+
+
+def full_grid_jacobian(v):
+    g = v.grid
+    return ScalarField(g, stacked_magnitude(
+        [derivative(c, a).samples for c in v.components for a in range(g.dim)]))
+
+
+def full_grid_bb_2d(omega):
+    den = lp_norm(gradient(omega), 1)
+    full_grid_check(den, omega, "bb_ratio_2d")
+    v = velocity_from_vorticity_2d(omega)
+    v_mag = ScalarField(omega.grid, stacked_magnitude([c.samples for c in v.components]))
+    return (lp_norm(v_mag, np.inf) + lp_norm(full_grid_jacobian(v), 2)) / den
+
+
+def full_grid_bb_3d(omega):
+    den = lp_norm(curl3d(omega), 1)
+    full_grid_check(den, omega, "bb_ratio_3d")
+    v = velocity_from_vorticity_3d(omega)
+    v_mag = ScalarField(omega.grid, stacked_magnitude([c.samples for c in v.components]))
+    return (lp_norm(v_mag, 3) + lp_norm(full_grid_jacobian(v), 1.5)) / den
+
+
+def full_grid_gn(omega):
+    den = lp_norm(gradient(omega), 1)
+    full_grid_check(den, omega, "gn_ratio")
+    return lp_norm(omega, 2) / den
+
+
+def irfftn_shapes(monkeypatch):
+    """Output shapes of the numpy.fft.irfftn calls made from now on."""
+    shapes = []
+    irfftn = np.fft.irfftn
+
+    def counted(*args, **kwargs):
+        out = irfftn(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np.fft, "irfftn", counted)
+    return shapes
+
+
+class TestBandLatticeRatios:
+    """The ratios take their spectral work on the band lattice of their
+    input and refine only what a norm samples; on padded family members
+    (power-of-two refinement) they equal the full-grid formulas bitwise."""
+
+    @pytest.mark.parametrize("fn, ref, dim, n, n_eval", [
+        (bb_ratio_2d, full_grid_bb_2d, 2, 32, 64),
+        (gn_ratio, full_grid_gn, 2, 32, 64),
+        (bb_ratio_3d, full_grid_bb_3d, 3, 16, 32),
+    ])
+    def test_padded_member_matches_full_grid(self, fn, ref, dim, n, n_eval):
+        spec = RandomFieldSpec(seed=5, beta=2.0, dim=dim, n=n, box_length=TWO_PI, count=3)
+        for omega in random_family(spec, n_eval=n_eval):
+            assert omega.grid.n == n_eval
+            assert fn(omega) == ref(omega)
+
+    def test_pool_rows_in_sample_order(self):
+        spec = RandomFieldSpec(seed=11, beta=2.0, dim=2, n=32, box_length=TWO_PI, count=6)
+        want = [bb_ratio_2d(f) for f in random_family(spec, n_eval=64)]
+        with ThreadPoolExecutor(max_workers=3) as ex:
+            rep = family_ratio_report(spec, bb_ratio_2d, n_eval=64, map_fn=ex.map)
+        assert [(r["sample"], r["ratio"]) for r in rep.rows] == list(enumerate(want))
+
+    def test_3d_member_projected_before_refinement_matches_full_grid(self):
+        spec = RandomFieldSpec(seed=5, beta=2.0, dim=3, n=16, box_length=TWO_PI, count=3)
+        for i, got in enumerate(random_family(spec, n_eval=32)):
+            rng = np.random.default_rng((spec.seed, i))
+            raw = random_vector_field(spec.grid, rng, spec.beta)
+            want = leray_project(spectral_refine(raw, 32))
+            assert np.array_equal(got.spectra(), want.spectra())
+
+    @pytest.mark.parametrize("fn, dim, n, n_eval, per_sample", [
+        (bb_ratio_3d, 3, 16, 32, 15),  # curl 3, |v| 3, grad v 9
+        (bb_ratio_2d, 2, 32, 64, 8),  # grad 2, |v| 2, grad v 4
+    ])
+    def test_evaluation_grid_inverse_transforms(self, monkeypatch, fn, dim, n, n_eval,
+                                                per_sample):
+        spec = RandomFieldSpec(seed=5, beta=2.0, dim=dim, n=n, box_length=TWO_PI, count=2)
+        inverted = []
+        name = f"velocity_from_vorticity_{dim}d"
+        invert = getattr(bb_lab, name)
+        monkeypatch.setattr(bb_lab, name, lambda w: inverted.append(w.grid.n) or invert(w))
+        shapes = irfftn_shapes(monkeypatch)
+        rep = family_ratio_report(spec, fn, n_eval=n_eval)
+        assert len(rep.rows) == 2
+        assert shapes.count((n_eval,) * dim) == 2 * per_sample
+        assert inverted == [n, n]  # Biot-Savart on the band lattice
+
+
+def single_mode(dim, amplitude, n=16):
+    g = Grid(dim, n, TWO_PI)
+    coeffs = np.zeros(g.spectral_shape, dtype=complex)
+    coeffs[(0,) * (dim - 1) + (1,)] = amplitude * g.n**dim / 2.0  # amplitude * cos(x_last)
+    f = ScalarField.from_spectrum(g, coeffs)
+    return f if dim == 2 else VectorField([f, ScalarField.zeros(g), f * 0.5])
+
+
+class TestNonconstantCheck:
+    """The Hausdorff-Young shortcut makes the decision of the exact rule
+    den <= 1e-12 * max(max|w|, 1)."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("amplitude", [5.0, 0.25])
+    @pytest.mark.parametrize("factor", [0.0, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1e9])
+    def test_same_decision_as_max_rule(self, dim, amplitude, factor):
+        omega = single_mode(dim, amplitude)
+        comps = omega.components if dim == 3 else (omega,)
+        scale = max(float(np.max(np.abs(c.samples))) for c in comps)
+        den = factor * 1e-12 * max(scale, 1.0)
+        exact_rejects = den <= 1e-12 * max(scale, 1.0)
+        try:
+            bb_lab._check_nonconstant(den, comps, comps, "w")
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert rejected == exact_rejects
+
+    def test_constant_field_rejected(self):
+        g = Grid(3, 16, TWO_PI)
+        c = ScalarField(g, np.full(g.shape, 3.0))
+        with pytest.raises(ValueError, match="denominator vanishes"):
+            bb_ratio_3d(VectorField([c, c, c]))
+
+    def test_cleared_denominator_reads_no_samples(self, monkeypatch):
+        comps = single_mode(3, 5.0).components
+        shapes = irfftn_shapes(monkeypatch)
+        bb_lab._check_nonconstant(1.0, comps, comps, "w")
+        assert shapes == []

@@ -7,6 +7,7 @@ import platform
 import numpy as np
 import pytest
 
+from vortexlab import cli
 from vortexlab.cli import EXPERIMENTS, main, parse_config, validate_config, ConfigError
 
 
@@ -303,3 +304,49 @@ class TestNonConvergence:
         assert main(["--out", str(tmp_path / "out"), "run", path]) == 1
         message = json.loads(capsys.readouterr().err)["error"]
         assert "did not converge in 1 iterations" in message
+
+
+class TestRatioPool:
+    """--threads spreads the samples of every ratio level over one pool."""
+
+    @pytest.mark.parametrize("body", [
+        "[bb-ratio-3d]\nseed = 7\nn = 16\nbox_length = 6.283185307179586\ncount = 3\n",
+        "[bb-ratio-2d]\nseed = 7\nn = 16\nbox_length = 6.283185307179586\ncount = 3\n"
+        "n_eval = 32 16 64\n",
+    ], ids=["bb-ratio-3d-single-level", "bb-ratio-2d-three-levels"])
+    def test_reports_independent_of_threads(self, tmp_path, body):
+        path = write_config(tmp_path, "r.ini", body)
+        outputs = []
+        for threads in (1, 2, 4):
+            out_dir = tmp_path / f"t{threads}"
+            assert main(["--threads", str(threads), "--out", str(out_dir), "run", path]) == 0
+            outputs.append({k: v for k, v in read_outputs(out_dir).items()
+                            if k != "manifest.json"})
+        assert len(outputs[0]) == 2
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_pool_bounded_by_its_work(self, tmp_path, monkeypatch):
+        workers = []
+        mapped = []
+
+        class Recording:  # maps on the calling thread, so no thread starts
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                mapped.append(workers[-1])
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        body = GN_CONFIG.replace("count = 3", "count = 4") + "n_eval = 32 64\n"
+        path = write_config(tmp_path, "gn.ini", body)
+        for threads, expect in ((5000, 8), (3, 3), (1, 1)):
+            assert main(["--threads", str(threads), "--out", str(tmp_path / "o"), "run", path]) == 0
+            assert workers.pop() == expect
+        assert mapped == [8, 8, 3, 3]  # both levels through the pool; one thread maps here

@@ -4,6 +4,7 @@ references written here with ``numpy.fft.fftn``, on random real fields."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vortexlab.biot_savart import (
     leray_project,
@@ -18,7 +19,9 @@ from vortexlab.fields import (
     derivative,
     divergence,
     fractional_laplacian,
+    _magnitude,
     hs_norm,
+    on_band_lattice,
     spectral_refine,
     spectral_restrict,
 )
@@ -299,3 +302,32 @@ def test_heat_evolve(grid, seed, t):
     f = random_field(grid, np.random.default_rng(seed))
     expect = ifft(np.exp(-full_ksq(grid) * t) * fft(f))
     assert_close(heat_evolve(f, t).samples, expect)
+
+
+@PROPERTY
+@given(planes=st.sampled_from([2, 3, 9]).flatmap(lambda c: arrays(
+    np.float64, (c, 5, 4), elements=st.floats(-1e150, 1e150, allow_subnormal=True))))
+def test_magnitude_equals_stacked_formula(planes):
+    # accumulated plane by plane, it adds in the order np.sum takes over axis 0
+    got = _magnitude(iter(list(planes)))
+    assert np.array_equal(got, np.sqrt(np.sum(planes * planes, axis=0)))
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds, factor=st.sampled_from([2, 3]))
+def test_on_band_lattice_restricts_to_the_band_limit(grid, seed, factor):
+    rng = np.random.default_rng(seed)
+    padded = [spectral_refine(band_limited(grid, rng), factor * grid.n) for _ in range(2)]
+    (a, b), up = on_band_lattice(padded[0], VectorField([padded[1]] * grid.dim))
+    assert a.grid == b.grid == grid
+    for got, want in ((up(a), padded[0]), (up(b).components[0], padded[1])):
+        assert got.grid == want.grid
+        assert_close(got.samples, want.samples)
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds)
+def test_on_band_lattice_identity_on_full_band(grid, seed):
+    f = random_field(grid, np.random.default_rng(seed))  # content on the Nyquist planes
+    (same,), up = on_band_lattice(f)
+    assert same is f and up(f) is f
