@@ -11,7 +11,9 @@ import numpy as np
 from .fields import (
     ScalarField,
     VectorField,
+    curl3d,
     divergence_spectrum,
+    fractional_laplacian,
     hs_sq,
     mean_is_negligible,
 )
@@ -58,16 +60,11 @@ def velocity_from_vorticity_2d(omega: ScalarField) -> SolenoidalVectorField:
 
 def velocity_from_vorticity_3d(omega: VectorField) -> SolenoidalVectorField:
     """3D Biot-Savart: v = (-Lap)^{-1} (curl omega)."""
-    g = omega.grid
-    if g.dim != 3:
+    if omega.grid.dim != 3:
         raise ValueError("velocity_from_vorticity_3d requires a 3D vector field")
     for c in omega.components:
         _check_mean_zero(c, "vorticity component")
-    inv = g.kpow(-2.0)
-    k = [g.deriv_wavenumber(a) for a in range(3)]
-    w = [c.spectrum() for c in omega.components]
-    return SolenoidalVectorField.from_spectra(
-        g, [1j * (k[i] * w[j] - k[j] * w[i]) * inv for i, j in ((1, 2), (2, 0), (0, 1))])
+    return SolenoidalVectorField(fractional_laplacian(curl3d(omega), -2.0).components)
 
 
 def leray_project(u: VectorField) -> SolenoidalVectorField:

@@ -30,8 +30,8 @@ from . import __version__
 from . import io as vio
 from .bb_lab import RandomFieldSpec, bb_ratio_2d, bb_ratio_3d, family_ratio_report, gn_ratio
 from .fields import Grid, ScalarField, VectorField, lp_norm
-from .maxwell_wave import (CurrentDensity, StrichartzExponents, solve_wave,
-                           strichartz_admissible, strichartz_ratio_experiment)
+from .maxwell_wave import (HarmonicCurrentDensity, StrichartzExponents, strichartz_admissible,
+                           strichartz_ratio_experiment, wave_steps)
 from .mild_solver import (MildSolveConfig, calibrate_horizon, continuous_dependence_experiment,
                           picard_solve, require_converged)
 from .oseen import oseen_dipole, sharpness_scaling_experiment
@@ -91,8 +91,8 @@ _MILD_KEYS = {
     "amplitude": (float, False, 0.05),
     "separation": (float, False, 0.0),  # 0 -> L/4
     "t_init": (float, False, 0.01),
-    "nt": (int, False, 32),
-    "max_iter": (int, False, 60),
+    "nt": (int, False, MildSolveConfig.nt),
+    "max_iter": (int, False, MildSolveConfig.max_iter),
 }
 
 
@@ -224,14 +224,14 @@ def _run_wave_fixture(built, cfg, _threads):
     j_z = ScalarField(grid, np.cos(2.0 * np.pi * x / grid.box_length))
     j_field = VectorField([ScalarField.zeros(grid), ScalarField.zeros(grid), j_z])
     zero = VectorField.zeros(grid)
-    traj_b, _ = solve_wave(zero, zero, CurrentDensity(grid, lambda t: j_field), horizon, cfg["nt"])
+    j = HarmonicCurrentDensity(j_field, zero, 0.0)  # sigma = 0: constant in time
     kappa = 2.0 * np.pi / grid.box_length
     rows = []
-    for t, b in traj_b:
+    for t, b, _bt in wave_steps(zero, zero, j, horizon, cfg["nt"]):
         # closed form: B = (0, (1 - cos(kappa t))/kappa * sin(kappa x), 0)
         exact = (1.0 - np.cos(kappa * t)) / kappa * np.sin(kappa * x)
         err = float(np.max(np.abs(b.components[1].samples - exact)))
-        rows.append((float(t), lp_norm(b, 2), err))
+        rows.append((t, lp_norm(b, 2), err))
     summary = {"max_error": max(err for _t, _l2, err in rows), "nt": cfg["nt"], "horizon": horizon}
     return ("t", "L2_B", "max_err_vs_closed_form"), rows, (), summary
 
@@ -248,7 +248,7 @@ EXPERIMENTS = {
         **_MILD_KEYS,
         "t0": (float, False, 0.0),  # 0 -> calibrated from A0
         "t_horizon_cap": (float, False, 1.0),
-        "tol": (float, False, 1e-9),
+        "tol": (float, False, MildSolveConfig.tol),
     }, _build_picard, _run_picard),
     "continuous-dependence": Experiment({
         **_MILD_KEYS,

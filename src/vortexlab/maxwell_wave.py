@@ -111,7 +111,7 @@ class CurrentDensity:
 
 
 class HarmonicCurrentDensity(CurrentDensity):
-    """j(x, t) = j_cos(x) cos(sigma t) + j_sin(x) sin(sigma t).
+    """j(x, t) = j_cos(x) cos(sigma t) + j_sin(x) sin(sigma t); constant at sigma = 0.
 
     Curl spectra and the source norm's three gradient planes are
     precomputed once, so per-time evaluation is pointwise only.
@@ -136,15 +136,22 @@ class HarmonicCurrentDensity(CurrentDensity):
         return a * self._curl_cos + b * self._curl_sin
 
     def smoothed_gradient_planes(self, k_power: float):
-        """Cached pointwise (P, Q, R) = (Ta.Ta, Ta.Tb, Tb.Tb), where Ta and Tb
-        are the (-Lap)^{k/2} gradient tensors of j_cos and j_sin, so that
-        |a Ta + b Tb|^2 = a^2 P + 2ab Q + b^2 R."""
+        """Cached pointwise QR planes (r11, r12, r22) of [Ta Tb], where Ta and
+        Tb are the (-Lap)^{k/2} gradient tensors of j_cos and j_sin, so that
+        |a Ta + b Tb| = |(a r11 + b r12, b r22)|: r11 = |Ta|, r12 = mu r11 and
+        r22 = |Tb - mu Ta| with mu = Ta.Tb / |Ta|^2 (0 where Ta = 0).  Taken
+        from the tensors, a near-cancelling sum keeps its relative accuracy."""
         cache = self._grad_cache
         if k_power not in cache:
             ta, tb = (gradient_tensor(fractional_laplacian(part, k_power))
                       for part in (self.j_cos, self.j_sin))
-            cache[k_power] = tuple(np.sum(x * y, axis=0)
-                                   for x, y in ((ta, ta), (ta, tb), (tb, tb)))
+            # summed one component at a time, so no product holds nine planes
+            p = sum(x * x for x in ta)
+            mu = np.divide(sum(x * y for x, y in zip(ta, tb)), p, where=p > 0,
+                           out=np.zeros_like(p))
+            r11 = np.sqrt(p)
+            r22 = np.sqrt(sum((y - mu * x) ** 2 for x, y in zip(ta, tb)))
+            cache[k_power] = (r11, mu * r11, r22)
         return cache[k_power]
 
 
@@ -234,12 +241,12 @@ def source_gradient_l1(j: CurrentDensity, t: float, k_power: float) -> float:
     smoothed first and the tensor magnitude taken after.
     """
     if isinstance(j, HarmonicCurrentDensity):
-        p, q, r = j.smoothed_gradient_planes(k_power)
+        r11, r12, r22 = j.smoothed_gradient_planes(k_power)
         a, b = np.cos(j.sigma * t), np.sin(j.sigma * t)
-        # clipped at 0: where a Ta + b Tb nearly cancels, roundoff in the
-        # three terms can leave a tiny negative square
-        sq = (a * a) * p + (2.0 * a * b) * q + (b * b) * r
-        return float(np.sum(np.sqrt(np.maximum(sq, 0.0, out=sq))) * j.grid.cell_measure)
+        u, v = a * r11 + b * r12, b * r22
+        u *= u  # squared and summed in place: this runs at every time sample
+        u += np.square(v, out=v)
+        return float(np.sum(np.sqrt(u, out=u)) * j.grid.cell_measure)
     return lp_norm(jacobian_magnitude(fractional_laplacian(j.evaluate(t), k_power)), 1)
 
 

@@ -43,7 +43,8 @@ def _check_width(t: float, grid: Grid):
         )
 
 
-def _min_image_displacements(grid: Grid, center):
+def min_image_displacements(grid: Grid, center):
+    """Meshgrids (X, Y) of grid point minus center, wrapped into [-L/2, L/2)."""
     L = grid.box_length
     x = grid.axis_coords()
     dx = (x - center[0] + L / 2.0) % L - L / 2.0
@@ -56,7 +57,7 @@ def oseen_vorticity(p: OseenParams, grid: Grid) -> ScalarField:
     if grid.dim != 2:
         raise ValueError("Oseen profiles are 2D")
     _check_width(p.t, grid)
-    X, Y = _min_image_displacements(grid, p.center)
+    X, Y = min_image_displacements(grid, p.center)
     r2 = X * X + Y * Y
     return ScalarField(grid, p.alpha0 / (4.0 * np.pi * p.t) * np.exp(-r2 / (4.0 * p.t)))
 
@@ -66,7 +67,7 @@ def oseen_velocity(p: OseenParams, grid: Grid) -> VectorField:
     if grid.dim != 2:
         raise ValueError("Oseen profiles are 2D")
     _check_width(p.t, grid)
-    X, Y = _min_image_displacements(grid, p.center)
+    X, Y = min_image_displacements(grid, p.center)
     r2 = X * X + Y * Y
     with np.errstate(divide="ignore", invalid="ignore"):
         fac = p.alpha0 / (2.0 * np.pi) * (1.0 - np.exp(-r2 / (4.0 * p.t))) / r2

@@ -5,6 +5,7 @@ import numpy as np
 
 from .fields import Grid, ScalarField, VectorField, spectral_refine
 from .maxwell_wave import HarmonicCurrentDensity
+from .oseen import min_image_displacements
 
 
 def two_mode_vorticity(grid: Grid, amplitude: float) -> ScalarField:
@@ -25,9 +26,7 @@ def smooth_bump(grid: Grid) -> ScalarField:
         raise ValueError("smooth_bump is 2D")
     L = grid.box_length
     sigma = L / 32.0
-    x = grid.axis_coords()
-    d = (x - L / 2.0 + L / 2.0) % L - L / 2.0
-    X, Y = np.meshgrid(d, d, indexing="ij")
+    X, Y = min_image_displacements(grid, (L / 2.0, L / 2.0))
     g = np.exp(-(X**2 + Y**2) / (2.0 * sigma**2))
     return ScalarField(grid, (X / sigma**2) * g)
 

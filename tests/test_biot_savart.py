@@ -156,3 +156,19 @@ class TestLerayProjection:
         assert isinstance(p, SolenoidalVectorField)
         with pytest.raises(ValueError):
             SolenoidalVectorField(u.components)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_3d_velocity_is_inverse_laplacian_of_curl(n):
+    # the explicit multiplier (-Lap)^{-1} i k x w_hat, written out in full
+    g = Grid(3, n, TWO_PI)
+    w = leray_project(VectorField([random_mean_zero(g, 60 + n + i) for i in range(3)]))
+    inv = g.kpow(-2.0)
+    k = [g.deriv_wavenumber(a) for a in range(3)]
+    wh = [c.spectrum() for c in w.components]
+    expect = [1j * (k[i] * wh[j] - k[j] * wh[i]) * inv for i, j in ((1, 2), (2, 0), (0, 1))]
+    v = velocity_from_vorticity_3d(w)
+    assert isinstance(v, SolenoidalVectorField)
+    for c, e in zip(v.components, expect):
+        assert np.array_equal(c.spectrum(), e)
+        assert np.array_equal(c.samples, np.fft.irfftn(e, s=g.shape, axes=range(3)))

@@ -7,8 +7,10 @@ import platform
 import numpy as np
 import pytest
 
-from vortexlab import cli
+from vortexlab import cli, maxwell_wave
 from vortexlab.cli import EXPERIMENTS, main, parse_config, validate_config, ConfigError
+from vortexlab.fields import ScalarField, VectorField, curl3d, lp_norm
+from vortexlab.maxwell_wave import CurrentDensity, solve_wave
 
 
 def write_config(tmp_path, name, body):
@@ -237,8 +239,8 @@ class TestRun:
             assert a[name] == b[name]
 
     def test_thread_count_invariance(self, tmp_path):
-        # the finest level runs on the calling thread, the others in the pool;
-        # reports keep the config's level order at every thread count
+        # the pool takes the samples of every level; reports keep the
+        # config's level order at every thread count
         body = GN_CONFIG + "n_eval = 40 64 32\n"
         path = write_config(tmp_path, "gn-sweep.ini", body)
         outputs = []
@@ -266,6 +268,41 @@ nt = 64
         assert main(["--out", str(out_dir), "run", path]) == 0
         summary = json.loads((out_dir / "wave-fixture-5.json").read_text())
         assert summary["max_error"] < 1e-6
+
+
+def reference_wave_fixture_rows(grid, horizon, nt):
+    """The fixture's rows from a stored trajectory and a generic current."""
+    x = grid.meshgrid()[0]
+    j_z = ScalarField(grid, np.cos(2.0 * np.pi * x / grid.box_length))
+    j_field = VectorField([ScalarField.zeros(grid), ScalarField.zeros(grid), j_z])
+    zero = VectorField.zeros(grid)
+    traj_b, _ = solve_wave(zero, zero, CurrentDensity(grid, lambda t: j_field), horizon, nt)
+    kappa = 2.0 * np.pi / grid.box_length
+    rows = []
+    for t, b in traj_b:
+        exact = (1.0 - np.cos(kappa * t)) / kappa * np.sin(kappa * x)
+        err = float(np.max(np.abs(b.components[1].samples - exact)))
+        rows.append((float(t), lp_norm(b, 2), err))
+    return rows
+
+
+@pytest.mark.parametrize("nt", [16, 64])
+def test_wave_fixture_streams_with_two_curls(tmp_path, monkeypatch, nt):
+    path = write_config(tmp_path, "wf.ini", tiny_config("wave-fixture").replace(
+        "nt = 16", f"nt = {nt}"))
+    kind, cfg = parse_config(path)
+    grid, horizon = built = validate_config(kind, cfg)
+    calls = []
+
+    def counting_curl3d(v):
+        calls.append(v.grid.n)
+        return curl3d(v)
+
+    monkeypatch.setattr(maxwell_wave, "curl3d", counting_curl3d)
+    _columns, rows, *_ = EXPERIMENTS[kind].run(built, cfg, 1)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert rows == reference_wave_fixture_rows(grid, horizon, nt)
 
 
 class TestEveryKind:

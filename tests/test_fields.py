@@ -1,5 +1,10 @@
 """Grid, field containers, spectral calculus, norms, and binary round trips."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -407,3 +412,14 @@ class TestBinaryRoundtrip:
         p.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
             load_field(p)
+
+
+def test_fields_import_loads_no_other_package_module():
+    # a fresh interpreter, so modules this session already loaded do not count
+    src = os.path.dirname(os.path.dirname(fields.__file__))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    code = ("import json, sys, vortexlab.fields; print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'vortexlab')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert json.loads(out) == ["vortexlab", "vortexlab.fields"]

@@ -284,6 +284,17 @@ class TestSourceGradientL1:
         scale = source_gradient_l1(fast, 0.0, 0.75)
         assert abs(got - source_gradient_l1(generic, t, 0.75)) <= 1e-12 * scale
 
+    def test_norm_near_cancellation_keeps_relative_accuracy(self, g16):
+        # j_sin = j_cos + 1e-8 d at sigma t = 3 pi/4: a Ta + b Tb is about
+        # 1e-8 of either part, and not cancelled bitwise
+        rng = np.random.default_rng(0)
+        j_cos, d = random_vector_field(g16, rng), random_vector_field(g16, rng)
+        fast = HarmonicCurrentDensity(j_cos, j_cos + d * 1e-8, 1.0)
+        generic = CurrentDensity(g16, fast.evaluate)
+        t = 0.75 * np.pi
+        assert source_gradient_l1(fast, t, 0.75) == pytest.approx(
+            source_gradient_l1(generic, t, 0.75), rel=1e-6)
+
 
 class TestRatioSuite:
     EXPONENTS = StrichartzExponents(4.0, 4.0, 4.0, 0.5, 0.75)

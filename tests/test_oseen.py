@@ -16,6 +16,7 @@ from vortexlab.oseen import (
     oseen_vorticity,
     sharpness_scaling_experiment,
 )
+from vortexlab.random_data import smooth_bump
 
 TWO_PI = 2.0 * np.pi
 
@@ -152,3 +153,16 @@ class TestScalingExperiment:
         assert r2["prefactor_grad_L1"] == pytest.approx(
             2.0 * r1["prefactor_grad_L1"], rel=1e-12
         )
+
+
+@pytest.mark.parametrize("n, box_length", [(32, TWO_PI), (64, 2.5)])
+def test_smooth_bump_is_centered_gaussian_derivative(n, box_length):
+    # the bump's own displacement rule, written out: d = (x - L/2 + L/2) % L - L/2
+    g = Grid(2, n, box_length)
+    L = g.box_length
+    sigma = L / 32.0
+    x = g.axis_coords()
+    d = (x - L / 2.0 + L / 2.0) % L - L / 2.0
+    X, Y = np.meshgrid(d, d, indexing="ij")
+    expect = (X / sigma**2) * np.exp(-(X**2 + Y**2) / (2.0 * sigma**2))
+    assert np.array_equal(smooth_bump(g).samples, expect)
