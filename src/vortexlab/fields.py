@@ -23,14 +23,11 @@ Conventions, fixed once for the whole package:
   and >= 8): spectral work can run there and refine only what is sampled.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce, wraps
 from itertools import product
-import struct
 
 import numpy as np
-
-_FIELD_MAGIC = b"VXLF"
 
 
 @dataclass(frozen=True)
@@ -50,8 +47,8 @@ class Grid:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
-        if not self.box_length > 0:
-            raise ValueError(f"box_length must be positive, got {self.box_length}")
+        if not 0 < self.box_length < np.inf:
+            raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
 
     @property
     def h(self) -> float:
@@ -327,25 +324,6 @@ def componentwise(op):
     return lifted
 
 
-@dataclass
-class NormReport:
-    """Named nonnegative norm values of one field or trajectory."""
-
-    entries: dict = field(default_factory=dict)
-
-    def set(self, label: str, value: float):
-        value = float(value)
-        if not np.isfinite(value) or value < 0:
-            raise ValueError(f"norm {label!r} must be finite and >= 0, got {value}")
-        self.entries[label] = value
-
-    def __getitem__(self, label: str) -> float:
-        return self.entries[label]
-
-    def __contains__(self, label):
-        return label in self.entries
-
-
 class Trajectory:
     """Time-indexed fields on a uniform lattice over [0, t_max]."""
 
@@ -359,7 +337,7 @@ class Trajectory:
         if len(times) == 0:
             raise ValueError("empty trajectory")
         dts = np.diff(times)
-        if len(dts) and (np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-10)):
+        if len(dts) and (np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-10, atol=0)):
             raise ValueError("times must be strictly increasing and uniform")
         self.grid = snapshots[0].grid
         for s in snapshots[1:]:
@@ -417,15 +395,14 @@ def curl3d(v: VectorField) -> VectorField:
         v.grid, [_dspec(c[i], j) - _dspec(c[j], i) for i, j in ((2, 1), (0, 2), (1, 0))])
 
 
-def gradient_tensor(v: VectorField) -> np.ndarray:
-    """Samples of every d_a v_c, component-major, shape (dim*dim, *grid.shape)."""
-    return np.stack([derivative(c, a).samples for c in v.components for a in range(v.grid.dim)])
+def gradient_planes(v: VectorField):
+    """Samples of every d_a v_c, component-major, one plane at a time."""
+    return (derivative(c, a).samples for c in v.components for a in range(v.grid.dim))
 
 
 def jacobian_magnitude(v: VectorField) -> ScalarField:
     """Pointwise Frobenius magnitude of the gradient tensor of v."""
-    return ScalarField(v.grid, _magnitude(derivative(c, a).samples
-                                          for c in v.components for a in range(v.grid.dim)))
+    return ScalarField(v.grid, _magnitude(gradient_planes(v)))
 
 
 @componentwise
@@ -576,43 +553,3 @@ def time_lq_norm(values, dt: float, q: float) -> float:
     weights = np.full(len(values), dt)
     weights[0] = weights[-1] = dt / 2
     return float(np.sum(weights * values**q) ** (1.0 / q))
-
-
-def mixed_norm(traj: Trajectory, q: float, r: float) -> float:
-    """Space-time norm L^q in time of the spatial L^r norms, trapezoid in time."""
-    if len(traj) < 2:
-        raise ValueError("mixed_norm needs at least 2 time samples")
-    if q < 1 or r < 1:
-        raise ValueError("exponents must satisfy 1 <= q, r <= inf")
-    vals = [lp_norm(f, r) for f in traj.snapshots]
-    return time_lq_norm(vals, traj.times[1] - traj.times[0], q)
-
-
-# ---------------------------------------------------------------------------
-# serialization (little-endian: magic, uint8 dim, uint32 n, float64 L, samples)
-
-def save_field(path, f: ScalarField):
-    g = f.grid
-    with open(path, "wb") as fh:
-        fh.write(_FIELD_MAGIC)
-        fh.write(struct.pack("<BI", g.dim, g.n))
-        fh.write(struct.pack("<d", g.box_length))
-        fh.write(f.samples.astype("<f8").tobytes(order="C"))
-
-
-def load_field(path) -> ScalarField:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _FIELD_MAGIC:
-            raise ValueError(f"not a vortexlab field file: bad magic {magic!r}")
-        header = fh.read(13)
-        if len(header) != 13:
-            raise ValueError(f"field file header is {len(header)} bytes, needs 13")
-        dim, n, L = struct.unpack("<BId", header)
-        grid = Grid(dim, n, L)
-        payload = fh.read()
-    if len(payload) != 8 * n**dim:
-        raise ValueError(f"field file payload is {len(payload)} bytes, "
-                         f"its header (dim={dim}, n={n}) needs {8 * n**dim}")
-    # a read-only view of the immutable payload, so the field keeps it uncopied
-    return ScalarField(grid, np.frombuffer(payload, dtype="<f8").reshape(grid.shape))

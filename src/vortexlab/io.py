@@ -4,8 +4,6 @@ import json
 
 import numpy as np
 
-TRACE_COLUMNS = ("t", "L1", "W11", "Linf_v", "L2_gradv")
-
 
 def format_float(x) -> str:
     return f"{float(x):.17g}"

@@ -31,7 +31,7 @@ from .fields import (
     VectorField,
     curl3d,
     fractional_laplacian,
-    gradient_tensor,
+    gradient_planes,
     hs_norm,
     jacobian_magnitude,
     lp_norm,
@@ -143,7 +143,7 @@ class HarmonicCurrentDensity(CurrentDensity):
         from the tensors, a near-cancelling sum keeps its relative accuracy."""
         cache = self._grad_cache
         if k_power not in cache:
-            ta, tb = (gradient_tensor(fractional_laplacian(part, k_power))
+            ta, tb = (list(gradient_planes(fractional_laplacian(part, k_power)))
                       for part in (self.j_cos, self.j_sin))
             # summed one component at a time, so no product holds nine planes
             p = sum(x * x for x in ta)

@@ -13,7 +13,6 @@ import numpy as np
 from .biot_savart import _check_mean_zero, velocity_from_vorticity_2d
 from .fields import (
     Grid,
-    NormReport,
     ScalarField,
     Trajectory,
     hs_sq,
@@ -54,8 +53,8 @@ class MildSolveConfig:
             raise ValueError(f"t0 must be positive, got {self.t0}")
         if self.nt < 8:
             raise ValueError(f"nt must be >= 8, got {self.nt}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -71,7 +70,6 @@ class PicardTrace:
     ratios: list = dc_field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-    snapshot_reports: list = dc_field(default_factory=list)  # NormReport per time
 
 
 def _flux_divergence(omega: ScalarField):
@@ -97,7 +95,7 @@ def apply_T(omega_traj: Trajectory, omega0: ScalarField, cfg: MildSolveConfig) -
     _check_mean_zero(omega0, "initial vorticity")
     grid = cfg.grid
     times = cfg.times
-    if len(omega_traj) != cfg.nt or not np.allclose(omega_traj.times, times):
+    if len(omega_traj) != cfg.nt or not np.allclose(omega_traj.times, times, atol=0):
         raise ValueError("input trajectory does not live on the config time lattice")
     e, w_old, w_new = etd_weights(grid.ksq(), times[1] - times[0])
     s_hat = omega0.spectrum()
@@ -156,7 +154,6 @@ def picard_solve(omega0: ScalarField, cfg: MildSolveConfig):
             trace.converged = True
             break
         prev_diff = diff
-    trace.snapshot_reports = [snapshot_norms(f) for f in current.snapshots]
     return current, trace
 
 
@@ -169,15 +166,16 @@ def require_converged(trace: PicardTrace, cfg: MildSolveConfig):
         )
 
 
-def snapshot_norms(omega: ScalarField) -> NormReport:
-    """Norm bundle of one vorticity snapshot: L1, W11, velocity sup and gradient L2."""
-    rep = NormReport()
-    rep.set("L1", lp_norm(omega, 1))
-    rep.set("W11", w11_norm(omega))
+def snapshot_norms(omega: ScalarField) -> dict:
+    """Norm bundle of one vorticity snapshot, in report-column order: L1,
+    W11, velocity sup and gradient L2.  Each must be finite and >= 0."""
     v = velocity_from_vorticity_2d(omega)
-    rep.set("Linf_v", lp_norm(v, np.inf))
-    rep.set("L2_gradv", lp_norm(jacobian_magnitude(v), 2))
-    return rep
+    norms = {"L1": lp_norm(omega, 1), "W11": w11_norm(omega), "Linf_v": lp_norm(v, np.inf),
+             "L2_gradv": lp_norm(jacobian_magnitude(v), 2)}
+    for label, value in norms.items():
+        if not 0 <= value < np.inf:
+            raise ValueError(f"norm {label!r} must be finite and >= 0, got {value}")
+    return norms
 
 
 def calibrate_horizon(omega0: ScalarField, grid: Grid, t_max: float):

@@ -187,6 +187,23 @@ k = 0.25
         assert captured.out == "" and captured.err.count("\n") == 1
         assert json.loads(captured.err)["error"] == message
 
+    def test_infinite_tol_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, "p.ini", PICARD_CONFIG + "tol = inf\n")
+        assert main(["validate", path]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            "tol must be positive and finite, got inf")
+
+    @pytest.mark.parametrize("kind", ["gn-ratio", "bb-ratio-3d"])
+    def test_infinite_box_length_fails_run(self, tmp_path, capsys, kind):
+        body = tiny_config(kind).replace("box_length = 6.283185307179586", "box_length = inf")
+        out_dir = tmp_path / "out"
+        assert main(["--out", str(out_dir), "run", write_config(tmp_path, "c.ini", body)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == (
+            "box_length must be positive and finite, got inf")
+        assert not out_dir.exists()
+
     def test_zero_q_range_named(self, tmp_path, capsys):
         body = tiny_config("maxwell-strichartz")
         assert "\nq = 4.0\n" in body

@@ -1,4 +1,4 @@
-"""Grid, field containers, spectral calculus, norms, and binary round trips."""
+"""Grid, field containers, spectral calculus and norms."""
 
 import json
 import os
@@ -11,7 +11,6 @@ import pytest
 from vortexlab import fields
 from vortexlab.fields import (
     Grid,
-    NormReport,
     ScalarField,
     Trajectory,
     VectorField,
@@ -22,12 +21,10 @@ from vortexlab.fields import (
     hs_norm,
     hs_sq,
     jacobian_magnitude,
-    load_field,
     lp_norm,
     mean_is_negligible,
-    mixed_norm,
-    save_field,
     spectral_refine,
+    time_lq_norm,
     w11_norm,
 )
 
@@ -300,18 +297,24 @@ class TestHsNorm:
 
 
 class TestMixedNorm:
-    def _const_traj(self, g64, nt=9, T=2.0):
+    """L^q in time of spatial L^r norms: time_lq_norm over lp_norm values,
+    the composition strichartz_sides streams."""
+
+    @staticmethod
+    def mixed(snaps, dt, q, r):
+        return time_lq_norm([lp_norm(f, r) for f in snaps], dt, q)
+
+    def _const_snaps(self, g64, nt=9, T=2.0):
         f = ScalarField.from_function(g64, lambda x, y: np.sin(x))
-        times = np.linspace(0.0, T, nt)
-        return Trajectory(times, [f] * nt), f
+        return [f] * nt, T / (nt - 1), f
 
     def test_q1_constant_in_time(self, g64):
-        traj, f = self._const_traj(g64)
-        assert mixed_norm(traj, 1, 2) == pytest.approx(2.0 * lp_norm(f, 2), rel=1e-10)
+        snaps, dt, f = self._const_snaps(g64)
+        assert self.mixed(snaps, dt, 1, 2) == pytest.approx(2.0 * lp_norm(f, 2), rel=1e-10)
 
     def test_qinf_is_time_max(self, g64):
-        traj, f = self._const_traj(g64)
-        assert mixed_norm(traj, np.inf, 2) == pytest.approx(lp_norm(f, 2), rel=1e-10)
+        snaps, dt, f = self._const_snaps(g64)
+        assert self.mixed(snaps, dt, np.inf, 2) == pytest.approx(lp_norm(f, 2), rel=1e-10)
 
     def test_forced_wave_profile_oracle(self):
         # B = (1-cos t) sin(x1) e2 on [0, 2pi]; (q,r) = (2,2) value is
@@ -328,7 +331,7 @@ class TestMixedNorm:
             ])
             for t in times
         ]
-        val = mixed_norm(Trajectory(times, snaps), 2, 2)
+        val = self.mixed(snaps, times[1] - times[0], 2, 2)
         assert val == pytest.approx(34.18931254658434, rel=5e-3)
 
 
@@ -377,41 +380,8 @@ class TestContainers:
             Trajectory([0.0, 0.0], [f, f])
         with pytest.raises(ValueError):
             Trajectory([0.0, 0.2, 0.3], [f, f, f])  # non-uniform spacing
-
-    def test_norm_report_labels(self):
-        rep = NormReport()
-        rep.set("L1", 1.5)
-        assert rep["L1"] == 1.5
-        assert "L1" in rep and "L2" not in rep
-        with pytest.raises(ValueError):
-            rep.set("L1", np.nan)
-
-
-class TestBinaryRoundtrip:
-    def test_save_load(self, tmp_path, g64):
-        f = random_smooth(g64, 31)
-        p = tmp_path / "field.vxlf"
-        save_field(p, f)
-        back = load_field(p)
-        assert back.grid == g64
-        assert np.array_equal(back.samples, f.samples)
-
-    @pytest.mark.parametrize("keep, named", [
-        (17 + 4095 * 8, "payload is 32760 bytes.*needs 32768"),
-        (10, "header is 6 bytes, needs 13"),
-    ], ids=["payload", "header"])
-    def test_truncated_file_named(self, tmp_path, g64, keep, named):
-        p = tmp_path / "field.vxlf"
-        save_field(p, random_smooth(g64, 31))
-        p.write_bytes(p.read_bytes()[:keep])
-        with pytest.raises(ValueError, match=named):
-            load_field(p)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "junk.vxlf"
-        p.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_field(p)
+        with pytest.raises(ValueError):  # uniform to an absolute 1e-8, not relatively
+            Trajectory([0.0, 1e-9, 5e-9, 6e-9], [f] * 4)
 
 
 def test_fields_import_loads_no_other_package_module():

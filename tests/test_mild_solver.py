@@ -14,6 +14,7 @@ from vortexlab.mild_solver import (
     first_contraction_ratio,
     picard_solve,
     reference_stepper,
+    snapshot_norms,
 )
 from vortexlab.oseen import oseen_dipole
 from vortexlab.random_data import smooth_bump, two_mode_vorticity
@@ -74,11 +75,13 @@ class TestApplyT:
         assert slope >= 1.4
 
     def test_wrong_time_lattice_rejected(self, g64):
-        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
         zero = ScalarField.zeros(g64)
-        bad = Trajectory(np.linspace(0.0, 0.2, 8), [zero] * 8)
-        with pytest.raises(ValueError):
-            apply_T(bad, zero, cfg)
+        # [0, 5e-9] against [0, 1e-9] is within an absolute 1e-8 at every time
+        for t0, t_bad in ((0.1, 0.2), (1e-9, 5e-9)):
+            cfg = MildSolveConfig(grid=g64, t0=t0, nt=8)
+            bad = Trajectory(np.linspace(0.0, t_bad, 8), [zero] * 8)
+            with pytest.raises(ValueError, match="config time lattice"):
+                apply_T(bad, zero, cfg)
 
 
 class TestPicardSolve:
@@ -119,7 +122,7 @@ class TestPicardSolve:
         traj, trace = picard_solve(w0, cfg)
         assert trace.converged
         assert all(abs(s.mean()) < 1e-12 for s in traj.snapshots)
-        assert all(r["Linf_v"] < np.inf for r in trace.snapshot_reports)
+        assert all(snapshot_norms(s)["Linf_v"] < np.inf for s in traj.snapshots)
 
     def test_noncontracting_horizon_raises(self, g64):
         w0 = dipole(g64, t_init=0.002, sep=np.pi / 4.0, alpha0=60.0)
@@ -197,6 +200,19 @@ class TestContinuousDependence:
         rep = continuous_dependence_experiment(w0, perts, cfg)
         ratios = [r["ratio"] for r in rep["rows"]]
         assert max(ratios) < 10.0 * min(ratios)
+
+
+class TestSnapshotNorms:
+    def test_report_column_order(self, g64):
+        assert list(snapshot_norms(dipole(g64))) == ["L1", "W11", "Linf_v", "L2_gradv"]
+
+    def test_overflowing_norm_rejected(self):
+        # finite samples whose squared gradient sums past the float range
+        w = two_mode_vorticity(Grid(2, 16, TWO_PI), 1e153)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError,
+                               match="norm 'L2_gradv' must be finite and >= 0, got inf"):
+                snapshot_norms(w)
 
 
 class TestConfigValidation:
