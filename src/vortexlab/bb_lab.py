@@ -11,7 +11,7 @@ refinement; at another factor (16 -> 48 rescales by 27) they move in the
 last place (<= 4e-16 relative measured).
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .fields import (
     on_band_lattice,
     spectral_refine,
 )
+from .family import Family, family_report
 from .random_data import _random_scalar, check_n_eval, random_vector_field
 
 
@@ -56,33 +57,19 @@ class RandomFieldSpec:
         return Grid(self.dim, self.n, self.box_length)
 
 
-@dataclass
-class RatioReport:
-    rows: list = dc_field(default_factory=list)
-    family_max: float = 0.0
-    family_mean: float = 0.0
-    discarded: int = 0
-    refinement: list = dc_field(default_factory=list)  # (n, family_max) pairs
-
-
-def random_family(spec: RandomFieldSpec, n_eval: int | None = None):
-    """Iterator over the admissible fields, scalar in 2D and solenoidal in
-    3D; sample i is built from child seed (spec.seed, i) when it is reached,
-    so growing count keeps earlier samples unchanged.  The arguments are
-    checked at the call."""
+def random_family(spec: RandomFieldSpec, n_eval: int | None = None) -> Family:
+    """The admissible fields, scalar in 2D and solenoidal in 3D (projected on
+    their own grid, before any refinement); arguments are checked at the call."""
     check_n_eval(spec.grid, n_eval)
-    return (_family_member(spec, i, n_eval) for i in range(spec.count))
 
+    def build(rng):
+        if spec.dim == 2:
+            f = _random_scalar(spec.grid, spec.beta, rng)
+        else:
+            f = leray_project(random_vector_field(spec.grid, rng, spec.beta))
+        return f if n_eval is None else spectral_refine(f, n_eval)
 
-def _family_member(spec: RandomFieldSpec, i: int, n_eval: int | None):
-    """Sample i, from child seed (spec.seed, i); in 3D Leray-projected on
-    its own grid, before any refinement."""
-    grid, rng = spec.grid, np.random.default_rng((spec.seed, i))
-    if spec.dim == 2:
-        f = _random_scalar(grid, spec.beta, rng)
-    else:
-        f = leray_project(random_vector_field(grid, rng, spec.beta))
-    return f if n_eval is None else spectral_refine(f, n_eval)
+    return Family(build, spec.seed, spec.count)
 
 
 def _check_nonconstant(den: float, band, comps, what: str):
@@ -125,40 +112,21 @@ def gn_ratio(omega: ScalarField) -> float:
 
 
 def family_ratio_report(spec: RandomFieldSpec, ratio_fn, n_eval: int | None = None,
-                        map_fn=map) -> RatioReport:
-    """Evaluate ratio_fn over the family; degenerate samples are discarded
-    and counted.  Sample i is built and taken in one task of ``map_fn``
-    (``map``, or an executor's), and rows keep the sample-index order."""
-    check_n_eval(spec.grid, n_eval)
+                        map_fn=map) -> dict:
+    """``family_report`` of ratio_fn over the family; a sample whose ratio
+    raises ValueError is degenerate."""
 
-    def one(i):
-        f = _family_member(spec, i, n_eval)
+    def row(i, f):
         try:
-            return ratio_fn(f)
+            return {"sample": i, "ratio": ratio_fn(f)}
         except ValueError:
             return None
 
-    report = RatioReport()
-    ratios = []
-    for i, r in enumerate(map_fn(one, range(spec.count))):
-        if r is None:
-            report.discarded += 1
-            continue
-        report.rows.append({"sample": i, "ratio": r})
-        ratios.append(r)
-    if ratios:
-        report.family_max = float(np.max(ratios))
-        report.family_mean = float(np.mean(ratios))
-    return report
+    return family_report(random_family(spec, n_eval), row, map_fn)
 
 
-def refinement_study(spec: RandomFieldSpec, ratio_fn, n_levels) -> RatioReport:
-    """Family max as a function of evaluation resolution (fixed mode content)."""
-    report = None
-    trace = []
-    for n_eval in n_levels:
-        rep = family_ratio_report(spec, ratio_fn, n_eval=n_eval)
-        trace.append((int(n_eval), rep.family_max))
-        report = rep
-    report.refinement = trace
-    return report
+def refinement_study(spec: RandomFieldSpec, ratio_fn, n_levels, map_fn=map) -> list:
+    """One family report per evaluation resolution (fixed mode content),
+    each with its ``n_eval``; the levels run one after another."""
+    return [{"n_eval": int(m), **family_ratio_report(spec, ratio_fn, m, map_fn)}
+            for m in n_levels]

@@ -9,8 +9,10 @@ cheap config-level objects (whose own checks raise) plus the checks only the
 CLI can make, and a ``run`` returning the report table, which ``run_experiment``
 writes as ``<experiment>-<seed>.csv`` / ``.json`` plus ``manifest.json``; CSV
 values carry 17 significant digits so reruns are byte-identical.  ``validate``
-builds without running.  Library functions are called by their module-global
-names, never stored in an entry, so rebinding a module global reaches every call.
+builds without running.  The ratio kinds and ``maxwell-strichartz`` map a
+family's members over min(threads, count) threads, one level at a time.
+Library functions are called by their module-global names, never stored in
+an entry, so rebinding a module global reaches every call.
 """
 
 import argparse
@@ -21,6 +23,7 @@ import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from . import io as vio
-from .bb_lab import RandomFieldSpec, bb_ratio_2d, bb_ratio_3d, family_ratio_report, gn_ratio
+from .bb_lab import RandomFieldSpec, bb_ratio_2d, bb_ratio_3d, gn_ratio, refinement_study
 from .fields import Grid, ScalarField, VectorField, lp_norm
 from .maxwell_wave import (HarmonicCurrentDensity, StrichartzExponents, strichartz_admissible,
                            strichartz_ratio_experiment, wave_steps)
@@ -174,18 +177,21 @@ def _build_ratio(dim, cfg):
     return spec
 
 
+@contextmanager
+def _pooled_map(threads, count):
+    """A map over min(threads, count) threads; no thread starts unless mapped."""
+    workers = min(threads, count)
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        yield ex.map if workers > 1 else map
+
+
 def _run_ratio(ratio_fn, spec, cfg, threads):
-    levels = cfg["n_eval"] or [cfg["n"]]
-    # the samples of each level spread over the pool; rows come back in sample order
-    workers = min(threads, spec.count * len(levels))
-    with ThreadPoolExecutor(max_workers=workers) as ex:  # no thread starts unless mapped
-        map_fn = ex.map if workers > 1 else map
-        results = [(m, family_ratio_report(spec, ratio_fn, m, map_fn)) for m in levels]
-    rows = [(cfg["seed"], n_eval, cfg["beta"], r["sample"], r["ratio"])
-            for n_eval, rep in results for r in rep.rows]
-    levels = [{"n_eval": n_eval, "family_max": rep.family_max, "family_mean": rep.family_mean,
-               "discarded": rep.discarded} for n_eval, rep in results]
-    return ("seed", "n_eval", "beta", "sample", "ratio"), rows, (), {"levels": levels}
+    with _pooled_map(threads, spec.count) as map_fn:
+        levels = refinement_study(spec, ratio_fn, cfg["n_eval"] or [cfg["n"]], map_fn)
+    rows = [(cfg["seed"], lv["n_eval"], cfg["beta"], r["sample"], r["ratio"])
+            for lv in levels for r in lv["rows"]]
+    summary = {"levels": [{k: v for k, v in lv.items() if k != "rows"} for lv in levels]}
+    return ("seed", "n_eval", "beta", "sample", "ratio"), rows, (), summary
 
 
 def _build_wave(cfg):
@@ -207,13 +213,13 @@ def _build_maxwell_strichartz(cfg):
     return grid, horizon, e
 
 
-def _run_maxwell_strichartz(built, cfg, _threads):
+def _run_maxwell_strichartz(built, cfg, threads):
     grid, horizon, e = built
     fixtures = wave_fixture_family(grid, cfg["seed"], cfg["count"])
-    report = strichartz_ratio_experiment(e, fixtures, horizon, cfg["nt"])
+    with _pooled_map(threads, cfg["count"]) as map_fn:
+        report = strichartz_ratio_experiment(e, fixtures, horizon, cfg["nt"], map_fn)
     rows = [(cfg["seed"], r["fixture"], r["lhs"], r["rhs"], r["ratio"]) for r in report["rows"]]
-    summary = {k: report[k] for k in
-               ("family_max", "family_mean", "discarded", "time_horizon_restriction")}
+    summary = {k: v for k, v in report.items() if k != "rows"}
     summary["exponents"] = asdict(e)
     return ("seed", "fixture", "lhs", "rhs", "ratio"), rows, (), summary
 
@@ -356,7 +362,7 @@ def main(argv=None):
     parser.add_argument("--list", action="store_true",
                         help="list experiment kinds and required keys")
     parser.add_argument("--threads", type=int, default=None,
-                        help="threads that share the samples of a ratio run "
+                        help="threads per ratio or maxwell-strichartz family, at most its count "
                         "(default: env VORTEXLAB_THREADS or 1)")
     parser.add_argument("--out", default=None, help="output directory override")
     sub = parser.add_subparsers(dest="command")
@@ -383,8 +389,8 @@ def main(argv=None):
             print(json.dumps({"experiment": kind, "config": cfg}, indent=2, sort_keys=True))
             return 0
         run_experiment(kind, built, cfg, args.out or cfg["out"] or ".", threads)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
+        print(json.dumps({"error": str(exc) or type(exc).__name__}), file=sys.stderr)
         return 1
     return 0
 

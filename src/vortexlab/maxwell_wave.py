@@ -25,6 +25,7 @@ from math import factorial
 
 import numpy as np
 
+from .family import family_report
 from .fields import (
     Grid,
     Trajectory,
@@ -293,25 +294,17 @@ def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,
     return lhs, rhs
 
 
-def strichartz_ratio_experiment(e: StrichartzExponents, fixtures, T: float, nt: int):
-    """Per-fixture LHS, RHS and ratio; fixtures with RHS < 1e-12 are
-    discarded and counted.  Each fixture is a (B0, B1, j) triple."""
+def strichartz_ratio_experiment(e: StrichartzExponents, fixtures, T: float, nt: int,
+                                map_fn=map) -> dict:
+    """``family_report`` of LHS, RHS and ratio over a sequence of (B0, B1, j)
+    fixtures; a fixture with RHS < 1e-12 is degenerate."""
     ok, reasons = strichartz_admissible(e)
     if not ok:
         raise ValueError("inadmissible exponents: " + "; ".join(reasons))
-    rows = []
-    discarded = 0
-    for idx, (B0, B1, j) in enumerate(fixtures):
-        lhs, rhs = strichartz_sides(e, B0, B1, j, T, nt)
-        if rhs < 1e-12:
-            discarded += 1
-            continue
-        rows.append({"fixture": idx, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs})
-    ratios = [r["ratio"] for r in rows]
-    return {
-        "rows": rows,
-        "family_max": float(np.max(ratios)) if ratios else 0.0,
-        "family_mean": float(np.mean(ratios)) if ratios else 0.0,
-        "discarded": discarded,
-        "time_horizon_restriction": "T <= L/4 (pre-wrap light cone)",
-    }
+
+    def row(i, fixture):
+        lhs, rhs = strichartz_sides(e, *fixture, T, nt)
+        return None if rhs < 1e-12 else {"fixture": i, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
+
+    return {**family_report(fixtures, row, map_fn),
+            "time_horizon_restriction": "T <= L/4 (pre-wrap light cone)"}

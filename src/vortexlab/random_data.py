@@ -3,6 +3,7 @@ every seeded draw is made here."""
 
 import numpy as np
 
+from .family import Family
 from .fields import Grid, ScalarField, VectorField, spectral_refine
 from .maxwell_wave import HarmonicCurrentDensity
 from .oseen import min_image_displacements
@@ -56,25 +57,24 @@ def check_n_eval(grid: Grid, n_eval: int | None):
         raise ValueError(f"n_eval must be even and >= n = {grid.n}, got {n_eval}")
 
 
-def wave_fixture_family(grid: Grid, seed: int, count: int, n_eval: int | None = None):
+def wave_fixture_family(grid: Grid, seed: int, count: int, n_eval: int | None = None) -> Family:
     """Seeded (B0, B1, j) triples for the mixed-norm ratio experiments.
 
     B0, B1 are mean-zero with smooth decay; j oscillates harmonically in
     time with a seeded frequency, so its curl never vanishes identically.
     With ``n_eval`` the same fields (fixed mode content) are resampled on a
-    finer grid, for refinement-stability runs.  An iterator: fixture i is
-    built from child seed (seed, i) when it is reached; the arguments are
-    checked at the call.
+    finer grid, for refinement-stability runs.  The arguments are checked at
+    the call.
     """
     if grid.dim != 3:
         raise ValueError("wave fixtures are 3D")
     check_n_eval(grid, n_eval)
-    return (_wave_fixture(grid, np.random.default_rng((seed, i)), n_eval) for i in range(count))
 
+    def build(rng):
+        B0, B1, j_cos, j_sin = (random_vector_field(grid, rng) for _ in range(4))
+        if n_eval is not None:
+            B0, B1, j_cos, j_sin = (spectral_refine(v, n_eval) for v in (B0, B1, j_cos, j_sin))
+        sigma = float(rng.uniform(0.5, 2.0)) * 2.0 * np.pi / grid.box_length
+        return B0, B1, HarmonicCurrentDensity(j_cos, j_sin, sigma)
 
-def _wave_fixture(grid: Grid, rng, n_eval: int | None):
-    B0, B1, j_cos, j_sin = (random_vector_field(grid, rng) for _ in range(4))
-    if n_eval is not None:
-        B0, B1, j_cos, j_sin = (spectral_refine(v, n_eval) for v in (B0, B1, j_cos, j_sin))
-    sigma = float(rng.uniform(0.5, 2.0)) * 2.0 * np.pi / grid.box_length
-    return B0, B1, HarmonicCurrentDensity(j_cos, j_sin, sigma)
+    return Family(build, seed, count)

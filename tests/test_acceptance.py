@@ -6,6 +6,7 @@ capture) and then asserts, so a plain pytest run shows the scorecard.
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -226,13 +227,14 @@ def test_criterion_07_bb_ratio_stability(verdict):
     spec2d = RandomFieldSpec(
         seed=7, beta=2.0, dim=2, n=128, box_length=TWO_PI, count=64
     )
-    rep2d = refinement_study(spec2d, bb_ratio_2d, [128, 256])
-    m2 = [m for _, m in rep2d.refinement]
     spec3d = RandomFieldSpec(
         seed=7, beta=2.0, dim=3, n=32, box_length=TWO_PI, count=64
     )
-    rep3d = refinement_study(spec3d, bb_ratio_3d, [32, 64])
-    m3 = [m for _, m in rep3d.refinement]
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        m2 = [lv["family_max"]
+              for lv in refinement_study(spec2d, bb_ratio_2d, [128, 256], ex.map)]
+        m3 = [lv["family_max"]
+              for lv in refinement_study(spec3d, bb_ratio_3d, [32, 64], ex.map)]
     g = Grid(2, 128, TWO_PI)
     fixture = bb_ratio_2d(ScalarField.from_function(g, lambda x, y: np.cos(x)))
     ok = (
@@ -255,8 +257,9 @@ def test_criterion_08_interpolation_ratio(verdict):
     spec = RandomFieldSpec(
         seed=13, beta=2.0, dim=2, n=64, box_length=TWO_PI, count=16
     )
-    rep = refinement_study(spec, gn_ratio, [64, 128])
-    maxima = [m for _, m in rep.refinement]
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        maxima = [lv["family_max"]
+                  for lv in refinement_study(spec, gn_ratio, [64, 128], ex.map)]
     ok = (
         abs(fixture - 0.1767766952966369) <= 5e-3 * 0.1767766952966369
         and abs(maxima[1] - maxima[0]) < 0.1 * maxima[0]
@@ -374,10 +377,11 @@ def test_criterion_11_strichartz_ratio_stability(verdict):
     g = Grid(3, 32, TWO_PI)
     horizon = g.box_length / 4.0
     maxima = []
-    for n_eval in (32, 64):
-        fixtures = wave_fixture_family(g, seed=21, count=32, n_eval=n_eval)
-        rep = strichartz_ratio_experiment(e, fixtures, horizon, 33)
-        maxima.append(rep["family_max"])
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        for n_eval in (32, 64):
+            fixtures = wave_fixture_family(g, seed=21, count=32, n_eval=n_eval)
+            rep = strichartz_ratio_experiment(e, fixtures, horizon, 33, ex.map)
+            maxima.append(rep["family_max"])
     ok = abs(maxima[1] - maxima[0]) < 0.1 * maxima[0]
     verdict(
         11,

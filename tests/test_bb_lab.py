@@ -159,10 +159,10 @@ class TestFamilyReports:
             seed=11, beta=2.0, dim=2, n=64, box_length=TWO_PI, count=8
         )
         rep = family_ratio_report(spec, gn_ratio)
-        assert len(rep.rows) == 8 and rep.discarded == 0
-        ratios = [r["ratio"] for r in rep.rows]
-        assert rep.family_max == pytest.approx(max(ratios))
-        assert rep.family_mean == pytest.approx(np.mean(ratios))
+        assert len(rep["rows"]) == 8 and rep["discarded"] == 0
+        ratios = [r["ratio"] for r in rep["rows"]]
+        assert rep["family_max"] == pytest.approx(max(ratios))
+        assert rep["family_mean"] == pytest.approx(np.mean(ratios))
 
     def test_degenerate_samples_counted(self):
         spec = RandomFieldSpec(
@@ -177,15 +177,15 @@ class TestFamilyReports:
             return gn_ratio(f)
 
         rep = family_ratio_report(spec, flaky)
-        assert rep.discarded == 1 and len(rep.rows) == 3
+        assert rep["discarded"] == 1 and len(rep["rows"]) == 3
 
     def test_refinement_study_trace(self):
         spec = RandomFieldSpec(
             seed=2, beta=2.0, dim=2, n=32, box_length=TWO_PI, count=4
         )
-        rep = refinement_study(spec, gn_ratio, [32, 64])
-        assert [n for n, _ in rep.refinement] == [32, 64]
-        maxima = [m for _, m in rep.refinement]
+        levels = refinement_study(spec, gn_ratio, [32, 64])
+        assert [lv["n_eval"] for lv in levels] == [32, 64]
+        maxima = [lv["family_max"] for lv in levels]
         assert abs(maxima[1] - maxima[0]) < 0.1 * maxima[0]
 
     def test_smoothness_spread_recorded(self, capsys):
@@ -196,7 +196,7 @@ class TestFamilyReports:
                 seed=5, beta=beta, dim=2, n=64, box_length=TWO_PI, count=8
             )
             rep = family_ratio_report(spec, gn_ratio)
-            ratios = [r["ratio"] for r in rep.rows]
+            ratios = [r["ratio"] for r in rep["rows"]]
             assert all(np.isfinite(ratios)) and min(ratios) > 0
             print(f"beta={beta}: mean={np.mean(ratios):.4f} "
                   f"std={np.std(ratios):.4f}")
@@ -279,7 +279,7 @@ class TestBandLatticeRatios:
         want = [bb_ratio_2d(f) for f in random_family(spec, n_eval=64)]
         with ThreadPoolExecutor(max_workers=3) as ex:
             rep = family_ratio_report(spec, bb_ratio_2d, n_eval=64, map_fn=ex.map)
-        assert [(r["sample"], r["ratio"]) for r in rep.rows] == list(enumerate(want))
+        assert [(r["sample"], r["ratio"]) for r in rep["rows"]] == list(enumerate(want))
 
     def test_3d_member_projected_before_refinement_matches_full_grid(self):
         spec = RandomFieldSpec(seed=5, beta=2.0, dim=3, n=16, box_length=TWO_PI, count=3)
@@ -302,7 +302,7 @@ class TestBandLatticeRatios:
         monkeypatch.setattr(bb_lab, name, lambda w: inverted.append(w.grid.n) or invert(w))
         shapes = irfftn_shapes(monkeypatch)
         rep = family_ratio_report(spec, fn, n_eval=n_eval)
-        assert len(rep.rows) == 2
+        assert len(rep["rows"]) == 2
         assert shapes.count((n_eval,) * dim) == 2 * per_sample
         assert inverted == [n, n]  # Biot-Savart on the band lattice
 

@@ -204,6 +204,25 @@ k = 0.25
             "box_length must be positive and finite, got inf")
         assert not out_dir.exists()
 
+    def test_out_under_a_file_is_one_json_line(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        path = write_config(tmp_path, "gn.ini", GN_CONFIG)
+        assert main(["--out", str(tmp_path / "afile" / "sub"), "run", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "Not a directory" in json.loads(captured.err)["error"]
+
+    def test_memory_error_is_one_json_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "refinement_study", exhausted)
+        path = write_config(tmp_path, "gn.ini", GN_CONFIG)
+        assert main(["--out", str(tmp_path / "out"), "run", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "MemoryError"
+
     def test_zero_q_range_named(self, tmp_path, capsys):
         body = tiny_config("maxwell-strichartz")
         assert "\nq = 4.0\n" in body
@@ -361,13 +380,15 @@ class TestNonConvergence:
 
 
 class TestRatioPool:
-    """--threads spreads the samples of every ratio level over one pool."""
+    """--threads spreads the members of a ratio or maxwell-strichartz family
+    over one pool, one level at a time."""
 
     @pytest.mark.parametrize("body", [
         "[bb-ratio-3d]\nseed = 7\nn = 16\nbox_length = 6.283185307179586\ncount = 3\n",
         "[bb-ratio-2d]\nseed = 7\nn = 16\nbox_length = 6.283185307179586\ncount = 3\n"
         "n_eval = 32 16 64\n",
-    ], ids=["bb-ratio-3d-single-level", "bb-ratio-2d-three-levels"])
+        tiny_config("maxwell-strichartz").replace("count = 1", "count = 3"),
+    ], ids=["bb-ratio-3d-single-level", "bb-ratio-2d-three-levels", "maxwell-strichartz"])
     def test_reports_independent_of_threads(self, tmp_path, body):
         path = write_config(tmp_path, "r.ini", body)
         outputs = []
@@ -400,7 +421,11 @@ class TestRatioPool:
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
         body = GN_CONFIG.replace("count = 3", "count = 4") + "n_eval = 32 64\n"
         path = write_config(tmp_path, "gn.ini", body)
-        for threads, expect in ((5000, 8), (3, 3), (1, 1)):
+        for threads, expect in ((5000, 4), (3, 3), (1, 1)):
             assert main(["--threads", str(threads), "--out", str(tmp_path / "o"), "run", path]) == 0
             assert workers.pop() == expect
-        assert mapped == [8, 8, 3, 3]  # both levels through the pool; one thread maps here
+        assert mapped == [4, 4, 3, 3]  # both levels through the pool; one thread maps here
+        body = tiny_config("maxwell-strichartz").replace("count = 1", "count = 3")
+        path = write_config(tmp_path, "ms.ini", body)
+        assert main(["--threads", "2", "--out", str(tmp_path / "m"), "run", path]) == 0
+        assert workers == [2] and mapped[4:] == [2]  # the fixtures share the pool too
