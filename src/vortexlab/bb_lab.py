@@ -3,12 +3,10 @@
 The continuum constants are never asserted; the lab measures family maxima
 of the estimate ratios over seeded random fields and checks that they are
 stable under grid refinement.  Random fields are built from a fixed master
-mode lattice, so refinement changes only the quadrature, not the function.
-The fields are drawn by ``random_data``.
-The ratios do their spectral work on the input's band lattice and refine
-only what a norm samples: bitwise the full-grid values at a power-of-two
-refinement; at another factor (16 -> 48 rescales by 27) they move in the
-last place (<= 4e-16 relative measured).
+mode lattice and stay on its grid, so refinement changes only the
+quadrature, not the function.  The fields are drawn by ``random_data``.
+A ratio takes curl, gradient and Biot-Savart on its input's own grid and
+refines to the evaluation grid ``n_eval`` only what a norm samples.
 """
 
 from dataclasses import dataclass
@@ -28,8 +26,7 @@ from .fields import (
     gradient,
     jacobian_magnitude,
     lp_norm,
-    on_band_lattice,
-    spectral_refine,
+    on_eval_grid,
 )
 from .family import Family, family_report
 from .random_data import _random_scalar, check_n_eval, random_vector_field
@@ -57,72 +54,67 @@ class RandomFieldSpec:
         return Grid(self.dim, self.n, self.box_length)
 
 
-def random_family(spec: RandomFieldSpec, n_eval: int | None = None) -> Family:
-    """The admissible fields, scalar in 2D and solenoidal in 3D (projected on
-    their own grid, before any refinement); arguments are checked at the call."""
-    check_n_eval(spec.grid, n_eval)
+def random_family(spec: RandomFieldSpec) -> Family:
+    """The admissible fields on spec.grid, scalar in 2D and solenoidal in 3D."""
 
     def build(rng):
         if spec.dim == 2:
-            f = _random_scalar(spec.grid, spec.beta, rng)
-        else:
-            f = leray_project(random_vector_field(spec.grid, rng, spec.beta))
-        return f if n_eval is None else spectral_refine(f, n_eval)
+            return _random_scalar(spec.grid, spec.beta, rng)
+        return leray_project(random_vector_field(spec.grid, rng, spec.beta))
 
     return Family(build, spec.seed, spec.count)
 
 
-def _check_nonconstant(den: float, band, comps, what: str):
-    """Reject when den <= 1e-12 * max(max|w|, 1) over the components comps;
-    their samples are read only when den does not clear twice (for roundoff)
-    the Hausdorff-Young bound sum|w_hat| / N^d of their band-lattice ones."""
-    g = band[0].grid
-    bound = max(np.sum(g.sobolev_weight(0) * np.abs(c.spectrum())) for c in band) / g.n**g.dim
+def _check_nonconstant(den: float, comps, n_eval: int | None, what: str):
+    """Reject when den <= 1e-12 * max(max|w|, 1), max|w| over the components
+    comps sampled on the n_eval-point grid; those samples are read only when
+    den does not clear twice (for roundoff) the Hausdorff-Young bound
+    sum|w_hat| / N^d, which bounds max|w| on every grid."""
+    g = comps[0].grid
+    bound = max(np.sum(g.sobolev_weight(0) * np.abs(c.spectrum())) for c in comps) / g.n**g.dim
     if den <= 1e-12 * max(2.0 * bound, 1.0) and den <= 1e-12 * max(
-            max(float(np.max(np.abs(c.samples))) for c in comps), 1.0):
+            max(float(np.max(np.abs(on_eval_grid(c, n_eval).samples))) for c in comps), 1.0):
         raise ValueError(f"{what} rejected: denominator vanishes (constant field)")
 
 
-def bb_ratio_2d(omega: ScalarField) -> float:
+def bb_ratio_2d(omega: ScalarField, n_eval: int | None = None) -> float:
     """(|v|_Linf + |grad v|_L2) / |grad w|_L1 with v from the 2D inversion."""
-    (w,), up = on_band_lattice(omega)
-    den = lp_norm(up(gradient(w)), 1)
-    _check_nonconstant(den, [w], [omega], "bb_ratio_2d")
-    v = up(velocity_from_vorticity_2d(w))
+    den = lp_norm(on_eval_grid(gradient(omega), n_eval), 1)
+    _check_nonconstant(den, [omega], n_eval, "bb_ratio_2d")
+    v = on_eval_grid(velocity_from_vorticity_2d(omega), n_eval)
     num = lp_norm(v, np.inf) + lp_norm(jacobian_magnitude(v), 2)
     return num / den
 
 
-def bb_ratio_3d(omega: VectorField) -> float:
+def bb_ratio_3d(omega: VectorField, n_eval: int | None = None) -> float:
     """(|v|_L3 + |grad v|_L{3/2}) / |curl w|_L1 with v from the 3D inversion."""
-    (w,), up = on_band_lattice(omega)
-    den = lp_norm(up(curl3d(w)), 1)
-    _check_nonconstant(den, w.components, omega.components, "bb_ratio_3d")
-    v = up(velocity_from_vorticity_3d(w))
+    den = lp_norm(on_eval_grid(curl3d(omega), n_eval), 1)
+    _check_nonconstant(den, omega.components, n_eval, "bb_ratio_3d")
+    v = on_eval_grid(velocity_from_vorticity_3d(omega), n_eval)
     num = lp_norm(v, 3) + lp_norm(jacobian_magnitude(v), 1.5)
     return num / den
 
 
-def gn_ratio(omega: ScalarField) -> float:
+def gn_ratio(omega: ScalarField, n_eval: int | None = None) -> float:
     """|w|_L2 / |grad w|_L1 (the interpolation step of the well-posedness proof)."""
-    (w,), up = on_band_lattice(omega)
-    den = lp_norm(up(gradient(w)), 1)
-    _check_nonconstant(den, [w], [omega], "gn_ratio")
-    return lp_norm(omega, 2) / den
+    den = lp_norm(on_eval_grid(gradient(omega), n_eval), 1)
+    _check_nonconstant(den, [omega], n_eval, "gn_ratio")
+    return lp_norm(on_eval_grid(omega, n_eval), 2) / den
 
 
 def family_ratio_report(spec: RandomFieldSpec, ratio_fn, n_eval: int | None = None,
                         map_fn=map) -> dict:
-    """``family_report`` of ratio_fn over the family; a sample whose ratio
-    raises ValueError is degenerate."""
+    """``family_report`` of ratio_fn(member, n_eval) over the family, n_eval
+    checked at the call; a sample whose ratio raises ValueError is degenerate."""
+    check_n_eval(spec.grid, n_eval)
 
     def row(i, f):
         try:
-            return {"sample": i, "ratio": ratio_fn(f)}
+            return {"sample": i, "ratio": ratio_fn(f, n_eval)}
         except ValueError:
             return None
 
-    return family_report(random_family(spec, n_eval), row, map_fn)
+    return family_report(random_family(spec), row, map_fn)
 
 
 def refinement_study(spec: RandomFieldSpec, ratio_fn, n_levels, map_fn=map) -> list:

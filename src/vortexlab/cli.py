@@ -33,7 +33,7 @@ from . import __version__
 from . import io as vio
 from .bb_lab import RandomFieldSpec, bb_ratio_2d, bb_ratio_3d, gn_ratio, refinement_study
 from .fields import Grid, ScalarField, VectorField, lp_norm
-from .maxwell_wave import (HarmonicCurrentDensity, StrichartzExponents, strichartz_admissible,
+from .maxwell_wave import (HarmonicCurrentDensity, StrichartzExponents, require_admissible,
                            strichartz_ratio_experiment, wave_steps)
 from .mild_solver import (MildSolveConfig, calibrate_horizon, continuous_dependence_experiment,
                           picard_solve, require_converged, snapshot_norms)
@@ -207,8 +207,7 @@ def _build_wave(cfg):
 def _build_maxwell_strichartz(cfg):
     grid, horizon = _build_wave(cfg)
     e = StrichartzExponents(cfg["q"], cfg["r"], cfg["q_tilde"], cfg["s"], cfg["k"])
-    ok, reasons = strichartz_admissible(e)
-    _check(ok, "inadmissible exponents: " + "; ".join(reasons))
+    require_admissible(e)
     _check(cfg["count"] >= 1, "count must be >= 1")
     return grid, horizon, e
 

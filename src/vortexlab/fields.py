@@ -18,13 +18,14 @@ Conventions, fixed once for the whole package:
 * A per-field operation decorated ``componentwise`` (resampling, the heat
   semigroup, the fractional Laplacian) takes a VectorField too, and applies
   to each component with the same arguments; callers never map components.
-* A field whose nonzero coefficients all have index < m/2 on every axis is
-  the exact refinement of one on the m-point grid (its band lattice, m even
-  and >= 8): spectral work can run there and refine only what is sampled.
+* A field keeps the grid it was built on.  A norm taken on a finer
+  evaluation grid samples it there through ``on_eval_grid``, which zero-pads
+  its spectrum (``spectral_refine``: exact for a field with no Nyquist
+  content); spectral work never leaves the field's own grid.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce, wraps
+from functools import lru_cache, wraps
 from itertools import product
 
 import numpy as np
@@ -121,13 +122,6 @@ class Grid:
         col[0] = col[-1] = 1.0
         w = col.reshape((1,) * (self.dim - 1) + (-1,))
         return _readonly(w * self.kpow(2.0 * s) if s != 0 else w)
-
-    @lru_cache(maxsize=32)
-    def band_index(self) -> np.ndarray:
-        """Largest |wavenumber index| of each mode over the axes: an m-point
-        grid holds, off its Nyquist planes, the modes with index < m/2."""
-        k = reduce(np.maximum, [np.abs(k) for k in self._wavenumbers(False)])
-        return _readonly(np.rint(k * self.box_length / (2.0 * np.pi)).astype(np.int64))
 
     @lru_cache(maxsize=32)
     def dealias_mask(self) -> np.ndarray:
@@ -419,46 +413,8 @@ def spectral_refine(f: ScalarField, n_new: int) -> ScalarField:
         return f
     if n_new % 2 != 0:
         raise ValueError("n_new must be even")
-    return _resample(f, n_new)
-
-
-@componentwise
-def spectral_restrict(f: ScalarField, n_new: int) -> ScalarField:
-    """Resample f on a coarser grid: the exact inverse of spectral_refine.
-
-    Raises ValueError unless every nonzero coefficient of f lies on the
-    n_new lattice off its Nyquist planes, all that grid holds unambiguously.
-    """
-    g = f.grid
-    if n_new > g.n:
-        raise ValueError("spectral_restrict only coarsens (n_new <= n)")
-    if n_new == g.n:
-        return f
-    if np.any(f.spectrum()[g.band_index() >= n_new // 2]):
-        raise ValueError(f"field has content outside the {n_new}-point lattice "
-                         "or on its Nyquist planes")
-    return _resample(f, n_new)
-
-
-def on_band_lattice(*fields):
-    """(fields restricted to the smallest even m >= 8 whose lattice, Nyquist
-    planes excluded, holds all their nonzero coefficients, the map back to
-    their grid); as they are, with the identity, when m >= n."""
-    grid = fields[0].grid
-    comps = [c for f in fields for c in (f.components if isinstance(f, VectorField) else (f,))]
-    support = reduce(np.logical_or, (c.spectrum() != 0 for c in comps))
-    m = max(8, 2 * int(grid.band_index()[support].max(initial=0)) + 2)
-    if m >= grid.n:
-        return fields, lambda f: f
-    return tuple(spectral_restrict(f, m) for f in fields), lambda f: spectral_refine(f, grid.n)
-
-
-def _resample(f: ScalarField, n_new: int) -> ScalarField:
-    """f's modes off the Nyquist planes of the coarser of its grid and the
-    n_new grid, rescaled onto the n_new grid; every other mode is dropped."""
-    g = f.grid
     new_grid = Grid(g.dim, n_new, g.box_length)
-    half = min(g.n, n_new) // 2
+    half = g.n // 2
     old = f.spectrum()
     new = np.zeros(new_grid.spectral_shape, dtype=np.complex128)
     # wavenumbers 0..half-1 and -(half-1)..-1 sit at the same index from the
@@ -468,6 +424,12 @@ def _resample(f: ScalarField, n_new: int) -> ScalarField:
         idx = corner + (slice(0, half),)
         new[idx] = old[idx] * (n_new / g.n) ** g.dim
     return ScalarField.from_spectrum(new_grid, new)
+
+
+def on_eval_grid(f, n_eval: int | None):
+    """f (scalar or vector) on the n_eval-point evaluation grid: f itself when
+    n_eval is None or f's own n, else ``spectral_refine(f, n_eval)``."""
+    return f if n_eval is None or n_eval == f.grid.n else spectral_refine(f, n_eval)
 
 
 @componentwise

@@ -10,17 +10,13 @@ are thus exact.  On the torus dispersive decay degrades once the light cone
 wraps, so experiments restrict T <= L/4 and record that restriction in
 their reports.
 
-The recurrence never fills a mode that the data and source leave empty, so
-``strichartz_sides`` steps a triple, and takes its H^s norms, on the lattice
-of its band limit: the smallest even m >= 8 whose lattice, Nyquist planes
-excluded, holds every nonzero coefficient of B0, B1 and a harmonic current.
-Only the physical-space norms use the evaluation grid: L^r of B after an
-exact ``spectral_refine``, and L^1 of the caller's source.  A generic
-current (support unknown) or content on the grid's Nyquist planes keeps
-every step on the evaluation grid.
+A data triple is stepped, and its H^s norms taken, on the grid it was drawn
+on.  Only the physical-space norms see an evaluation grid ``n_eval``: the
+L^r norm of B(t) and the L^1 norm of the source gradient, each after an
+exact ``spectral_refine`` of what it samples.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial
 
 import numpy as np
@@ -36,7 +32,7 @@ from .fields import (
     hs_norm,
     jacobian_magnitude,
     lp_norm,
-    on_band_lattice,
+    on_eval_grid,
     time_lq_norm,
 )
 from .heat import _series_or_closed
@@ -91,6 +87,13 @@ def strichartz_admissible(e: StrichartzExponents):
     return len(reasons) == 0, reasons
 
 
+def require_admissible(e: StrichartzExponents):
+    """Raise ValueError naming every reason of ``strichartz_admissible`` to reject e."""
+    ok, reasons = strichartz_admissible(e)
+    if not ok:
+        raise ValueError("inadmissible exponents: " + "; ".join(reasons))
+
+
 class CurrentDensity:
     """Time-dependent current on a fixed 3D grid, j = evaluate(t)."""
 
@@ -114,8 +117,8 @@ class CurrentDensity:
 class HarmonicCurrentDensity(CurrentDensity):
     """j(x, t) = j_cos(x) cos(sigma t) + j_sin(x) sin(sigma t); constant at sigma = 0.
 
-    Curl spectra and the source norm's three gradient planes are
-    precomputed once, so per-time evaluation is pointwise only.
+    Curl spectra are precomputed once, and the source norm's three gradient
+    planes once per evaluation grid, so per-time evaluation is pointwise only.
     """
 
     def __init__(self, j_cos: VectorField, j_sin: VectorField, sigma: float):
@@ -136,24 +139,26 @@ class HarmonicCurrentDensity(CurrentDensity):
         a, b = np.cos(self.sigma * t), np.sin(self.sigma * t)
         return a * self._curl_cos + b * self._curl_sin
 
-    def smoothed_gradient_planes(self, k_power: float):
-        """Cached pointwise QR planes (r11, r12, r22) of [Ta Tb], where Ta and
-        Tb are the (-Lap)^{k/2} gradient tensors of j_cos and j_sin, so that
+    def smoothed_gradient_planes(self, k_power: float, n_eval: int | None = None):
+        """Cached pointwise QR planes (r11, r12, r22) of [Ta Tb] on the n_eval
+        grid (its own by default), where Ta and Tb are the (-Lap)^{k/2}
+        gradient tensors of j_cos and j_sin refined there, so that
         |a Ta + b Tb| = |(a r11 + b r12, b r22)|: r11 = |Ta|, r12 = mu r11 and
         r22 = |Tb - mu Ta| with mu = Ta.Tb / |Ta|^2 (0 where Ta = 0).  Taken
         from the tensors, a near-cancelling sum keeps its relative accuracy."""
         cache = self._grad_cache
-        if k_power not in cache:
-            ta, tb = (list(gradient_planes(fractional_laplacian(part, k_power)))
-                      for part in (self.j_cos, self.j_sin))
+        key = (k_power, n_eval or self.grid.n)
+        if key not in cache:
+            parts = (on_eval_grid(part, n_eval) for part in (self.j_cos, self.j_sin))
+            ta, tb = (list(gradient_planes(fractional_laplacian(part, k_power))) for part in parts)
             # summed one component at a time, so no product holds nine planes
             p = sum(x * x for x in ta)
             mu = np.divide(sum(x * y for x, y in zip(ta, tb)), p, where=p > 0,
                            out=np.zeros_like(p))
             r11 = np.sqrt(p)
             r22 = np.sqrt(sum((y - mu * x) ** 2 for x, y in zip(ta, tb)))
-            cache[k_power] = (r11, mu * r11, r22)
-        return cache[k_power]
+            cache[key] = (r11, mu * r11, r22)
+        return cache[key]
 
 
 def wave_weights(kmag: np.ndarray, dt: float):
@@ -235,54 +240,44 @@ def wave_energy(B: VectorField, Bt: VectorField) -> float:
     return lp_norm(Bt, 2) ** 2 + lp_norm(jacobian_magnitude(B), 2) ** 2
 
 
-def source_gradient_l1(j: CurrentDensity, t: float, k_power: float) -> float:
-    """|(-Lap)^{k/2} grad j(t)|_L1 with the Frobenius pointwise magnitude.
+def source_gradient_l1(j: CurrentDensity, t: float, k_power: float,
+                       n_eval: int | None = None) -> float:
+    """|(-Lap)^{k/2} grad j(t)|_L1 on the n_eval grid (j's own by default),
+    with the Frobenius pointwise magnitude.
 
     The multiplier commutes with the gradient, so each component is
     smoothed first and the tensor magnitude taken after.
     """
     if isinstance(j, HarmonicCurrentDensity):
-        r11, r12, r22 = j.smoothed_gradient_planes(k_power)
+        r11, r12, r22 = j.smoothed_gradient_planes(k_power, n_eval)
         a, b = np.cos(j.sigma * t), np.sin(j.sigma * t)
         u, v = a * r11 + b * r12, b * r22
         u *= u  # squared and summed in place: this runs at every time sample
         u += np.square(v, out=v)
-        return float(np.sum(np.sqrt(u, out=u)) * j.grid.cell_measure)
-    return lp_norm(jacobian_magnitude(fractional_laplacian(j.evaluate(t), k_power)), 1)
-
-
-def _on_band_lattice(B0: VectorField, B1: VectorField, j: CurrentDensity | None):
-    """(B0, B1, j) restricted to the lattice of their band limit, and the map
-    of a field there back to their grid; as they are, with the identity, when
-    that lattice is not coarser or the current is generic (support unknown)."""
-    harmonic = isinstance(j, HarmonicCurrentDensity)
-    fields = [B0, B1] + ([j.j_cos, j.j_sin] if harmonic else [])
-    if not ((j is None or harmonic) and all(v.grid == B0.grid for v in fields)):
-        return B0, B1, j, lambda v: v  # a grid mismatch is named by wave_steps
-    (b0, b1, *parts), to_grid = on_band_lattice(*fields)
-    if parts and b0.grid != B0.grid:
-        j = HarmonicCurrentDensity(*parts, j.sigma)
-    return b0, b1, j, to_grid
+        grid = replace(j.grid, n=n_eval or j.grid.n)
+        return float(np.sum(np.sqrt(u, out=u)) * grid.cell_measure)
+    j_eval = on_eval_grid(j.evaluate(t), n_eval)
+    return lp_norm(jacobian_magnitude(fractional_laplacian(j_eval, k_power)), 1)
 
 
 def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,
-                     j: CurrentDensity, T: float, nt: int):
+                     j: CurrentDensity, T: float, nt: int, n_eval: int | None = None):
     """Left and right side of the mixed-norm estimate for one data triple.
 
     Streaming over the time lattice, so no full trajectory is stored, and on
-    the lattice of the triple's band limit (see the module docstring).
+    the triple's own grid; the physical-space norms sample the n_eval grid
+    (see the module docstring).
     """
     lr_norms = []
     sup_hs = 0.0
     sup_hs_dt = 0.0
     grad_norms = []
-    b0, b1, jc, to_grid = _on_band_lattice(B0, B1, j)
-    for t, b, bt in wave_steps(b0, b1, jc, T, nt):
-        lr_norms.append(lp_norm(to_grid(b), e.r))
+    for t, b, bt in wave_steps(B0, B1, j, T, nt):
+        lr_norms.append(lp_norm(on_eval_grid(b, n_eval), e.r))
         sup_hs = max(sup_hs, hs_norm(b, e.s))
         sup_hs_dt = max(sup_hs_dt, hs_norm(bt, e.s - 1.0))
         grad_norms.append(
-            source_gradient_l1(j, t, e.k) if j is not None else 0.0
+            source_gradient_l1(j, t, e.k, n_eval) if j is not None else 0.0
         )
     dt = T / (nt - 1)  # after the loop: wave_steps rejects nt < 2 first
     lhs = time_lq_norm(lr_norms, dt, e.q) + sup_hs + sup_hs_dt
@@ -296,14 +291,13 @@ def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,
 
 def strichartz_ratio_experiment(e: StrichartzExponents, fixtures, T: float, nt: int,
                                 map_fn=map) -> dict:
-    """``family_report`` of LHS, RHS and ratio over a sequence of (B0, B1, j)
-    fixtures; a fixture with RHS < 1e-12 is degenerate."""
-    ok, reasons = strichartz_admissible(e)
-    if not ok:
-        raise ValueError("inadmissible exponents: " + "; ".join(reasons))
+    """``family_report`` of LHS, RHS and ratio over a sequence of
+    (B0, B1, j, n_eval) fixtures; a fixture with RHS < 1e-12 is degenerate."""
+    require_admissible(e)
 
     def row(i, fixture):
-        lhs, rhs = strichartz_sides(e, *fixture, T, nt)
+        B0, B1, j, n_eval = fixture
+        lhs, rhs = strichartz_sides(e, B0, B1, j, T, nt, n_eval)
         return None if rhs < 1e-12 else {"fixture": i, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
 
     return {**family_report(fixtures, row, map_fn),

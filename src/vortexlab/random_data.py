@@ -4,7 +4,7 @@ every seeded draw is made here."""
 import numpy as np
 
 from .family import Family
-from .fields import Grid, ScalarField, VectorField, spectral_refine
+from .fields import Grid, ScalarField, VectorField
 from .maxwell_wave import HarmonicCurrentDensity
 from .oseen import min_image_displacements
 
@@ -58,13 +58,13 @@ def check_n_eval(grid: Grid, n_eval: int | None):
 
 
 def wave_fixture_family(grid: Grid, seed: int, count: int, n_eval: int | None = None) -> Family:
-    """Seeded (B0, B1, j) triples for the mixed-norm ratio experiments.
+    """Seeded (B0, B1, j, n_eval) fixtures for the mixed-norm ratio experiments.
 
     B0, B1 are mean-zero with smooth decay; j oscillates harmonically in
     time with a seeded frequency, so its curl never vanishes identically.
-    With ``n_eval`` the same fields (fixed mode content) are resampled on a
-    finer grid, for refinement-stability runs.  The arguments are checked at
-    the call.
+    All three stay on ``grid``; ``n_eval`` (checked at the call) is the
+    evaluation grid their physical-space norms sample, so the same fields
+    (fixed mode content) serve every level of a refinement-stability run.
     """
     if grid.dim != 3:
         raise ValueError("wave fixtures are 3D")
@@ -72,9 +72,7 @@ def wave_fixture_family(grid: Grid, seed: int, count: int, n_eval: int | None = 
 
     def build(rng):
         B0, B1, j_cos, j_sin = (random_vector_field(grid, rng) for _ in range(4))
-        if n_eval is not None:
-            B0, B1, j_cos, j_sin = (spectral_refine(v, n_eval) for v in (B0, B1, j_cos, j_sin))
         sigma = float(rng.uniform(0.5, 2.0)) * 2.0 * np.pi / grid.box_length
-        return B0, B1, HarmonicCurrentDensity(j_cos, j_sin, sigma)
+        return B0, B1, HarmonicCurrentDensity(j_cos, j_sin, sigma), n_eval
 
     return Family(build, seed, count)

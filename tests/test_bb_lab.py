@@ -137,13 +137,22 @@ class TestRandomFamily:
     @pytest.mark.parametrize("n_eval", [65, 32])  # odd, and coarser than n = 64
     def test_bad_n_eval_rejected_at_the_call(self, n_eval):
         with pytest.raises(ValueError, match="n_eval must be even and >= n = 64"):
-            random_family(self.spec2d(), n_eval=n_eval)
+            family_ratio_report(self.spec2d(), gn_ratio, n_eval=n_eval,
+                                map_fn=lambda *_: pytest.fail("a member was mapped"))
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
+    def test_members_stay_on_the_spec_grid(self, dim, n):
+        spec = RandomFieldSpec(seed=1, beta=2.0, dim=dim, n=n, box_length=TWO_PI, count=2)
+        assert all(w.grid == spec.grid for w in random_family(spec))
+        seen = []
+        family_ratio_report(spec, lambda w, n_eval: seen.append((w.grid, n_eval)) or 1.0,
+                            n_eval=2 * n)
+        assert seen == [(spec.grid, 2 * n)] * 2
 
     def test_refined_family_same_mode_content(self):
-        spec = self.spec2d(count=2)
-        coarse = random_family(spec)
-        fine = random_family(spec, n_eval=128)
-        for fc, ff in zip(coarse, fine):
+        # the evaluation grid resamples a member, it does not change it
+        for fc in random_family(self.spec2d(count=2)):
+            ff = spectral_refine(fc, 128)
             assert np.max(np.abs(ff.samples[::2, ::2] - fc.samples)) < 1e-10
 
     def test_validation(self):
@@ -170,11 +179,11 @@ class TestFamilyReports:
         )
         calls = []
 
-        def flaky(f):
+        def flaky(f, n_eval):
             calls.append(None)
             if len(calls) == 1:
                 raise ValueError("denominator vanishes")
-            return gn_ratio(f)
+            return gn_ratio(f, n_eval)
 
         rep = family_ratio_report(spec, flaky)
         assert rep["discarded"] == 1 and len(rep["rows"]) == 3
@@ -202,7 +211,7 @@ class TestFamilyReports:
                   f"std={np.std(ratios):.4f}")
 
 
-# --- band-lattice evaluation ---------------------------------------------------
+# --- evaluation-grid sampling -------------------------------------------------
 
 def stacked_magnitude(comps):
     stack = np.stack(comps)
@@ -259,9 +268,9 @@ def irfftn_shapes(monkeypatch):
 
 
 class TestBandLatticeRatios:
-    """The ratios take their spectral work on the band lattice of their
-    input and refine only what a norm samples; on padded family members
-    (power-of-two refinement) they equal the full-grid formulas bitwise."""
+    """The ratios take their spectral work on their input's own grid and
+    refine only what a norm samples; at a power-of-two n_eval they equal the
+    full-grid formulas on the refined input bitwise."""
 
     @pytest.mark.parametrize("fn, ref, dim, n, n_eval", [
         (bb_ratio_2d, full_grid_bb_2d, 2, 32, 64),
@@ -270,24 +279,36 @@ class TestBandLatticeRatios:
     ])
     def test_padded_member_matches_full_grid(self, fn, ref, dim, n, n_eval):
         spec = RandomFieldSpec(seed=5, beta=2.0, dim=dim, n=n, box_length=TWO_PI, count=3)
-        for omega in random_family(spec, n_eval=n_eval):
-            assert omega.grid.n == n_eval
-            assert fn(omega) == ref(omega)
+        for omega in random_family(spec):
+            assert fn(omega, n_eval) == ref(spectral_refine(omega, n_eval))
 
     def test_pool_rows_in_sample_order(self):
         spec = RandomFieldSpec(seed=11, beta=2.0, dim=2, n=32, box_length=TWO_PI, count=6)
-        want = [bb_ratio_2d(f) for f in random_family(spec, n_eval=64)]
+        want = [bb_ratio_2d(f, 64) for f in random_family(spec)]
         with ThreadPoolExecutor(max_workers=3) as ex:
             rep = family_ratio_report(spec, bb_ratio_2d, n_eval=64, map_fn=ex.map)
         assert [(r["sample"], r["ratio"]) for r in rep["rows"]] == list(enumerate(want))
 
     def test_3d_member_projected_before_refinement_matches_full_grid(self):
         spec = RandomFieldSpec(seed=5, beta=2.0, dim=3, n=16, box_length=TWO_PI, count=3)
-        for i, got in enumerate(random_family(spec, n_eval=32)):
+        for i, got in enumerate(random_family(spec)):
             rng = np.random.default_rng((spec.seed, i))
             raw = random_vector_field(spec.grid, rng, spec.beta)
             want = leray_project(spectral_refine(raw, 32))
-            assert np.array_equal(got.spectra(), want.spectra())
+            assert got.grid == spec.grid
+            assert np.array_equal(spectral_refine(got, 32).spectra(), want.spectra())
+
+    @pytest.mark.parametrize("fn, dim, n", [
+        (bb_ratio_2d, 2, 32),
+        (gn_ratio, 2, 32),
+        (bb_ratio_3d, 3, 16),
+    ])
+    def test_own_grid_n_eval_refines_nothing(self, monkeypatch, fn, dim, n):
+        spec = RandomFieldSpec(seed=5, beta=2.0, dim=dim, n=n, box_length=TWO_PI, count=2)
+        shapes = irfftn_shapes(monkeypatch)
+        for omega in random_family(spec):
+            assert fn(omega, n) == fn(omega)
+        assert set(shapes) == {(n,) * dim}
 
     @pytest.mark.parametrize("fn, dim, n, n_eval, per_sample", [
         (bb_ratio_3d, 3, 16, 32, 15),  # curl 3, |v| 3, grad v 9
@@ -304,7 +325,7 @@ class TestBandLatticeRatios:
         rep = family_ratio_report(spec, fn, n_eval=n_eval)
         assert len(rep["rows"]) == 2
         assert shapes.count((n_eval,) * dim) == 2 * per_sample
-        assert inverted == [n, n]  # Biot-Savart on the band lattice
+        assert inverted == [n, n]  # Biot-Savart on the member's own grid
 
 
 def single_mode(dim, amplitude, n=16):
@@ -329,7 +350,7 @@ class TestNonconstantCheck:
         den = factor * 1e-12 * max(scale, 1.0)
         exact_rejects = den <= 1e-12 * max(scale, 1.0)
         try:
-            bb_lab._check_nonconstant(den, comps, comps, "w")
+            bb_lab._check_nonconstant(den, comps, None, "w")
             rejected = False
         except ValueError:
             rejected = True
@@ -341,8 +362,15 @@ class TestNonconstantCheck:
         with pytest.raises(ValueError, match="denominator vanishes"):
             bb_ratio_3d(VectorField([c, c, c]))
 
+    def test_undecided_bound_reads_evaluation_grid_samples(self, monkeypatch):
+        comps = single_mode(3, 5.0).components
+        shapes = irfftn_shapes(monkeypatch)
+        with pytest.raises(ValueError, match="denominator vanishes"):
+            bb_lab._check_nonconstant(0.0, comps, 32, "w")
+        assert shapes and set(shapes) == {(32, 32, 32)}
+
     def test_cleared_denominator_reads_no_samples(self, monkeypatch):
         comps = single_mode(3, 5.0).components
         shapes = irfftn_shapes(monkeypatch)
-        bb_lab._check_nonconstant(1.0, comps, comps, "w")
+        bb_lab._check_nonconstant(1.0, comps, None, "w")
         assert shapes == []

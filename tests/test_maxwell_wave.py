@@ -17,7 +17,6 @@ from vortexlab.maxwell_wave import (
     CurrentDensity,
     HarmonicCurrentDensity,
     StrichartzExponents,
-    _on_band_lattice,
     fractional_laplacian,
     solve_wave,
     source_gradient_l1,
@@ -161,7 +160,7 @@ class TestForcedSolve:
             assert lp_norm(divergence(b), 2) <= 1e-10 * max(lp_norm(b, 2), 1e-300)
 
     def test_harmonic_source_self_convergence(self, g16):
-        (B0, B1, j), = wave_fixture_family(g16, seed=7, count=1)
+        (B0, B1, j, _), = wave_fixture_family(g16, seed=7, count=1)
         coarse = solve_wave(B0, B1, j, np.pi / 2, 33)[0].snapshots[-1]
         fine = solve_wave(B0, B1, j, np.pi / 2, 65)[0].snapshots[-1]
         num = max(
@@ -266,10 +265,21 @@ class TestSourceGradientL1:
         j_sin = random_vector_field(g16, rng)
         fast = HarmonicCurrentDensity(j_cos, j_sin, 0.9)
         generic = CurrentDensity(g16, fast.evaluate)
-        for t in (0.0, 0.4, 1.1):
-            a = source_gradient_l1(fast, t, 0.75)
-            b = source_gradient_l1(generic, t, 0.75)
-            assert a == pytest.approx(b, rel=1e-12)
+        for n_eval in (None, 24, 32):  # own grid, then two evaluation grids
+            for t in (0.0, 0.4, 1.1):
+                a = source_gradient_l1(fast, t, 0.75, n_eval)
+                b = source_gradient_l1(generic, t, 0.75, n_eval)
+                assert a == pytest.approx(b, rel=1e-12)
+
+    def test_planes_cached_per_evaluation_grid(self, g16):
+        rng = np.random.default_rng(6)
+        j_cos, j_sin = random_vector_field(g16, rng), random_vector_field(g16, rng)
+        j = HarmonicCurrentDensity(j_cos, j_sin, 0.9)
+        own = j.smoothed_gradient_planes(0.75)
+        fine = j.smoothed_gradient_planes(0.75, 32)
+        assert own[0].shape == g16.shape and fine[0].shape == (32, 32, 32)
+        assert j.smoothed_gradient_planes(0.75, 16) is own
+        assert j.smoothed_gradient_planes(0.75, 32) is fine
 
     def test_three_plane_norm_at_cancellation(self, g16):
         # j_sin = j_cos at sigma t = 3 pi/4: cos + sin, and so the true
@@ -318,7 +328,7 @@ class TestRatioSuite:
         zero = VectorField.zeros(g16)
         j0 = HarmonicCurrentDensity(zero, zero, 1.0)
         rep = strichartz_ratio_experiment(
-            self.EXPONENTS, [(zero, zero, j0)], np.pi / 2, 9
+            self.EXPONENTS, [(zero, zero, j0, None)], np.pi / 2, 9
         )
         assert rep["discarded"] == 1 and rep["rows"] == []
 
@@ -349,53 +359,32 @@ class TestRatioSuite:
 
 
 class TestBandLatticeStepping:
-    """strichartz_sides steps a band-limited triple on the lattice of its
-    band limit; wrapping the current as a generic CurrentDensity hides its
-    support and forces the full grid, which is the reference here."""
+    """strichartz_sides steps a triple on its own grid and refines only what
+    the physical-space norms sample; the reference steps the refined triple,
+    with its current wrapped as a generic CurrentDensity."""
 
     EXPONENTS = StrichartzExponents(4.0, 4.0, 4.0, 0.5, 0.75)
 
-    @staticmethod
-    def padded_triple(n, n_eval, seed):
-        rng = np.random.default_rng(seed)
-        g = Grid(3, n, TWO_PI)
-        B0, B1, j_cos, j_sin = (
-            VectorField([spectral_refine(c, n_eval)
-                         for c in random_vector_field(g, rng).components])
-            for _ in range(4)
-        )
-        return B0, B1, HarmonicCurrentDensity(j_cos, j_sin, 1.3)
-
-    def assert_matches_full_grid(self, B0, B1, j, lattice):
-        assert _on_band_lattice(B0, B1, j)[0].grid.n == lattice
-        T = TWO_PI / 4.0
-        got = strichartz_sides(self.EXPONENTS, B0, B1, j, T, 17)
-        full = strichartz_sides(self.EXPONENTS, B0, B1, CurrentDensity(B0.grid, j.evaluate), T, 17)
-        assert got == pytest.approx(full, rel=1e-12)
-
     @pytest.mark.parametrize("n", [10, 16])
     def test_padded_triple_matches_full_grid(self, n):
-        B0, B1, j = self.padded_triple(n, 32, seed=n)
-        self.assert_matches_full_grid(B0, B1, j, lattice=n)
-
-    @pytest.mark.parametrize("index, lattice", [(8, 18), (16, 32)])
-    def test_content_beyond_the_padding(self, index, lattice):
-        # one coefficient at k = (0, 0, index) on the 32-point grid: at 8 the
-        # triple is not band-limited to 16 and needs the 18-point lattice; at
-        # 16, the grid's Nyquist plane, only the full grid holds it
-        B0, B1, j = self.padded_triple(16, 32, seed=5)
-        c = B0.components[0]
-        spec = c.spectrum().copy()
-        spec[0, 0, index] += 0.5 * np.abs(spec).max()
-        B0 = VectorField([ScalarField.from_spectrum(c.grid, spec), *B0.components[1:]])
-        self.assert_matches_full_grid(B0, B1, j, lattice)
+        rng = np.random.default_rng(n)
+        g = Grid(3, n, TWO_PI)
+        B0, B1, j_cos, j_sin = (random_vector_field(g, rng) for _ in range(4))
+        j = HarmonicCurrentDensity(j_cos, j_sin, 1.3)
+        T = TWO_PI / 4.0
+        got = strichartz_sides(self.EXPONENTS, B0, B1, j, T, 17, 32)
+        fine = Grid(3, 32, TWO_PI)
+        padded_j = CurrentDensity(fine, lambda t: spectral_refine(j.evaluate(t), 32))
+        full = strichartz_sides(self.EXPONENTS, spectral_refine(B0, 32),
+                                spectral_refine(B1, 32), padded_j, T, 17)
+        assert got == pytest.approx(full, rel=1e-12)
 
 
 class TestFixtureFamily:
     def test_deterministic(self, g16):
         a = wave_fixture_family(g16, seed=2, count=2)
         b = wave_fixture_family(g16, seed=2, count=2)
-        for (a0, a1, ja), (b0, b1, jb) in zip(a, b):
+        for (a0, a1, ja, _), (b0, b1, jb, _) in zip(a, b):
             assert np.array_equal(
                 a0.components[0].samples, b0.components[0].samples
             )
@@ -412,9 +401,13 @@ class TestFixtureFamily:
                             lambda *args: drawn.append(1) or draw(*args))
         family = wave_fixture_family(g16, seed=2, count=3, n_eval=32)
         assert drawn == []
-        B0, B1, j = next(iter(family))
+        next(iter(family))
         assert len(drawn) == 4
-        assert B0.grid.n == B1.grid.n == j.grid.n == 32
+
+    def test_member_stays_on_its_grid_and_carries_n_eval(self, g16):
+        B0, B1, j, n_eval = wave_fixture_family(g16, seed=2, count=1, n_eval=32)[0]
+        assert B0.grid == B1.grid == j.grid == j.j_cos.grid == j.j_sin.grid == g16
+        assert n_eval == 32
 
     @pytest.mark.parametrize("n_eval", [17, 8])  # odd, and coarser than n = 16
     def test_bad_n_eval_rejected_at_the_call(self, g16, n_eval):

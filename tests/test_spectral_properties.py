@@ -2,7 +2,6 @@
 references written here with ``numpy.fft.fftn``, on random real fields."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,9 +20,8 @@ from vortexlab.fields import (
     fractional_laplacian,
     _magnitude,
     hs_norm,
-    on_band_lattice,
+    on_eval_grid,
     spectral_refine,
-    spectral_restrict,
 )
 from vortexlab.heat import heat_evolve
 
@@ -219,52 +217,28 @@ def test_spectral_refine_band_limited(grid, seed, factor):
 
 
 @PROPERTY
-@given(grid=grids, seed=seeds)
-def test_spectral_restrict_inverts_refine(grid, seed):
-    f = band_limited(grid, np.random.default_rng(seed))
-    back = spectral_restrict(spectral_refine(f, 2 * grid.n), grid.n)
-    assert back.grid == grid
-    assert np.array_equal(back.spectrum(), f.spectrum())
-    assert np.array_equal(back.samples, f.samples)
-
-
-@PROPERTY
-@given(grid=grids, seed=seeds)
-def test_spectral_restrict_rejects_content_off_the_lattice(grid, seed):
-    # one coefficient outside the n lattice, or on its Nyquist planes
+@given(grid=grids, seed=seeds, factor=st.sampled_from([1, 2, 3]))
+def test_on_eval_grid(grid, seed, factor):
+    # the field itself on its own grid, else its refinement
     rng = np.random.default_rng(seed)
-    fine = spectral_refine(band_limited(grid, rng), 2 * grid.n)
-    empty = np.flatnonzero(fine.spectrum() == 0)
-    spec = fine.spectrum().copy()
-    spec.flat[rng.choice(empty)] = 1.0
-    with pytest.raises(ValueError, match="outside"):
-        spectral_restrict(ScalarField.from_spectrum(fine.grid, spec), grid.n)
+    v = VectorField([band_limited(grid, rng) for _ in range(grid.dim)])
+    assert on_eval_grid(v, None) is v and on_eval_grid(v, grid.n) is v
+    got = on_eval_grid(v, factor * grid.n)
+    want = spectral_refine(v, factor * grid.n)
+    assert all(np.array_equal(a.spectrum(), b.spectrum())
+               for a, b in zip(got.components, want.components))
 
 
 @PROPERTY
 @given(grid=grids, seed=seeds)
 def test_vector_refine_and_restrict(grid, seed):
+    # refined component by component; the coarse points of the refinement
+    # restrict it back to the input
     rng = np.random.default_rng(seed)
     v = VectorField([band_limited(grid, rng) for _ in range(grid.dim)])
     fine = assert_componentwise(spectral_refine, v, 2 * grid.n)
-    back = assert_componentwise(spectral_restrict, fine, grid.n)
-    assert all(np.array_equal(b.spectrum(), c.spectrum())
-               for b, c in zip(back.components, v.components))
-
-
-@PROPERTY
-@given(grid=grids, seed=seeds)
-def test_vector_restrict_rejects_content_off_the_lattice_in_one_component(grid, seed):
-    rng = np.random.default_rng(seed)
-    fine = spectral_refine(VectorField([band_limited(grid, rng) for _ in range(grid.dim)]),
-                           2 * grid.n)
-    comps = list(fine.components)
-    a = rng.integers(grid.dim)
-    spec = comps[a].spectrum().copy()
-    spec.flat[rng.choice(np.flatnonzero(spec == 0))] = 1.0
-    comps[a] = ScalarField.from_spectrum(fine.grid, spec)
-    with pytest.raises(ValueError, match="outside"):
-        spectral_restrict(VectorField(comps), grid.n)
+    for b, c in zip(fine.components, v.components):
+        assert_close(b.samples[(slice(None, None, 2),) * grid.dim], c.samples)
 
 
 @PROPERTY
@@ -311,23 +285,3 @@ def test_magnitude_equals_stacked_formula(planes):
     # accumulated plane by plane, it adds in the order np.sum takes over axis 0
     got = _magnitude(iter(list(planes)))
     assert np.array_equal(got, np.sqrt(np.sum(planes * planes, axis=0)))
-
-
-@PROPERTY
-@given(grid=grids, seed=seeds, factor=st.sampled_from([2, 3]))
-def test_on_band_lattice_restricts_to_the_band_limit(grid, seed, factor):
-    rng = np.random.default_rng(seed)
-    padded = [spectral_refine(band_limited(grid, rng), factor * grid.n) for _ in range(2)]
-    (a, b), up = on_band_lattice(padded[0], VectorField([padded[1]] * grid.dim))
-    assert a.grid == b.grid == grid
-    for got, want in ((up(a), padded[0]), (up(b).components[0], padded[1])):
-        assert got.grid == want.grid
-        assert_close(got.samples, want.samples)
-
-
-@PROPERTY
-@given(grid=grids, seed=seeds)
-def test_on_band_lattice_identity_on_full_band(grid, seed):
-    f = random_field(grid, np.random.default_rng(seed))  # content on the Nyquist planes
-    (same,), up = on_band_lattice(f)
-    assert same is f and up(f) is f
