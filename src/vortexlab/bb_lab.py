@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biot_savart import (
-    leray_project,
-    velocity_from_vorticity_2d,
-    velocity_from_vorticity_3d,
-)
+from .biot_savart import leray_project, velocity_from_curl_3d, velocity_from_vorticity_2d
 from .fields import (
     Grid,
     ScalarField,
@@ -88,9 +84,11 @@ def bb_ratio_2d(omega: ScalarField, n_eval: int | None = None) -> float:
 
 def bb_ratio_3d(omega: VectorField, n_eval: int | None = None) -> float:
     """(|v|_L3 + |grad v|_L{3/2}) / |curl w|_L1 with v from the 3D inversion."""
-    den = lp_norm(on_eval_grid(curl3d(omega), n_eval), 1)
+    curl = curl3d(omega)
+    den = lp_norm(on_eval_grid(curl, n_eval), 1)
     _check_nonconstant(den, omega.components, n_eval, "bb_ratio_3d")
-    v = on_eval_grid(velocity_from_vorticity_3d(omega), n_eval)
+    v = on_eval_grid(velocity_from_curl_3d(omega, curl), n_eval)
+    del curl  # with the samples its norm cached, it would outlive the peak below
     num = lp_norm(v, 3) + lp_norm(jacobian_magnitude(v), 1.5)
     return num / den
 

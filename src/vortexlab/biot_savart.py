@@ -9,13 +9,14 @@ configurations (dipoles).  The inverse Laplacian zero mode is set to zero
 import numpy as np
 
 from .fields import (
+    Grid,
     ScalarField,
     VectorField,
+    batch_samples,
     curl3d,
-    divergence_spectrum,
     fractional_laplacian,
     hs_sq,
-    mean_is_negligible,
+    negligible_means,
 )
 
 
@@ -24,10 +25,30 @@ class CirculationObstructionError(ValueError):
 
 
 def _check_mean_zero(f: ScalarField, what: str):
-    if not mean_is_negligible(f):
+    _check_means_zero(f.grid, f.spectrum()[None], what)
+
+
+def _check_means_zero(grid: Grid, spectra: np.ndarray, what: str):
+    """Raise unless every field of a stack of half spectra (leading axis) is mean-zero."""
+    bad = np.flatnonzero(~negligible_means(grid, spectra))
+    if bad.size:
         raise CirculationObstructionError(
             f"circulation obstruction on torus: {what} has nonzero mean "
-            f"{f.mean():.3e} (|mean| must be <= 1e-10 * max|field|)"
+            f"{batch_samples(grid, spectra[bad[0]]).mean():.3e} "
+            "(|mean| must be <= 1e-10 * max|field|)"
+        )
+
+
+def _check_solenoidal(grid: Grid, components):
+    """Raise unless each vector field of a stack, given as one stack of half
+    spectra per component, has a discrete divergence below 1e-8 of its size
+    (both L2 norms, by Parseval; |i k.u| = |k.u|)."""
+    size = np.sqrt(sum(hs_sq(grid, c) for c in components))
+    div = np.sqrt(hs_sq(grid, sum(grid.deriv_wavenumber(a) * c for a, c in enumerate(components))))
+    bad = np.flatnonzero((size > 0) & (div > 1e-8 * size))
+    if bad.size:
+        raise ValueError(
+            f"field is not solenoidal: |div|_2 = {div[bad[0]]:.3e} vs 1e-8 * |u|_2"
         )
 
 
@@ -37,34 +58,48 @@ class SolenoidalVectorField(VectorField):
 
     def __init__(self, components):
         super().__init__(components)
-        g = self.grid
-        size = np.sqrt(sum(hs_sq(g, c.spectrum()) for c in self.components))
-        if size > 0:
-            div = np.sqrt(hs_sq(g, divergence_spectrum(self)))
-            if div > 1e-8 * size:
-                raise ValueError(
-                    f"field is not solenoidal: |div|_2 = {div:.3e} vs 1e-8 * |u|_2"
-                )
+        _check_solenoidal(self.grid, [c.spectrum()[None] for c in self.components])
+
+
+def _biot_savart_2d(grid: Grid, spectra: np.ndarray) -> np.ndarray:
+    """v = (-Lap)^{-1} (d2 omega, -d1 omega) for each omega of a stack of half
+    spectra (leading axis): shape (2, count, *grid.spectral_shape)."""
+    k = [grid.deriv_wavenumber(a) for a in range(2)]
+    multipliers = np.stack(np.broadcast_arrays(1j * k[1], -1j * k[0]))[:, None]
+    return multipliers * (grid.kpow(-2.0) * spectra)
+
+
+def velocity_spectra_2d(grid: Grid, spectra: np.ndarray) -> np.ndarray:
+    """2D Biot-Savart of each vorticity of a stack of half spectra: each must
+    be mean-zero and each velocity solenoidal."""
+    _check_means_zero(grid, spectra, "vorticity")
+    v = _biot_savart_2d(grid, spectra)
+    _check_solenoidal(grid, v)
+    return v
 
 
 def velocity_from_vorticity_2d(omega: ScalarField) -> SolenoidalVectorField:
-    """2D Biot-Savart: v = (-Lap)^{-1} (d2 omega, -d1 omega)."""
+    """2D Biot-Savart of one vorticity: the stack rules on a stack of one."""
     g = omega.grid
     if g.dim != 2:
         raise ValueError("velocity_from_vorticity_2d requires a 2D scalar field")
     _check_mean_zero(omega, "vorticity")
-    psi = g.kpow(-2.0) * omega.spectrum()
-    return SolenoidalVectorField.from_spectra(
-        g, [1j * g.deriv_wavenumber(1) * psi, -1j * g.deriv_wavenumber(0) * psi])
+    return SolenoidalVectorField.from_spectra(g, _biot_savart_2d(g, omega.spectrum()[None])[:, 0])
 
 
 def velocity_from_vorticity_3d(omega: VectorField) -> SolenoidalVectorField:
     """3D Biot-Savart: v = (-Lap)^{-1} (curl omega)."""
     if omega.grid.dim != 3:
         raise ValueError("velocity_from_vorticity_3d requires a 3D vector field")
+    return velocity_from_curl_3d(omega, curl3d(omega))
+
+
+def velocity_from_curl_3d(omega: VectorField, curl_omega: VectorField) -> SolenoidalVectorField:
+    """3D Biot-Savart from a curl the caller already holds: v = (-Lap)^{-1}
+    curl_omega, where curl_omega is curl3d(omega), which is checked mean-zero."""
     for c in omega.components:
         _check_mean_zero(c, "vorticity component")
-    return SolenoidalVectorField(fractional_laplacian(curl3d(omega), -2.0).components)
+    return SolenoidalVectorField(fractional_laplacian(curl_omega, -2.0).components)
 
 
 def leray_project(u: VectorField) -> SolenoidalVectorField:

@@ -36,7 +36,7 @@ from .fields import Grid, ScalarField, VectorField, lp_norm
 from .maxwell_wave import (HarmonicCurrentDensity, StrichartzExponents, require_admissible,
                            strichartz_ratio_experiment, wave_steps)
 from .mild_solver import (MildSolveConfig, calibrate_horizon, continuous_dependence_experiment,
-                          picard_solve, require_converged, snapshot_norms)
+                          picard_solve, require_converged, trajectory_norms)
 from .oseen import oseen_dipole, sharpness_scaling_experiment
 from .random_data import check_n_eval, smooth_bump, two_mode_vorticity, wave_fixture_family
 
@@ -134,7 +134,7 @@ def _run_picard(solve_cfg, cfg, _threads):
         t0, calibrated_ratio = calibrate_horizon(omega0, solve_cfg.grid, cfg["t_horizon_cap"])
         solve_cfg = replace(solve_cfg, t0=t0)
     traj, trace = picard_solve(omega0, solve_cfg)
-    norms = [snapshot_norms(f) for f in traj.snapshots]
+    norms = trajectory_norms(traj.grid, traj.spectra())
     rows = [(float(t), *n.values()) for t, n in zip(traj.times, norms)]
     summary = {k: getattr(trace, k) for k in
                ("converged", "iterations", "diff_w11", "ratios", "sup_w11")}
@@ -334,7 +334,9 @@ def run_experiment(kind, built, cfg, out_dir, threads=1):
         "config": dict(cfg),
         "version": __version__,
         "threads": threads,
-        "environment": {"python": platform.python_version(), "numpy": np.__version__},
+        # every transform goes through numpy.fft, whose one backend is pocketfft
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "fft_backend": "numpy.fft/pocketfft"},
         "wall_clock_seconds": time.time() - start,
     }
     vio.write_json(os.path.join(out_dir, "manifest.json"), manifest)

@@ -7,20 +7,26 @@ vs explicit spectral time stepping with 2/3-rule dealiasing.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
-from .biot_savart import _check_mean_zero, velocity_from_vorticity_2d
+from .biot_savart import _check_mean_zero, velocity_spectra_2d
 from .fields import (
     Grid,
     ScalarField,
     Trajectory,
+    _magnitude,
+    _readonly,
+    batch_samples,
+    blocks,
+    gradient_spectra,
     hs_sq,
-    jacobian_magnitude,
-    lp_norm,
+    lp_norms,
     w11_norm,
+    w11_norms,
 )
-from .heat import etd_weights, heat_evolve
+from .heat import etd_weights
 
 CALIBRATION_NT = 16  # time samples of each trial horizon in calibrate_horizon
 MAX_HALVINGS = 20  # trial horizons calibrate_horizon halves through
@@ -49,6 +55,8 @@ class MildSolveConfig:
     max_iter: int = 60
 
     def __post_init__(self):
+        if self.grid.dim != 2:
+            raise ValueError(f"the mild solver is 2D, got a {self.grid.dim}D grid")
         if not self.t0 > 0:
             raise ValueError(f"t0 must be positive, got {self.t0}")
         if self.nt < 8:
@@ -72,51 +80,62 @@ class PicardTrace:
     iterations: int = 0
 
 
-def _flux_divergence(omega: ScalarField):
-    """Dealiased spectrum of -div(v w), the advective source; v by Biot-Savart."""
-    g = omega.grid
-    v = velocity_from_vorticity_2d(omega)
-    div = sum(
-        1j * g.deriv_wavenumber(a) * np.fft.rfftn(comp.samples * omega.samples)
-        for a, comp in enumerate(v.components)
-    )
-    return np.where(g.dealias_mask(), -div, 0.0)
+def _flux_divergence(grid: Grid, spectra: np.ndarray) -> np.ndarray:
+    """Dealiased spectra of -div(v w), the advective source, for each w of a
+    block of vorticity half spectra (leading axis); v by Biot-Savart."""
+    w_and_v = batch_samples(grid, np.concatenate([spectra[None],
+                                                  velocity_spectra_2d(grid, spectra)]))
+    flux = np.fft.rfftn(w_and_v[1:] * w_and_v[0], axes=(-2, -1))
+    div = sum(1j * grid.deriv_wavenumber(a) * flux[a] for a in range(2))
+    return np.where(grid.dealias_mask(), -div, 0.0)
+
+
+@lru_cache(maxsize=32)
+def _panel_weights(grid: Grid, dt: float):
+    """etd_weights of one time panel, built once per (grid, dt); read-only."""
+    return tuple(_readonly(w) for w in etd_weights(grid.ksq(), dt))
 
 
 def apply_T(omega_traj: Trajectory, omega0: ScalarField, cfg: MildSolveConfig) -> Trajectory:
     """One application of the Duhamel fixed-point operator to a trajectory.
 
-    One streaming pass over the time lattice: the flux divergence of each
-    input snapshot is formed once, when the loop reaches its node, and its
-    linear interpolant between nodes is integrated exactly against the heat
-    kernel (``heat.etd_weights``).  Starting the recurrence from the spectrum
-    of omega0 folds in its heat evolution.
+    One streaming pass over the time lattice, a block of input snapshots at
+    a time: the flux divergences of a block are formed together, and the
+    linear interpolant of the flux between nodes is integrated exactly
+    against the heat kernel (``heat.etd_weights``).  Starting the recurrence
+    from the spectrum of omega0 folds in its heat evolution.  The result is
+    a spectrum stack (``Trajectory.from_spectra``).
     """
     _check_mean_zero(omega0, "initial vorticity")
     grid = cfg.grid
     times = cfg.times
     if len(omega_traj) != cfg.nt or not np.allclose(omega_traj.times, times, atol=0):
         raise ValueError("input trajectory does not live on the config time lattice")
-    e, w_old, w_new = etd_weights(grid.ksq(), times[1] - times[0])
-    s_hat = omega0.spectrum()
-    d_prev = _flux_divergence(omega_traj.snapshots[0])
-    snaps = [omega0]
-    for snap in omega_traj.snapshots[1:]:
-        d_next = _flux_divergence(snap)
-        s_hat = e * s_hat + w_old * d_prev + w_new * d_next
-        if not np.all(np.isfinite(s_hat)):
-            raise ArithmeticError("non-finite values in Duhamel term: iteration diverged")
-        snaps.append(ScalarField.from_spectrum(grid, s_hat))
-        d_prev = d_next
-    return Trajectory(times, snaps)
+    e, w_old, w_new = _panel_weights(grid, times[1] - times[0])
+    src = omega_traj.spectra()
+    out = np.empty_like(src)
+    out[0] = omega0.spectrum()
+    d_prev = None
+    for block in blocks(cfg.nt, 3 * src[0].nbytes):  # w, v1 and v2 of each snapshot
+        for i, d_next in enumerate(_flux_divergence(grid, src[block]), start=block.start):
+            if i > 0:
+                out[i] = e * out[i - 1] + w_old * d_prev + w_new * d_next
+                if not np.all(np.isfinite(out[i])):
+                    raise ArithmeticError("non-finite values in Duhamel term: iteration diverged")
+            d_prev = d_next
+    return Trajectory.from_spectra(times, grid, out)
 
 
 def _heat_guess(omega0: ScalarField, cfg: MildSolveConfig) -> Trajectory:
-    return Trajectory(cfg.times, [heat_evolve(omega0, t) for t in cfg.times])
+    """exp(t Lap) omega0 at every time of the lattice, as one broadcast product."""
+    t = cfg.times[:, None, None]
+    return Trajectory.from_spectra(cfg.times, cfg.grid,
+                                   np.exp(-cfg.grid.ksq() * t) * omega0.spectrum())
 
 
 def _sup_w11_diff(a: Trajectory, b: Trajectory) -> float:
-    return max(w11_norm(x - y) for x, y in zip(a.snapshots, b.snapshots))
+    """sup in time of the W^{1,1} norm of a - b, differenced spectrally."""
+    return max(w11_norms(a.grid, a.spectra() - b.spectra()))
 
 
 def picard_solve(omega0: ScalarField, cfg: MildSolveConfig):
@@ -134,7 +153,7 @@ def picard_solve(omega0: ScalarField, cfg: MildSolveConfig):
     for it in range(1, cfg.max_iter + 1):
         nxt = apply_T(current, omega0, cfg)
         diff = _sup_w11_diff(nxt, current)
-        trace.sup_w11.append(max(w11_norm(f) for f in nxt.snapshots))
+        trace.sup_w11.append(max(w11_norms(cfg.grid, nxt.spectra())))
         trace.diff_w11.append(diff)
         if prev_diff is not None and prev_diff > 0:
             ratio = diff / prev_diff
@@ -169,13 +188,31 @@ def require_converged(trace: PicardTrace, cfg: MildSolveConfig):
 def snapshot_norms(omega: ScalarField) -> dict:
     """Norm bundle of one vorticity snapshot, in report-column order: L1,
     W11, velocity sup and gradient L2.  Each must be finite and >= 0."""
-    v = velocity_from_vorticity_2d(omega)
-    norms = {"L1": lp_norm(omega, 1), "W11": w11_norm(omega), "Linf_v": lp_norm(v, np.inf),
-             "L2_gradv": lp_norm(jacobian_magnitude(v), 2)}
-    for label, value in norms.items():
+    return trajectory_norms(omega.grid, omega.spectrum()[None])[0]
+
+
+def trajectory_norms(grid: Grid, spectra: np.ndarray) -> list[dict]:
+    """snapshot_norms of each vorticity of a stack of half spectra (leading
+    axis), with one batched inverse transform per block."""
+    v_hat = velocity_spectra_2d(grid, spectra)
+    rows = []
+    for b in blocks(len(spectra), 9 * spectra[0].nbytes):
+        v = list(v_hat[:, b])
+        w, dw1, dw2, v1, v2, *grad_v = batch_samples(grid, np.stack(
+            [spectra[b], *gradient_spectra(grid, spectra[b]), *v,
+             *(d for c in v for d in gradient_spectra(grid, c))]))
+        # an overflowed magnitude is reported below, by the norm it reaches
+        with np.errstate(over="ignore"):
+            l1 = lp_norms(grid, w, 1)
+            grad_l1 = lp_norms(grid, _magnitude([dw1, dw2]), 1)
+            columns = {"L1": l1, "W11": [a + g for a, g in zip(l1, grad_l1)],
+                       "Linf_v": lp_norms(grid, _magnitude([v1, v2]), np.inf),
+                       "L2_gradv": lp_norms(grid, _magnitude(grad_v), 2)}
+        rows += [dict(zip(columns, values)) for values in zip(*columns.values())]
+    for label, value in (item for row in rows for item in row.items()):
         if not 0 <= value < np.inf:
             raise ValueError(f"norm {label!r} must be finite and >= 0, got {value}")
-    return norms
+    return rows
 
 
 def calibrate_horizon(omega0: ScalarField, grid: Grid, t_max: float):

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from vortexlab import bb_lab
+from vortexlab import bb_lab, biot_savart
 from vortexlab.bb_lab import (
     RandomFieldSpec,
     bb_ratio_2d,
@@ -318,9 +318,11 @@ class TestBandLatticeRatios:
                                                 per_sample):
         spec = RandomFieldSpec(seed=5, beta=2.0, dim=dim, n=n, box_length=TWO_PI, count=2)
         inverted = []
-        name = f"velocity_from_vorticity_{dim}d"
+        # the 3D ratio hands Biot-Savart the curl it already took
+        name = "velocity_from_vorticity_2d" if dim == 2 else "velocity_from_curl_3d"
         invert = getattr(bb_lab, name)
-        monkeypatch.setattr(bb_lab, name, lambda w: inverted.append(w.grid.n) or invert(w))
+        monkeypatch.setattr(bb_lab, name,
+                            lambda w, *curl: inverted.append(w.grid.n) or invert(w, *curl))
         shapes = irfftn_shapes(monkeypatch)
         rep = family_ratio_report(spec, fn, n_eval=n_eval)
         assert len(rep["rows"]) == 2
@@ -334,6 +336,17 @@ def single_mode(dim, amplitude, n=16):
     coeffs[(0,) * (dim - 1) + (1,)] = amplitude * g.n**dim / 2.0  # amplitude * cos(x_last)
     f = ScalarField.from_spectrum(g, coeffs)
     return f if dim == 2 else VectorField([f, ScalarField.zeros(g), f * 0.5])
+
+
+def test_bb_ratio_3d_takes_one_curl(monkeypatch):
+    spec = RandomFieldSpec(seed=5, beta=2.0, dim=3, n=16, box_length=TWO_PI, count=1)
+    omega = random_family(spec)[0]
+    expect = bb_ratio_3d(omega)
+    curls = []
+    for module in (bb_lab, biot_savart):
+        monkeypatch.setattr(module, "curl3d", lambda w: curls.append(w) or curl3d(w))
+    assert bb_ratio_3d(omega) == expect
+    assert len(curls) == 1
 
 
 class TestNonconstantCheck:

@@ -7,8 +7,10 @@ from vortexlab.biot_savart import (
     CirculationObstructionError,
     SolenoidalVectorField,
     leray_project,
+    velocity_from_curl_3d,
     velocity_from_vorticity_2d,
     velocity_from_vorticity_3d,
+    velocity_spectra_2d,
 )
 from vortexlab.fields import (
     Grid,
@@ -77,6 +79,18 @@ class Test2D:
         with pytest.raises(CirculationObstructionError):
             velocity_from_vorticity_2d(w)
 
+    def test_stack_matches_single_fields(self, g2):
+        ws = [random_mean_zero(g2, 10 + i) for i in range(3)]
+        stack = velocity_spectra_2d(g2, np.stack([w.spectrum() for w in ws]))
+        for i, w in enumerate(ws):
+            assert np.array_equal(stack[:, i], velocity_from_vorticity_2d(w).spectra())
+
+    def test_stack_rejects_any_nonzero_mean_member(self, g2):
+        spectra = np.stack([random_mean_zero(g2, 20 + i).spectrum() for i in range(3)])
+        spectra[2, 0, 0] = 1e-3 * g2.n**2
+        with pytest.raises(CirculationObstructionError, match="nonzero mean 1.000e-03"):
+            velocity_spectra_2d(g2, spectra)
+
 
 class Test3D:
     def _solenoidal(self, g3, seed):
@@ -122,6 +136,11 @@ class Test3D:
                            parts[1].components):
             expect = a * 2.0 + b * (-3.0)
             assert lp_norm(c - expect, 2) < 1e-10 * max(lp_norm(expect, 2), 1e-300)
+
+    def test_curl_entry_matches(self, g3):
+        w = self._solenoidal(g3, 60)
+        via_curl = velocity_from_curl_3d(w, curl3d(w))
+        assert np.array_equal(via_curl.spectra(), velocity_from_vorticity_3d(w).spectra())
 
     def test_nonzero_mean_component_rejected(self, g3):
         comps = [random_mean_zero(g3, 50 + i) for i in range(3)]

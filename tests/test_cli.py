@@ -265,6 +265,7 @@ class TestRun:
         assert manifest["config"]["seed"] == 3
         assert manifest["environment"] == {
             "python": platform.python_version(), "numpy": np.__version__,
+            "fft_backend": "numpy.fft/pocketfft",
         }
 
     def test_rerun_byte_identical(self, tmp_path):

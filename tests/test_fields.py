@@ -383,6 +383,14 @@ class TestContainers:
         with pytest.raises(ValueError):  # uniform to an absolute 1e-8, not relatively
             Trajectory([0.0, 1e-9, 5e-9, 6e-9], [f] * 4)
 
+    def test_trajectory_over_a_spectrum_stack(self, g64):
+        stack = np.stack([random_smooth(g64, 30 + i).spectrum() for i in range(3)])
+        traj = Trajectory.from_spectra([0.0, 0.1, 0.2], g64, stack)
+        assert traj.spectra() is stack and not stack.flags.writeable
+        assert all(np.shares_memory(s.spectrum(), stack) for s in traj.snapshots)
+        listed = Trajectory(traj.times, traj.snapshots).spectra()
+        assert np.array_equal(listed, stack)
+
 
 def test_fields_import_loads_no_other_package_module():
     # a fresh interpreter, so modules this session already loaded do not count

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from vortexlab.fields import Grid, ScalarField, Trajectory, lp_norm, w11_norm
-from vortexlab.heat import heat_evolve
+from vortexlab import fields, mild_solver
+from vortexlab.biot_savart import CirculationObstructionError, velocity_from_vorticity_2d
+from vortexlab.fields import (Grid, ScalarField, Trajectory, jacobian_magnitude, lp_norm,
+                              w11_norm, w11_norms)
+from vortexlab.heat import etd_weights, heat_evolve
 from vortexlab.mild_solver import (
     ContractionFailureError,
     MildSolveConfig,
@@ -15,6 +18,7 @@ from vortexlab.mild_solver import (
     picard_solve,
     reference_stepper,
     snapshot_norms,
+    trajectory_norms,
 )
 from vortexlab.oseen import oseen_dipole
 from vortexlab.random_data import smooth_bump, two_mode_vorticity
@@ -82,6 +86,125 @@ class TestApplyT:
             bad = Trajectory(np.linspace(0.0, t_bad, 8), [zero] * 8)
             with pytest.raises(ValueError, match="config time lattice"):
                 apply_T(bad, zero, cfg)
+
+
+def block_bytes_for(grid, snapshots):
+    """BLOCK_BYTES that puts `snapshots` snapshots in each block of apply_T,
+    whose batched inverse takes w and v: three spectra per snapshot."""
+    return snapshots * 3 * np.empty(grid.spectral_shape, dtype=np.complex128).nbytes
+
+
+def per_snapshot_apply_T(omega_traj, omega0, cfg):
+    """apply_T one snapshot at a time, its flux through velocity_from_vorticity_2d."""
+    g = cfg.grid
+
+    def flux(w):
+        v = velocity_from_vorticity_2d(w)
+        div = sum(1j * g.deriv_wavenumber(a) * np.fft.rfftn(c.samples * w.samples)
+                  for a, c in enumerate(v.components))
+        return np.where(g.dealias_mask(), -div, 0.0)
+
+    e, w_old, w_new = etd_weights(g.ksq(), cfg.times[1] - cfg.times[0])
+    out = [omega0.spectrum()]
+    d_prev = flux(omega_traj.snapshots[0])
+    for snap in omega_traj.snapshots[1:]:
+        d_next = flux(snap)
+        out.append(e * out[-1] + w_old * d_prev + w_new * d_next)
+        d_prev = d_next
+    return np.array(out)
+
+
+class TestBlockedPath:
+    def test_block_size_leaves_solve_bitwise_unchanged(self, g64, monkeypatch):
+        w0 = dipole(g64)
+        cfg = MildSolveConfig(grid=g64, t0=0.02, nt=16)
+        solves = []
+        # one snapshot per block, then all nt in one block (the norms take nine spectra each)
+        for block_bytes in (1, 3 * block_bytes_for(g64, cfg.nt)):
+            monkeypatch.setattr(fields, "BLOCK_BYTES", block_bytes)
+            traj, trace = picard_solve(w0, cfg)
+            solves.append((traj.spectra(), trace, trajectory_norms(g64, traj.spectra())))
+        (a, trace_a, norms_a), (b, trace_b, norms_b) = solves
+        assert trace_a.converged and trace_a.iterations > 2
+        assert np.array_equal(a, b)
+        assert trace_a == trace_b
+        assert norms_a == norms_b
+
+    def test_heat_guess_is_the_heat_semigroup(self, g64):
+        w0 = dipole(g64)
+        cfg = MildSolveConfig(grid=g64, t0=0.05, nt=8)
+        expect = [heat_evolve(w0, t).spectrum() for t in cfg.times]
+        assert np.array_equal(mild_solver._heat_guess(w0, cfg).spectra(), expect)
+
+    def test_stacked_w11_matches_per_snapshot_norms(self, g64):
+        traj, _trace = picard_solve(dipole(g64), MildSolveConfig(grid=g64, t0=0.02, nt=8))
+        assert w11_norms(g64, traj.spectra()) == [w11_norm(s) for s in traj.snapshots]
+
+    def test_stacked_apply_T_matches_per_snapshot_loop(self, g64):
+        w0 = two_mode_vorticity(g64, 0.05)
+        cfg = MildSolveConfig(grid=g64, t0=0.2, nt=16)
+        first = apply_T(mild_solver._heat_guess(w0, cfg), w0, cfg)
+        got = apply_T(first, w0, cfg).spectra()
+        expect = per_snapshot_apply_T(first, w0, cfg)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_transform_calls_track_blocks_not_snapshots(self, g64, monkeypatch):
+        w0 = dipole(g64)
+        w0.spectrum()
+        counts = []
+        for nt, snapshots in ((32, 4), (64, 8)):
+            cfg = MildSolveConfig(grid=g64, t0=0.01, nt=nt)
+            guess = mild_solver._heat_guess(w0, cfg)
+            monkeypatch.setattr(fields, "BLOCK_BYTES", block_bytes_for(g64, snapshots))
+            calls = []
+            for name in ("rfftn", "irfftn"):
+                def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                    calls.append(1)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(np.fft, name, counted)
+            apply_T(guess, w0, cfg)
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 2 * 8
+
+    @pytest.mark.parametrize("bad", [0, 5, 7])
+    def test_nonzero_mean_snapshot_in_a_block_rejected(self, g64, bad):
+        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
+        w0 = two_mode_vorticity(g64, 0.05)
+        snaps = list(mild_solver._heat_guess(w0, cfg).snapshots)
+        snaps[bad] = snaps[bad] + ScalarField(g64, np.full(g64.shape, 0.5))
+        traj = Trajectory(cfg.times, snaps)
+        with pytest.raises(CirculationObstructionError):
+            apply_T(traj, w0, cfg)
+        with pytest.raises(CirculationObstructionError):
+            trajectory_norms(g64, traj.spectra())
+
+    @pytest.mark.parametrize("bad", [0, 5, 7])
+    def test_nonfinite_snapshot_in_a_block_rejected(self, g64, bad):
+        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
+        w0 = two_mode_vorticity(g64, 0.05)
+        spectra = mild_solver._heat_guess(w0, cfg).spectra().copy()
+        spectra[bad, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="field spectrum must be finite"):
+            Trajectory.from_spectra(cfg.times, g64, spectra)
+        # finite, but its flux overflows
+        snaps = list(mild_solver._heat_guess(w0, cfg).snapshots)
+        snaps[bad] = snaps[bad] * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ArithmeticError, match="non-finite values in Duhamel term"):
+                apply_T(Trajectory(cfg.times, snaps), w0, cfg)
+
+    def test_panel_weights_built_once_per_grid_and_step(self, g64, monkeypatch):
+        built = []
+        monkeypatch.setattr(mild_solver, "etd_weights",
+                            lambda *args: built.append(args) or etd_weights(*args))
+        mild_solver._panel_weights.cache_clear()
+        cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
+        w0 = two_mode_vorticity(g64, 0.05)
+        _traj, trace = picard_solve(w0, cfg)
+        assert trace.iterations > 1 and len(built) == 1
+        e, w_old, w_new = mild_solver._panel_weights(g64, cfg.times[1] - cfg.times[0])
+        assert not (e.flags.writeable or w_old.flags.writeable or w_new.flags.writeable)
 
 
 class TestPicardSolve:
@@ -214,6 +337,24 @@ class TestSnapshotNorms:
                                match="norm 'L2_gradv' must be finite and >= 0, got inf"):
                 snapshot_norms(w)
 
+    @pytest.mark.parametrize("amplitude", [1e160, 1e200, 1e300])
+    def test_overflowing_magnitude_names_its_norm(self, amplitude):
+        # the pointwise gradient magnitude itself overflows
+        w = two_mode_vorticity(Grid(2, 16, TWO_PI), amplitude)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="norm 'W11' must be finite and >= 0, got inf"):
+                snapshot_norms(w)
+
+    def test_stack_rows_match_the_field_layer_norms(self, g64):
+        traj, _trace = picard_solve(dipole(g64), MildSolveConfig(grid=g64, t0=0.02, nt=8))
+        expect = []
+        for w in traj.snapshots:
+            v = velocity_from_vorticity_2d(w)
+            expect.append({"L1": lp_norm(w, 1), "W11": w11_norm(w), "Linf_v": lp_norm(v, np.inf),
+                           "L2_gradv": lp_norm(jacobian_magnitude(v), 2)})
+        assert trajectory_norms(g64, traj.spectra()) == expect
+        assert snapshot_norms(traj.snapshots[3]) == expect[3]
+
 
 class TestConfigValidation:
     def test_bad_config(self, g64):
@@ -223,3 +364,5 @@ class TestConfigValidation:
             MildSolveConfig(grid=g64, t0=0.1, nt=4)
         with pytest.raises(ValueError):
             MildSolveConfig(grid=g64, t0=0.1, tol=0.0)
+        with pytest.raises(ValueError, match="the mild solver is 2D"):
+            MildSolveConfig(grid=Grid(3, 8, TWO_PI), t0=0.1)
