@@ -5,8 +5,9 @@ of the estimate ratios over seeded random fields and checks that they are
 stable under grid refinement.  Random fields are built from a fixed master
 mode lattice and stay on its grid, so refinement changes only the
 quadrature, not the function.  The fields are drawn by ``random_data``.
-A ratio takes curl, gradient and Biot-Savart on its input's own grid and
-refines to the evaluation grid ``n_eval`` only what a norm samples.
+A ratio takes curl, gradient, Biot-Savart and the velocity gradient planes
+on its input's own grid, and samples on the evaluation grid ``n_eval`` only
+what a norm reads.
 """
 
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from .fields import (
     Grid,
     ScalarField,
     VectorField,
+    check_n_eval,
     curl3d,
     gradient,
     jacobian_magnitude,
@@ -25,7 +27,7 @@ from .fields import (
     on_eval_grid,
 )
 from .family import Family, family_report
-from .random_data import _random_scalar, check_n_eval, random_vector_field
+from .random_data import _random_scalar, random_vector_field
 
 
 @dataclass(frozen=True)
@@ -77,8 +79,8 @@ def bb_ratio_2d(omega: ScalarField, n_eval: int | None = None) -> float:
     """(|v|_Linf + |grad v|_L2) / |grad w|_L1 with v from the 2D inversion."""
     den = lp_norm(on_eval_grid(gradient(omega), n_eval), 1)
     _check_nonconstant(den, [omega], n_eval, "bb_ratio_2d")
-    v = on_eval_grid(velocity_from_vorticity_2d(omega), n_eval)
-    num = lp_norm(v, np.inf) + lp_norm(jacobian_magnitude(v), 2)
+    v = velocity_from_vorticity_2d(omega)
+    num = lp_norm(on_eval_grid(v, n_eval), np.inf) + lp_norm(jacobian_magnitude(v, n_eval), 2)
     return num / den
 
 
@@ -87,9 +89,9 @@ def bb_ratio_3d(omega: VectorField, n_eval: int | None = None) -> float:
     curl = curl3d(omega)
     den = lp_norm(on_eval_grid(curl, n_eval), 1)
     _check_nonconstant(den, omega.components, n_eval, "bb_ratio_3d")
-    v = on_eval_grid(velocity_from_curl_3d(omega, curl), n_eval)
+    v = velocity_from_curl_3d(omega, curl)
     del curl  # with the samples its norm cached, it would outlive the peak below
-    num = lp_norm(v, 3) + lp_norm(jacobian_magnitude(v), 1.5)
+    num = lp_norm(on_eval_grid(v, n_eval), 3) + lp_norm(jacobian_magnitude(v, n_eval), 1.5)
     return num / den
 
 

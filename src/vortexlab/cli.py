@@ -9,8 +9,9 @@ cheap config-level objects (whose own checks raise) plus the checks only the
 CLI can make, and a ``run`` returning the report table, which ``run_experiment``
 writes as ``<experiment>-<seed>.csv`` / ``.json`` plus ``manifest.json``; CSV
 values carry 17 significant digits so reruns are byte-identical.  ``validate``
-builds without running.  The ratio kinds and ``maxwell-strichartz`` map a
-family's members over min(threads, count) threads, one level at a time.
+builds without running and prints the size of the largest grid a run samples.
+The ratio kinds and ``maxwell-strichartz`` map a family's members over
+min(threads, count) threads, one level at a time.
 Library functions are called by their module-global names, never stored in
 an entry, so rebinding a module global reaches every call.
 """
@@ -32,13 +33,13 @@ import numpy as np
 from . import __version__
 from . import io as vio
 from .bb_lab import RandomFieldSpec, bb_ratio_2d, bb_ratio_3d, gn_ratio, refinement_study
-from .fields import Grid, ScalarField, VectorField, lp_norm
+from .fields import Grid, ScalarField, VectorField, check_n_eval, lp_norm
 from .maxwell_wave import (HarmonicCurrentDensity, StrichartzExponents, require_admissible,
                            strichartz_ratio_experiment, wave_steps)
 from .mild_solver import (MildSolveConfig, calibrate_horizon, continuous_dependence_experiment,
                           picard_solve, require_converged, trajectory_norms)
 from .oseen import oseen_dipole, sharpness_scaling_experiment
-from .random_data import check_n_eval, smooth_bump, two_mode_vorticity, wave_fixture_family
+from .random_data import smooth_bump, two_mode_vorticity, wave_fixture_family
 
 
 class ConfigError(ValueError):
@@ -55,6 +56,7 @@ class Experiment:
     keys: dict  # key name -> (converter, required, default), besides _COMMON's
     build: Callable  # cfg -> what run takes; raises ValueError naming the violation
     run: Callable  # (built, cfg, threads) -> (columns, rows, footer, summary, *after)
+    dim: int  # of every grid the kind samples
 
 
 def _list_of(conv):
@@ -248,25 +250,25 @@ EXPERIMENTS = {
         "t_min": (float, True, None),
         "t_max": (float, True, None),
         "t_count": (int, False, 9),
-    }, _build_oseen, _run_oseen),
+    }, _build_oseen, _run_oseen, 2),
     "picard": Experiment({
         **_MILD_KEYS,
         "t0": (float, False, 0.0),  # 0 -> calibrated from A0
         "t_horizon_cap": (float, False, 1.0),
         "tol": (float, False, MildSolveConfig.tol),
-    }, _build_picard, _run_picard),
+    }, _build_picard, _run_picard, 2),
     "continuous-dependence": Experiment({
         **_MILD_KEYS,
         "t0": (float, True, None),
         "tol": (float, False, 1e-10),
         "epsilons": (_list_of(float), True, None),
-    }, _build_continuous_dependence, _run_continuous_dependence),
+    }, _build_continuous_dependence, _run_continuous_dependence, 2),
     "bb-ratio-2d": Experiment(_RATIO_KEYS, lambda cfg: _build_ratio(2, cfg),
-                              lambda *args: _run_ratio(bb_ratio_2d, *args)),
+                              lambda *args: _run_ratio(bb_ratio_2d, *args), 2),
     "bb-ratio-3d": Experiment(_RATIO_KEYS, lambda cfg: _build_ratio(3, cfg),
-                              lambda *args: _run_ratio(bb_ratio_3d, *args)),
+                              lambda *args: _run_ratio(bb_ratio_3d, *args), 3),
     "gn-ratio": Experiment(_RATIO_KEYS, lambda cfg: _build_ratio(2, cfg),
-                           lambda *args: _run_ratio(gn_ratio, *args)),
+                           lambda *args: _run_ratio(gn_ratio, *args), 2),
     "maxwell-strichartz": Experiment({
         "count": (int, True, None),
         "nt": (int, False, 64),
@@ -276,11 +278,11 @@ EXPERIMENTS = {
         "s": (float, True, None),
         "k": (float, True, None),
         "horizon": (float, False, 0.0),  # 0 -> L/4
-    }, _build_maxwell_strichartz, _run_maxwell_strichartz),
+    }, _build_maxwell_strichartz, _run_maxwell_strichartz, 3),
     "wave-fixture": Experiment({
         "nt": (int, False, 128),
         "horizon": (float, False, 0.0),  # 0 -> L/4
-    }, _build_wave, _run_wave_fixture),
+    }, _build_wave, _run_wave_fixture, 3),
 }
 
 
@@ -386,8 +388,11 @@ def main(argv=None):
         kind, cfg = parse_config(args.config)
         built = validate_config(kind, cfg)
         if args.command == "validate":
+            # the largest grid the run samples, and one real field on it
+            points = max([cfg["n"], *(cfg.get("n_eval") or [])]) ** EXPERIMENTS[kind].dim
             print("ok")
-            print(json.dumps({"experiment": kind, "config": cfg}, indent=2, sort_keys=True))
+            print(json.dumps({"experiment": kind, "config": cfg, "grid_points": points,
+                              "field_bytes": 8 * points}, indent=2, sort_keys=True))
             return 0
         run_experiment(kind, built, cfg, args.out or cfg["out"] or ".", threads)
     except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:

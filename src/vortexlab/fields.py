@@ -18,10 +18,11 @@ Conventions, fixed once for the whole package:
 * A per-field operation decorated ``componentwise`` (resampling, the heat
   semigroup, the fractional Laplacian) takes a VectorField too, and applies
   to each component with the same arguments; callers never map components.
-* A field keeps the grid it was built on.  A norm taken on a finer
-  evaluation grid samples it there through ``on_eval_grid``, which zero-pads
-  its spectrum (``spectral_refine``: exact for a field with no Nyquist
-  content); spectral work never leaves the field's own grid.
+* A field keeps the grid it was built on, and spectral work never leaves
+  it.  A norm taken on a finer evaluation grid samples it there through
+  ``on_eval_grid``: staged inverse transforms of its kept modes, exact for
+  a field with no Nyquist content, give a refinement that holds samples
+  only; no evaluation-grid spectrum is ever padded or built.
 * A stack of fields (a trajectory) is an array with leading axes before the
   field's own; its transforms and reductions run over the last ``dim`` axes,
   bitwise as for each field alone, one batched call per ``blocks`` slice.
@@ -29,7 +30,6 @@ Conventions, fixed once for the whole package:
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import product
 
 import numpy as np
 
@@ -422,41 +422,55 @@ def curl3d(v: VectorField) -> VectorField:
         v.grid, [_dspec(c[i], j) - _dspec(c[j], i) for i, j in ((2, 1), (0, 2), (1, 0))])
 
 
-def gradient_planes(v: VectorField):
-    """Samples of every d_a v_c, component-major, one plane at a time."""
-    return (derivative(c, a).samples for c in v.components for a in range(v.grid.dim))
+def gradient_planes(v: VectorField, n_eval: int | None = None):
+    """Samples of every d_a v_c on the n_eval grid (v's own by default),
+    component-major, one plane at a time; each is taken on v's grid."""
+    return (on_eval_grid(derivative(c, a), n_eval).samples
+            for c in v.components for a in range(v.grid.dim))
 
 
-def jacobian_magnitude(v: VectorField) -> ScalarField:
-    """Pointwise Frobenius magnitude of the gradient tensor of v."""
-    return ScalarField(v.grid, _magnitude(gradient_planes(v)))
+def jacobian_magnitude(v: VectorField, n_eval: int | None = None) -> ScalarField:
+    """Pointwise Frobenius magnitude of the gradient tensor of v, on the
+    n_eval grid (v's own by default)."""
+    grid = Grid(v.grid.dim, n_eval or v.grid.n, v.grid.box_length)
+    return ScalarField(grid, _magnitude(gradient_planes(v, n_eval)))
+
+
+def refined_samples(grid: Grid, spectrum: np.ndarray, n_new: int) -> np.ndarray:
+    """Samples on the n_new grid of the field with half spectrum `spectrum` on
+    `grid`, Nyquist planes dropped (ambiguous under embedding): one ``ifft``
+    per axis but the last over its kept modes, then ``irfft``.  Each 1D
+    transform sees what ``irfftn`` of the zero-padded half spectrum would, so
+    the result is bitwise that, but no n_new-point spectrum is built."""
+    half = grid.n // 2
+    # wavenumbers 0..half-1 and -(half-1)..-1 sit at the same index from the
+    # front and from the back on both grids
+    keep = (slice(0, half), slice(1 - half, None))
+    a = spectrum[..., :half] * (n_new / grid.n) ** grid.dim
+    for axis in range(grid.dim - 1):
+        lo, hi = ((slice(None),) * axis + (k,) for k in keep)
+        padded = np.zeros(a.shape[:axis] + (n_new,) + a.shape[axis + 1:], dtype=np.complex128)
+        padded[lo], padded[hi] = a[lo], a[hi]
+        a = np.fft.ifft(padded, axis=axis)
+    return np.fft.irfft(a, n=n_new, axis=-1)
 
 
 @componentwise
 def spectral_refine(f: ScalarField, n_new: int) -> ScalarField:
-    """Resample f on a finer grid by zero-padding its spectrum.
-
-    The source Nyquist planes are dropped (they are ambiguous under
-    embedding), so refine is exact for fields with no Nyquist content.
-    """
+    """f sampled on a finer grid (``refined_samples``); the result holds
+    samples only.  Exact for fields with no Nyquist content."""
     g = f.grid
-    if n_new < g.n:
-        raise ValueError("spectral_refine only refines (n_new >= n)")
+    check_n_eval(g, n_new)
     if n_new == g.n:
         return f
-    if n_new % 2 != 0:
-        raise ValueError("n_new must be even")
-    new_grid = Grid(g.dim, n_new, g.box_length)
-    half = g.n // 2
-    old = f.spectrum()
-    new = np.zeros(new_grid.spectral_shape, dtype=np.complex128)
-    # wavenumbers 0..half-1 and -(half-1)..-1 sit at the same index from the
-    # front and from the back on both grids; the last axis has no negatives
-    keep = (slice(0, half), slice(1 - half, None))
-    for corner in product(keep, repeat=g.dim - 1):
-        idx = corner + (slice(0, half),)
-        new[idx] = old[idx] * (n_new / g.n) ** g.dim
-    return ScalarField.from_spectrum(new_grid, new)
+    return ScalarField(Grid(g.dim, n_new, g.box_length),
+                       _readonly(refined_samples(g, f.spectrum(), n_new)))
+
+
+def check_n_eval(grid: Grid, n_eval: int | None):
+    """Reject an evaluation grid that a field on `grid` cannot be refined onto."""
+    if n_eval is not None and (n_eval < grid.n or n_eval % 2 != 0):
+        raise ValueError(f"n_eval must be even and >= n = {grid.n}, got {n_eval}")
 
 
 def on_eval_grid(f, n_eval: int | None):
@@ -559,13 +573,9 @@ def hs_norm(f, s: float) -> float:
     vanishing mean.
     """
     if isinstance(f, VectorField):
-        return float(
-            np.sqrt(sum(hs_norm(c, s) ** 2 for c in f.components))
-        )
+        return float(np.sqrt(sum(hs_norm(c, s) ** 2 for c in f.components)))
     if s < 0 and not mean_is_negligible(f):
-        raise ValueError(
-            "homogeneous norm undefined: s < 0 requires a mean-zero field"
-        )
+        raise ValueError("homogeneous norm undefined: s < 0 requires a mean-zero field")
     return float(np.sqrt(hs_sq(f.grid, f.spectrum(), s)))
 
 

@@ -12,8 +12,9 @@ their reports.
 
 A data triple is stepped, and its H^s norms taken, on the grid it was drawn
 on.  Only the physical-space norms see an evaluation grid ``n_eval``: the
-L^r norm of B(t) and the L^1 norm of the source gradient, each after an
-exact ``spectral_refine`` of what it samples.
+L^r norm of B(t) and the L^1 norm of the source gradient.  What they read
+is formed on the triple's grid (B, or the smoothed gradient planes of j)
+and sampled on ``n_eval`` by the exact staged ``spectral_refine``.
 """
 
 from dataclasses import dataclass, replace
@@ -142,15 +143,16 @@ class HarmonicCurrentDensity(CurrentDensity):
     def smoothed_gradient_planes(self, k_power: float, n_eval: int | None = None):
         """Cached pointwise QR planes (r11, r12, r22) of [Ta Tb] on the n_eval
         grid (its own by default), where Ta and Tb are the (-Lap)^{k/2}
-        gradient tensors of j_cos and j_sin refined there, so that
+        gradient tensors of j_cos and j_sin, taken on j's grid and sampled
+        there plane by plane, so that
         |a Ta + b Tb| = |(a r11 + b r12, b r22)|: r11 = |Ta|, r12 = mu r11 and
         r22 = |Tb - mu Ta| with mu = Ta.Tb / |Ta|^2 (0 where Ta = 0).  Taken
         from the tensors, a near-cancelling sum keeps its relative accuracy."""
         cache = self._grad_cache
         key = (k_power, n_eval or self.grid.n)
         if key not in cache:
-            parts = (on_eval_grid(part, n_eval) for part in (self.j_cos, self.j_sin))
-            ta, tb = (list(gradient_planes(fractional_laplacian(part, k_power))) for part in parts)
+            ta, tb = (list(gradient_planes(fractional_laplacian(part, k_power), n_eval))
+                      for part in (self.j_cos, self.j_sin))
             # summed one component at a time, so no product holds nine planes
             p = sum(x * x for x in ta)
             mu = np.divide(sum(x * y for x, y in zip(ta, tb)), p, where=p > 0,
@@ -227,11 +229,7 @@ def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
 def solve_wave(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
                T: float, nt: int):
     """Materialized trajectories (B, dB/dt) on nt uniform times in [0, T]."""
-    times, bs, bts = [], [], []
-    for t, b, bt in wave_steps(B0, B1, j, T, nt):
-        times.append(t)
-        bs.append(b)
-        bts.append(bt)
+    times, bs, bts = zip(*wave_steps(B0, B1, j, T, nt))
     return Trajectory(times, bs), Trajectory(times, bts)
 
 
@@ -256,8 +254,7 @@ def source_gradient_l1(j: CurrentDensity, t: float, k_power: float,
         u += np.square(v, out=v)
         grid = replace(j.grid, n=n_eval or j.grid.n)
         return float(np.sum(np.sqrt(u, out=u)) * grid.cell_measure)
-    j_eval = on_eval_grid(j.evaluate(t), n_eval)
-    return lp_norm(jacobian_magnitude(fractional_laplacian(j_eval, k_power)), 1)
+    return lp_norm(jacobian_magnitude(fractional_laplacian(j.evaluate(t), k_power), n_eval), 1)
 
 
 def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,
@@ -268,24 +265,16 @@ def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,
     the triple's own grid; the physical-space norms sample the n_eval grid
     (see the module docstring).
     """
-    lr_norms = []
-    sup_hs = 0.0
-    sup_hs_dt = 0.0
-    grad_norms = []
+    lr_norms, grad_norms, sup_hs, sup_hs_dt = [], [], 0.0, 0.0
     for t, b, bt in wave_steps(B0, B1, j, T, nt):
         lr_norms.append(lp_norm(on_eval_grid(b, n_eval), e.r))
         sup_hs = max(sup_hs, hs_norm(b, e.s))
         sup_hs_dt = max(sup_hs_dt, hs_norm(bt, e.s - 1.0))
-        grad_norms.append(
-            source_gradient_l1(j, t, e.k, n_eval) if j is not None else 0.0
-        )
+        grad_norms.append(source_gradient_l1(j, t, e.k, n_eval) if j is not None else 0.0)
     dt = T / (nt - 1)  # after the loop: wave_steps rejects nt < 2 first
     lhs = time_lq_norm(lr_norms, dt, e.q) + sup_hs + sup_hs_dt
-    rhs = (
-        hs_norm(B0, e.s)
-        + hs_norm(B1, e.s - 1.0)
-        + time_lq_norm(grad_norms, dt, _dual(e.q_tilde))
-    )
+    rhs = (hs_norm(B0, e.s) + hs_norm(B1, e.s - 1.0)
+           + time_lq_norm(grad_norms, dt, _dual(e.q_tilde)))
     return lhs, rhs
 
 

@@ -4,7 +4,7 @@ every seeded draw is made here."""
 import numpy as np
 
 from .family import Family
-from .fields import Grid, ScalarField, VectorField
+from .fields import Grid, ScalarField, VectorField, check_n_eval
 from .maxwell_wave import HarmonicCurrentDensity
 from .oseen import min_image_displacements
 
@@ -49,12 +49,6 @@ def _random_scalar(grid: Grid, beta: float, rng) -> ScalarField:
 def random_vector_field(grid: Grid, rng, beta: float = 2.0) -> VectorField:
     """Mean-zero random vector field with smooth spectral decay."""
     return VectorField([_random_scalar(grid, beta, rng) for _ in range(grid.dim)])
-
-
-def check_n_eval(grid: Grid, n_eval: int | None):
-    """Reject an evaluation grid that no family member could be refined onto."""
-    if n_eval is not None and (n_eval < grid.n or n_eval % 2 != 0):
-        raise ValueError(f"n_eval must be even and >= n = {grid.n}, got {n_eval}")
 
 
 def wave_fixture_family(grid: Grid, seed: int, count: int, n_eval: int | None = None) -> Family:

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from vortexlab import bb_lab, biot_savart
+from vortexlab import bb_lab, biot_savart, fields
 from vortexlab.bb_lab import (
     RandomFieldSpec,
     bb_ratio_2d,
@@ -33,6 +33,7 @@ from vortexlab.fields import (
 )
 from vortexlab.oseen import GRAD_L1_PREFACTOR, VMAX_PREFACTOR
 from vortexlab.random_data import random_vector_field
+from test_spectral_properties import padded_refine
 
 TWO_PI = 2.0 * np.pi
 
@@ -253,6 +254,16 @@ def full_grid_gn(omega):
     return lp_norm(omega, 2) / den
 
 
+def sampler_calls(monkeypatch):
+    """The n_new of each fields.refined_samples call made from now on."""
+    calls = []
+    sample = fields.refined_samples
+    monkeypatch.setattr(fields, "refined_samples",
+                        lambda grid, spectrum, n_new: calls.append(n_new)
+                        or sample(grid, spectrum, n_new))
+    return calls
+
+
 def irfftn_shapes(monkeypatch):
     """Output shapes of the numpy.fft.irfftn calls made from now on."""
     shapes = []
@@ -269,8 +280,8 @@ def irfftn_shapes(monkeypatch):
 
 class TestBandLatticeRatios:
     """The ratios take their spectral work on their input's own grid and
-    refine only what a norm samples; at a power-of-two n_eval they equal the
-    full-grid formulas on the refined input bitwise."""
+    sample only what a norm reads; at a power-of-two n_eval they equal the
+    full-grid formulas on the zero-padded input bitwise."""
 
     @pytest.mark.parametrize("fn, ref, dim, n, n_eval", [
         (bb_ratio_2d, full_grid_bb_2d, 2, 32, 64),
@@ -280,7 +291,7 @@ class TestBandLatticeRatios:
     def test_padded_member_matches_full_grid(self, fn, ref, dim, n, n_eval):
         spec = RandomFieldSpec(seed=5, beta=2.0, dim=dim, n=n, box_length=TWO_PI, count=3)
         for omega in random_family(spec):
-            assert fn(omega, n_eval) == ref(spectral_refine(omega, n_eval))
+            assert fn(omega, n_eval) == ref(padded_refine(omega, n_eval))
 
     def test_pool_rows_in_sample_order(self):
         spec = RandomFieldSpec(seed=11, beta=2.0, dim=2, n=32, box_length=TWO_PI, count=6)
@@ -294,9 +305,11 @@ class TestBandLatticeRatios:
         for i, got in enumerate(random_family(spec)):
             rng = np.random.default_rng((spec.seed, i))
             raw = random_vector_field(spec.grid, rng, spec.beta)
-            want = leray_project(spectral_refine(raw, 32))
+            want = leray_project(padded_refine(raw, 32))
             assert got.grid == spec.grid
-            assert np.array_equal(spectral_refine(got, 32).spectra(), want.spectra())
+            assert np.array_equal(padded_refine(got, 32).spectra(), want.spectra())
+            for a, b in zip(spectral_refine(got, 32).components, want.components):
+                assert np.array_equal(a.samples, b.samples)
 
     @pytest.mark.parametrize("fn, dim, n", [
         (bb_ratio_2d, 2, 32),
@@ -324,9 +337,11 @@ class TestBandLatticeRatios:
         monkeypatch.setattr(bb_lab, name,
                             lambda w, *curl: inverted.append(w.grid.n) or invert(w, *curl))
         shapes = irfftn_shapes(monkeypatch)
+        sampled = sampler_calls(monkeypatch)
         rep = family_ratio_report(spec, fn, n_eval=n_eval)
         assert len(rep["rows"]) == 2
-        assert shapes.count((n_eval,) * dim) == 2 * per_sample
+        assert sampled == [n_eval] * (2 * per_sample)
+        assert (n_eval,) * dim not in shapes  # no evaluation-grid spectrum to invert
         assert inverted == [n, n]  # Biot-Savart on the member's own grid
 
 
@@ -377,10 +392,10 @@ class TestNonconstantCheck:
 
     def test_undecided_bound_reads_evaluation_grid_samples(self, monkeypatch):
         comps = single_mode(3, 5.0).components
-        shapes = irfftn_shapes(monkeypatch)
+        sampled = sampler_calls(monkeypatch)
         with pytest.raises(ValueError, match="denominator vanishes"):
             bb_lab._check_nonconstant(0.0, comps, 32, "w")
-        assert shapes and set(shapes) == {(32, 32, 32)}
+        assert sampled == [32, 32, 32]  # one sample per component
 
     def test_cleared_denominator_reads_no_samples(self, monkeypatch):
         comps = single_mode(3, 5.0).components

@@ -120,6 +120,19 @@ class TestValidation:
         assert dumped["experiment"] == "gn-ratio"
         assert dumped["config"]["beta"] == 2.0
 
+    @pytest.mark.parametrize("kind, extra, points", [
+        ("bb-ratio-3d", "n_eval = 64 32\n", 64**3),  # the largest n_eval
+        ("bb-ratio-2d", "", 16**2),  # no n_eval: n
+        ("picard", "", 16**2),
+        ("wave-fixture", "", 8**3),
+    ])
+    def test_validate_prints_memory_size(self, tmp_path, capsys, kind, extra, points):
+        path = write_config(tmp_path, "c.ini", tiny_config(kind).replace("n_eval = 16 24\n", "")
+                            + extra)
+        assert main(["validate", path]) == 0
+        dumped = json.loads(capsys.readouterr().out[len("ok\n"):])
+        assert (dumped["grid_points"], dumped["field_bytes"]) == (points, 8 * points)
+
     def test_odd_n_named_violation(self, tmp_path, capsys):
         path = write_config(tmp_path, "gn.ini", GN_CONFIG.replace("n = 32", "n = 7"))
         assert main(["validate", path]) == 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from vortexlab import fields
+from vortexlab.bb_lab import RandomFieldSpec, bb_ratio_3d, random_family
 from vortexlab.fields import (
     Grid,
     ScalarField,
@@ -27,6 +28,8 @@ from vortexlab.fields import (
     time_lq_norm,
     w11_norm,
 )
+from vortexlab.maxwell_wave import StrichartzExponents, strichartz_sides
+from vortexlab.random_data import wave_fixture_family
 
 TWO_PI = 2.0 * np.pi
 
@@ -352,6 +355,35 @@ class TestSpectralRefine:
     def test_coarsening_rejected(self, g64):
         with pytest.raises(ValueError):
             spectral_refine(ScalarField.zeros(g64), 32)
+
+    @pytest.mark.parametrize("suite", ["bb_ratio_3d", "strichartz_sides"])
+    def test_no_evaluation_grid_spectrum_is_built(self, monkeypatch, suite):
+        # both suites sample n_eval = 32 from n = 16 members; a zero-padded
+        # n_eval half spectrum (or one transformed from refined samples)
+        # must never exist
+        g = Grid(3, 16, TWO_PI)
+        if suite == "bb_ratio_3d":
+            spec = RandomFieldSpec(seed=5, beta=2.0, dim=3, n=16, box_length=TWO_PI, count=1)
+            omega = random_family(spec)[0]
+            run = lambda: bb_ratio_3d(omega, 32)
+        else:
+            B0, B1, j, _ = wave_fixture_family(g, seed=2, count=1)[0]
+            e = StrichartzExponents(4.0, 4.0, 4.0, 0.5, 0.75)
+            run = lambda: strichartz_sides(e, B0, B1, j, TWO_PI / 4.0, 5, 32)
+        zeros, rfftn, allocated, transformed = np.zeros, np.fft.rfftn, [], []
+
+        def recorded_zeros(shape, dtype=float, *args, **kwargs):
+            allocated.append((tuple(map(int, np.atleast_1d(shape))), np.dtype(dtype)))
+            return zeros(shape, dtype, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", recorded_zeros)
+        monkeypatch.setattr(np.fft, "rfftn", lambda a, *args, **kwargs:
+                            transformed.append(a.shape) or rfftn(a, *args, **kwargs))
+        run()
+        fine = Grid(3, 32, TWO_PI)
+        assert any(dtype == np.complex128 and shape[0] == 32 for shape, dtype in allocated)
+        assert (fine.spectral_shape, np.dtype(np.complex128)) not in allocated
+        assert fine.shape not in transformed
 
 
 class TestContainers:

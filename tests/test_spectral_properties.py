@@ -2,6 +2,7 @@
 references written here with ``numpy.fft.fftn``, on random real fields."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,6 +22,7 @@ from vortexlab.fields import (
     _magnitude,
     hs_norm,
     on_eval_grid,
+    refined_samples,
     spectral_refine,
 )
 from vortexlab.heat import heat_evolve
@@ -89,6 +91,23 @@ def ref_refine(f, n_new):
     lo = (n_new - g.n) // 2
     new[tuple(slice(lo, lo + g.n) for _ in range(g.dim))] = old
     return ifft(np.fft.ifftshift(new) * (n_new / g.n) ** g.dim)
+
+
+def padded_refine(f, n_new):
+    """f (scalar or vector) on the n_new grid from its half spectrum with the
+    Nyquist planes dropped, placed by wavenumber into a zero n_new-point half
+    spectrum and scaled: the zero-padding reference of spectral_refine, as a
+    field that holds that spectrum."""
+    if isinstance(f, VectorField):
+        return VectorField([padded_refine(c, n_new) for c in f.components])
+    g = f.grid
+    fine = Grid(g.dim, n_new, g.box_length)
+    k = np.fft.fftfreq(g.n, 1.0 / g.n).astype(int)
+    keep = [np.flatnonzero(np.abs(k) < g.n // 2)] * (g.dim - 1) + [np.arange(g.n // 2)]
+    coeffs = np.zeros(fine.spectral_shape, dtype=np.complex128)
+    coeffs[np.ix_(*[k[i] % n_new for i in keep])] = (
+        f.spectrum()[np.ix_(*keep)] * (n_new / g.n) ** g.dim)
+    return ScalarField.from_spectrum(fine, coeffs)
 
 
 def ref_inv_ksq(grid):
@@ -225,8 +244,41 @@ def test_on_eval_grid(grid, seed, factor):
     assert on_eval_grid(v, None) is v and on_eval_grid(v, grid.n) is v
     got = on_eval_grid(v, factor * grid.n)
     want = spectral_refine(v, factor * grid.n)
-    assert all(np.array_equal(a.spectrum(), b.spectrum())
+    assert all(np.array_equal(a.samples, b.samples)
                for a, b in zip(got.components, want.components))
+
+
+@PROPERTY
+@given(grid=st.builds(Grid, dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 10, 16]),
+                      box_length=st.sampled_from([2.0 * np.pi, 3.0])),
+       seed=seeds, factor=st.sampled_from([1, 2, 3, 4]))
+def test_refined_samples_equal_zero_padding_bitwise(grid, seed, factor):
+    # unrestricted input, so the dropped Nyquist planes matter too
+    f = ScalarField(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+    n_new = factor * grid.n
+    want = padded_refine(f, n_new).samples
+    assert np.array_equal(refined_samples(grid, f.spectrum(), n_new), want)
+    if factor > 1:
+        assert np.array_equal(spectral_refine(f, n_new).samples, want)
+    assert_close(want, ref_refine(f, n_new))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_non_integer_refinement_equals_zero_padding_bitwise(dim):
+    # 16 -> 24 on L = 3: the kept modes sit at no common sub-lattice
+    grid = Grid(dim, 16, 3.0)
+    v = VectorField([band_limited(grid, np.random.default_rng(dim + a)) for a in range(dim)])
+    fine = spectral_refine(v, 24)
+    for got, want in zip(fine.components, padded_refine(v, 24).components):
+        assert got.grid == want.grid == Grid(dim, 24, 3.0)
+        assert np.array_equal(got.samples, want.samples)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_refined_field_holds_samples_only(dim):
+    f = band_limited(Grid(dim, 8, 2.5), np.random.default_rng(0))
+    fine = spectral_refine(f, 16)
+    assert fine._spectrum is None and not fine.samples.flags.writeable
 
 
 @PROPERTY
