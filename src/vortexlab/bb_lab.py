@@ -17,16 +17,16 @@ import numpy as np
 from .biot_savart import leray_project, velocity_from_curl_3d, velocity_from_vorticity_2d
 from .fields import (
     Grid,
+    PlaneSampler,
     ScalarField,
     VectorField,
     check_n_eval,
     curl3d,
-    gradient,
-    jacobian_magnitude,
-    lp_norm,
-    on_eval_grid,
+    gradient_planes,
+    gradient_spectra,
+    magnitude_norm,
 )
-from .family import Family, family_report
+from .family import Family, family_map, family_report
 from .random_data import _random_scalar, random_vector_field
 
 
@@ -63,62 +63,71 @@ def random_family(spec: RandomFieldSpec) -> Family:
     return Family(build, spec.seed, spec.count)
 
 
-def _check_nonconstant(den: float, comps, n_eval: int | None, what: str):
+def _check_nonconstant(den: float, spectra, sample: PlaneSampler, what: str):
     """Reject when den <= 1e-12 * max(max|w|, 1), max|w| over the components
-    comps sampled on the n_eval-point grid; those samples are read only when
-    den does not clear twice (for roundoff) the Hausdorff-Young bound
-    sum|w_hat| / N^d, which bounds max|w| on every grid."""
-    g = comps[0].grid
-    bound = max(np.sum(g.sobolev_weight(0) * np.abs(c.spectrum())) for c in comps) / g.n**g.dim
+    with half spectra `spectra` as `sample` samples them, read only when den
+    does not clear twice (for roundoff) the Hausdorff-Young bound sum|w_hat| / N^d."""
+    g = sample.grid
+    bound = max(np.sum(g.sobolev_weight(0) * np.abs(c)) for c in spectra) / g.n**g.dim
     if den <= 1e-12 * max(2.0 * bound, 1.0) and den <= 1e-12 * max(
-            max(float(np.max(np.abs(on_eval_grid(c, n_eval).samples))) for c in comps), 1.0):
+            max(float(np.max(np.abs(sample(c)))) for c in spectra), 1.0):
         raise ValueError(f"{what} rejected: denominator vanishes (constant field)")
 
 
 def bb_ratio_2d(omega: ScalarField, n_eval: int | None = None) -> float:
     """(|v|_Linf + |grad v|_L2) / |grad w|_L1 with v from the 2D inversion."""
-    den = lp_norm(on_eval_grid(gradient(omega), n_eval), 1)
-    _check_nonconstant(den, [omega], n_eval, "bb_ratio_2d")
+    g, sample, w = omega.grid, PlaneSampler(omega.grid, n_eval), omega.spectrum()
+    den = magnitude_norm(sample, gradient_spectra(g, w), 1, "bb_ratio_2d |grad w|")
+    _check_nonconstant(den, [w], sample, "bb_ratio_2d")
     v = velocity_from_vorticity_2d(omega)
-    num = lp_norm(on_eval_grid(v, n_eval), np.inf) + lp_norm(jacobian_magnitude(v, n_eval), 2)
-    return num / den
+    return (magnitude_norm(sample, v.component_spectra(), np.inf, "bb_ratio_2d |v|")
+            + magnitude_norm(sample, gradient_planes(v), 2, "bb_ratio_2d |grad v|")) / den
 
 
 def bb_ratio_3d(omega: VectorField, n_eval: int | None = None) -> float:
     """(|v|_L3 + |grad v|_L{3/2}) / |curl w|_L1 with v from the 3D inversion."""
-    curl = curl3d(omega)
-    den = lp_norm(on_eval_grid(curl, n_eval), 1)
-    _check_nonconstant(den, omega.components, n_eval, "bb_ratio_3d")
+    sample, curl = PlaneSampler(omega.grid, n_eval), curl3d(omega)
+    den = magnitude_norm(sample, curl.component_spectra(), 1, "bb_ratio_3d |curl w|")
+    _check_nonconstant(den, omega.component_spectra(), sample, "bb_ratio_3d")
     v = velocity_from_curl_3d(omega, curl)
-    del curl  # with the samples its norm cached, it would outlive the peak below
-    num = lp_norm(on_eval_grid(v, n_eval), 3) + lp_norm(jacobian_magnitude(v, n_eval), 1.5)
-    return num / den
+    return (magnitude_norm(sample, v.component_spectra(), 3, "bb_ratio_3d |v|")
+            + magnitude_norm(sample, gradient_planes(v), 1.5, "bb_ratio_3d |grad v|")) / den
 
 
 def gn_ratio(omega: ScalarField, n_eval: int | None = None) -> float:
     """|w|_L2 / |grad w|_L1 (the interpolation step of the well-posedness proof)."""
-    den = lp_norm(on_eval_grid(gradient(omega), n_eval), 1)
-    _check_nonconstant(den, [omega], n_eval, "gn_ratio")
-    return lp_norm(on_eval_grid(omega, n_eval), 2) / den
+    g, sample, w = omega.grid, PlaneSampler(omega.grid, n_eval), omega.spectrum()
+    den = magnitude_norm(sample, gradient_spectra(g, w), 1, "gn_ratio |grad w|")
+    _check_nonconstant(den, [w], sample, "gn_ratio")
+    return magnitude_norm(sample, [w], 2, "gn_ratio |w|") / den
+
+
+def refinement_study(spec: RandomFieldSpec, ratio_fn, n_levels, map_fn=map) -> list:
+    """A ``family_report`` of ratio_fn(member, n_eval) per level n_eval (each
+    checked at the call), from one map task per member, which builds it once.
+    A ratio's ValueError makes its member degenerate at that level; a level
+    with no other member raises ValueError naming it and member 0's reason."""
+    for m in n_levels:
+        check_n_eval(spec.grid, m)
+
+    def ratio_or_reason(i, f, m):
+        try:
+            return {"sample": i, "ratio": ratio_fn(f, m)}
+        except ValueError as exc:
+            return str(exc)
+
+    per_member = family_map(random_family(spec),
+                            lambda i, f: [ratio_or_reason(i, f, m) for m in n_levels], map_fn)
+    levels = []
+    for m, rows in zip(n_levels, zip(*per_member)):
+        if not any(isinstance(r, dict) for r in rows):
+            raise ValueError(f"{ratio_fn.__name__} at n_eval {m}: all {len(rows)} members "
+                             f"discarded; member 0: {rows[0]}")
+        levels.append({"n_eval": m, **family_report(rows, lambda i, r: r)})  # rows as members
+    return levels
 
 
 def family_ratio_report(spec: RandomFieldSpec, ratio_fn, n_eval: int | None = None,
                         map_fn=map) -> dict:
-    """``family_report`` of ratio_fn(member, n_eval) over the family, n_eval
-    checked at the call; a sample whose ratio raises ValueError is degenerate."""
-    check_n_eval(spec.grid, n_eval)
-
-    def row(i, f):
-        try:
-            return {"sample": i, "ratio": ratio_fn(f, n_eval)}
-        except ValueError:
-            return None
-
-    return family_report(random_family(spec), row, map_fn)
-
-
-def refinement_study(spec: RandomFieldSpec, ratio_fn, n_levels, map_fn=map) -> list:
-    """One family report per evaluation resolution (fixed mode content),
-    each with its ``n_eval``; the levels run one after another."""
-    return [{"n_eval": int(m), **family_ratio_report(spec, ratio_fn, m, map_fn)}
-            for m in n_levels]
+    """The one level n_eval of ``refinement_study``."""
+    return refinement_study(spec, ratio_fn, [n_eval], map_fn)[0]

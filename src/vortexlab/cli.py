@@ -11,7 +11,7 @@ writes as ``<experiment>-<seed>.csv`` / ``.json`` plus ``manifest.json``; CSV
 values carry 17 significant digits so reruns are byte-identical.  ``validate``
 builds without running and prints the size of the largest grid a run samples.
 The ratio kinds and ``maxwell-strichartz`` map a family's members over
-min(threads, count) threads, one level at a time.
+min(threads, count) threads, in one map per run; an empty level is an error.
 Library functions are called by their module-global names, never stored in
 an entry, so rebinding a module global reaches every call.
 """
@@ -219,6 +219,8 @@ def _run_maxwell_strichartz(built, cfg, threads):
     fixtures = wave_fixture_family(grid, cfg["seed"], cfg["count"])
     with _pooled_map(threads, cfg["count"]) as map_fn:
         report = strichartz_ratio_experiment(e, fixtures, horizon, cfg["nt"], map_fn)
+    if not report["rows"]:
+        raise ValueError(f"maxwell-strichartz at n {grid.n}: every fixture has RHS < 1e-12")
     rows = [(cfg["seed"], r["fixture"], r["lhs"], r["rhs"], r["ratio"]) for r in report["rows"]]
     summary = {k: v for k, v in report.items() if k != "rows"}
     summary["exponents"] = asdict(e)
@@ -318,7 +320,12 @@ def parse_config(path):
 
 def validate_config(kind, cfg):
     """Build a config without running it; returns what the kind's run takes."""
-    return EXPERIMENTS[kind].build(cfg)
+    built = EXPERIMENTS[kind].build(cfg)
+    for key, value in cfg.items():  # a float key the build let through must be finite
+        floats = [x for x in (value if isinstance(value, list) else [value]) if type(x) is float]
+        _check(key in ("q", "q_tilde") or np.all(np.isfinite(floats)),
+               f"{key} must be finite, got {value}")
+    return built
 
 
 def run_experiment(kind, built, cfg, out_dir, threads=1):

@@ -21,12 +21,17 @@ class Family(Sequence):
         return self.build(np.random.default_rng((self.seed, i)))
 
 
+def family_map(members, task, map_fn=map) -> list:
+    """``task(i, members[i])`` in index order, member i read inside its task
+    of ``map_fn`` (``map``, or an executor's)."""
+    return list(map_fn(lambda i: task(i, members[i]), range(len(members))))
+
+
 def family_report(members, row, map_fn=map) -> dict:
-    """Rows of ``row(i, members[i])`` in index order, with the max and mean of
-    their "ratio"; a ``None`` row (degenerate member) is dropped and counted.
-    Member i is read inside its task of ``map_fn`` (``map``, or an executor's)."""
-    rows = list(map_fn(lambda i: row(i, members[i]), range(len(members))))
-    kept = [r for r in rows if r is not None]
+    """Rows of ``family_map(members, row, map_fn)``, with the max and mean of their
+    "ratio"; a row that is not a dict (None, or why a member was dropped) is counted."""
+    rows = family_map(members, row, map_fn)
+    kept = [r for r in rows if isinstance(r, dict)]
     ratios = [r["ratio"] for r in kept]
     return {"rows": kept, "family_max": float(np.max(ratios)) if ratios else 0.0,
             "family_mean": float(np.mean(ratios)) if ratios else 0.0,

@@ -15,14 +15,13 @@ Conventions, fixed once for the whole package:
 * All integral norms carry the cell measure ``h**dim`` so values converge
   to continuum integrals under refinement.
 * Vector magnitudes (including gradient tensors) are pointwise Euclidean.
-* A per-field operation decorated ``componentwise`` (resampling, the heat
-  semigroup, the fractional Laplacian) takes a VectorField too, and applies
+* A per-field operation decorated ``componentwise`` (the heat semigroup,
+  the fractional Laplacian) takes a VectorField too, and applies
   to each component with the same arguments; callers never map components.
 * A field keeps the grid it was built on, and spectral work never leaves
-  it.  A norm taken on a finer evaluation grid samples it there through
-  ``on_eval_grid``: staged inverse transforms of its kept modes, exact for
-  a field with no Nyquist content, give a refinement that holds samples
-  only; no evaluation-grid spectrum is ever padded or built.
+  it.  A norm on an evaluation grid is ``magnitude_norm``: a ``PlaneSampler``
+  samples the half spectra there plane by plane into buffers it keeps, exact
+  for a field without Nyquist content; no evaluation-grid spectrum is built.
 * A stack of fields (a trajectory) is an array with leading axes before the
   field's own; its transforms and reductions run over the last ``dim`` axes,
   bitwise as for each field alone, one batched call per ``blocks`` slice.
@@ -300,12 +299,12 @@ class VectorField:
         """Field whose component c is ScalarField.from_spectrum(grid, spectra[c])."""
         return cls([ScalarField.from_spectrum(grid, c) for c in spectra])
 
+    def component_spectra(self) -> list[np.ndarray]:
+        return [c.spectrum() for c in self.components]
+
     def spectra(self) -> np.ndarray:
         """Component half spectra stacked, shape (dim, *grid.spectral_shape)."""
-        return np.stack([c.spectrum() for c in self.components])
-
-    def magnitude(self) -> ScalarField:
-        return ScalarField(self.grid, _magnitude(c.samples for c in self.components))
+        return np.stack(self.component_spectra())
 
     def __add__(self, other):
         if isinstance(other, VectorField):
@@ -392,6 +391,11 @@ def gradient_spectra(grid: Grid, spectra: np.ndarray) -> list[np.ndarray]:
     return [1j * grid.deriv_wavenumber(a) * spectra for a in range(grid.dim)]
 
 
+def gradient_planes(v: VectorField):
+    """Half spectra of every d_a v_c, component-major, one at a time."""
+    return (d for c in v.components for d in gradient_spectra(v.grid, c.spectrum()))
+
+
 def derivative(f: ScalarField, axis: int) -> ScalarField:
     g = f.grid
     if not 0 <= axis < g.dim:
@@ -422,61 +426,49 @@ def curl3d(v: VectorField) -> VectorField:
         v.grid, [_dspec(c[i], j) - _dspec(c[j], i) for i, j in ((2, 1), (0, 2), (1, 0))])
 
 
-def gradient_planes(v: VectorField, n_eval: int | None = None):
-    """Samples of every d_a v_c on the n_eval grid (v's own by default),
-    component-major, one plane at a time; each is taken on v's grid."""
-    return (on_eval_grid(derivative(c, a), n_eval).samples
-            for c in v.components for a in range(v.grid.dim))
+class PlaneSampler:
+    """Samples on the n_eval grid (the field grid's own by default) of half
+    spectra on `grid`, one plane per call: ``batch_samples`` on the grid's
+    own, else ``staged``.  A call's result is valid until the next call."""
 
+    def __init__(self, grid: Grid, n_eval: int | None = None):
+        check_n_eval(grid, n_eval)
+        self.grid, self.eval_grid = grid, Grid(grid.dim, n_eval or grid.n, grid.box_length)
+        m, half = self.eval_grid.n, grid.n // 2  # the staged buffers, zeroed once
+        self._scaled = np.empty(grid.spectral_shape[:-1] + (half,), dtype=np.complex128)
+        shapes = [(m,) * (a + 1) + (grid.n,) * (grid.dim - 2 - a) + (half,)
+                  for a in range(grid.dim - 1)]
+        self._stages = [(np.zeros(s, dtype=np.complex128), np.empty(s, dtype=np.complex128))
+                        for s in shapes]
+        self._out = np.empty(self.eval_grid.shape)
 
-def jacobian_magnitude(v: VectorField, n_eval: int | None = None) -> ScalarField:
-    """Pointwise Frobenius magnitude of the gradient tensor of v, on the
-    n_eval grid (v's own by default)."""
-    grid = Grid(v.grid.dim, n_eval or v.grid.n, v.grid.box_length)
-    return ScalarField(grid, _magnitude(gradient_planes(v, n_eval)))
+    def __call__(self, spectrum: np.ndarray) -> np.ndarray:
+        own = self.eval_grid == self.grid
+        return batch_samples(self.grid, spectrum) if own else self.staged(spectrum)
+
+    def staged(self, spectrum: np.ndarray) -> np.ndarray:
+        """The samples, Nyquist planes dropped (ambiguous under embedding): an
+        ``ifft`` per axis but the last over the kept modes, writing only their
+        rows, then ``irfft``; bitwise ``irfftn`` of the zero-padded spectrum."""
+        g, m, half = self.grid, self.eval_grid.n, self.grid.n // 2
+        a = np.multiply(spectrum[..., :half], (m / g.n) ** g.dim, out=self._scaled)
+        for axis, (padded, out) in enumerate(self._stages):
+            # wavenumbers 0..half-1 and -(half-1)..-1: the same index on both grids
+            for k in (slice(0, half), slice(1 - half, None)):
+                padded[(slice(None),) * axis + (k,)] = a[(slice(None),) * axis + (k,)]
+            a = np.fft.ifft(padded, axis=axis, out=out)
+        return np.fft.irfft(a, n=m, axis=-1, out=self._out)
 
 
 def refined_samples(grid: Grid, spectrum: np.ndarray, n_new: int) -> np.ndarray:
-    """Samples on the n_new grid of the field with half spectrum `spectrum` on
-    `grid`, Nyquist planes dropped (ambiguous under embedding): one ``ifft``
-    per axis but the last over its kept modes, then ``irfft``.  Each 1D
-    transform sees what ``irfftn`` of the zero-padded half spectrum would, so
-    the result is bitwise that, but no n_new-point spectrum is built."""
-    half = grid.n // 2
-    # wavenumbers 0..half-1 and -(half-1)..-1 sit at the same index from the
-    # front and from the back on both grids
-    keep = (slice(0, half), slice(1 - half, None))
-    a = spectrum[..., :half] * (n_new / grid.n) ** grid.dim
-    for axis in range(grid.dim - 1):
-        lo, hi = ((slice(None),) * axis + (k,) for k in keep)
-        padded = np.zeros(a.shape[:axis] + (n_new,) + a.shape[axis + 1:], dtype=np.complex128)
-        padded[lo], padded[hi] = a[lo], a[hi]
-        a = np.fft.ifft(padded, axis=axis)
-    return np.fft.irfft(a, n=n_new, axis=-1)
-
-
-@componentwise
-def spectral_refine(f: ScalarField, n_new: int) -> ScalarField:
-    """f sampled on a finer grid (``refined_samples``); the result holds
-    samples only.  Exact for fields with no Nyquist content."""
-    g = f.grid
-    check_n_eval(g, n_new)
-    if n_new == g.n:
-        return f
-    return ScalarField(Grid(g.dim, n_new, g.box_length),
-                       _readonly(refined_samples(g, f.spectrum(), n_new)))
+    """``PlaneSampler.staged`` of a fresh sampler, whose result the caller owns."""
+    return PlaneSampler(grid, n_new).staged(spectrum)
 
 
 def check_n_eval(grid: Grid, n_eval: int | None):
     """Reject an evaluation grid that a field on `grid` cannot be refined onto."""
     if n_eval is not None and (n_eval < grid.n or n_eval % 2 != 0):
         raise ValueError(f"n_eval must be even and >= n = {grid.n}, got {n_eval}")
-
-
-def on_eval_grid(f, n_eval: int | None):
-    """f (scalar or vector) on the n_eval-point evaluation grid: f itself when
-    n_eval is None or f's own n, else ``spectral_refine(f, n_eval)``."""
-    return f if n_eval is None or n_eval == f.grid.n else spectral_refine(f, n_eval)
 
 
 @componentwise
@@ -495,9 +487,9 @@ def lp_norm(f, p: float) -> float:
     """Discrete Lp norm with cell measure; vectors use pointwise Euclidean magnitude."""
     if p < 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
-    if isinstance(f, VectorField):
-        f = f.magnitude()
-    return lp_norms(f.grid, f.samples[None], p)[0]
+    vector = isinstance(f, VectorField)
+    samples = _magnitude(c.samples for c in f.components) if vector else f.samples
+    return lp_norms(f.grid, samples[None], p)[0]
 
 
 def lp_norms(grid: Grid, samples: np.ndarray, p: float) -> list[float]:
@@ -512,6 +504,29 @@ def lp_norms(grid: Grid, samples: np.ndarray, p: float) -> list[float]:
     else:
         sums = np.sum(np.abs(samples) ** float(p), axis=axes)
     return [float((float(s) * grid.cell_measure) ** (1.0 / p)) for s in sums]
+
+
+def magnitude_norm(sample: PlaneSampler, planes, p: float, name: str) -> float:
+    """Lp norm (p >= 1, cell measure) of the pointwise magnitude of the fields
+    with half spectra `planes`: each sampled, its square added in place in
+    ``_magnitude``'s order.  Raises ValueError naming the norm and p unless finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
+        planes = iter(planes)
+        acc = np.square(sample(next(planes)))
+        for x in map(sample, planes):
+            acc += np.square(x, out=x)
+        if p == 3:
+            acc *= np.sqrt(acc)
+        elif p % 2 == 0 and p > 2:
+            acc **= p // 2
+        elif not np.isinf(p):  # sqrt(acc)^p: at p = 2 bitwise the square of the magnitude
+            np.sqrt(acc, out=acc)
+            acc **= p
+        total = (float(np.sqrt(np.max(acc))) if np.isinf(p)  # the max first
+                 else float((float(np.sum(acc)) * sample.eval_grid.cell_measure) ** (1.0 / p)))
+    if not 0 <= total < np.inf:
+        raise ValueError(f"norm {name!r} (p = {p:g}) must be finite and >= 0, got {total}")
+    return total
 
 
 def w11_norm(f: ScalarField) -> float:

@@ -14,7 +14,7 @@ A data triple is stepped, and its H^s norms taken, on the grid it was drawn
 on.  Only the physical-space norms see an evaluation grid ``n_eval``: the
 L^r norm of B(t) and the L^1 norm of the source gradient.  What they read
 is formed on the triple's grid (B, or the smoothed gradient planes of j)
-and sampled on ``n_eval`` by the exact staged ``spectral_refine``.
+and sampled on ``n_eval`` by a ``PlaneSampler``'s exact staged transform.
 """
 
 from dataclasses import dataclass, replace
@@ -25,15 +25,15 @@ import numpy as np
 from .family import family_report
 from .fields import (
     Grid,
+    PlaneSampler,
     Trajectory,
     VectorField,
     curl3d,
     fractional_laplacian,
     gradient_planes,
     hs_norm,
-    jacobian_magnitude,
     lp_norm,
-    on_eval_grid,
+    magnitude_norm,
     time_lq_norm,
 )
 from .heat import _series_or_closed
@@ -151,8 +151,9 @@ class HarmonicCurrentDensity(CurrentDensity):
         cache = self._grad_cache
         key = (k_power, n_eval or self.grid.n)
         if key not in cache:
-            ta, tb = (list(gradient_planes(fractional_laplacian(part, k_power), n_eval))
-                      for part in (self.j_cos, self.j_sin))
+            sample = PlaneSampler(self.grid, n_eval)
+            ta, tb = ([sample(d).copy() for d in gradient_planes(fractional_laplacian(f, k_power))]
+                      for f in (self.j_cos, self.j_sin))
             # summed one component at a time, so no product holds nine planes
             p = sum(x * x for x in ta)
             mu = np.divide(sum(x * y for x, y in zip(ta, tb)), p, where=p > 0,
@@ -235,7 +236,8 @@ def solve_wave(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
 
 def wave_energy(B: VectorField, Bt: VectorField) -> float:
     """|dB/dt|_L2^2 + |grad B|_L2^2 (conserved when the source vanishes)."""
-    return lp_norm(Bt, 2) ** 2 + lp_norm(jacobian_magnitude(B), 2) ** 2
+    grad_b = magnitude_norm(PlaneSampler(B.grid), gradient_planes(B), 2, "|grad B|")
+    return lp_norm(Bt, 2) ** 2 + grad_b ** 2
 
 
 def source_gradient_l1(j: CurrentDensity, t: float, k_power: float,
@@ -254,7 +256,8 @@ def source_gradient_l1(j: CurrentDensity, t: float, k_power: float,
         u += np.square(v, out=v)
         grid = replace(j.grid, n=n_eval or j.grid.n)
         return float(np.sum(np.sqrt(u, out=u)) * grid.cell_measure)
-    return lp_norm(jacobian_magnitude(fractional_laplacian(j.evaluate(t), k_power), n_eval), 1)
+    grad_j = gradient_planes(fractional_laplacian(j.evaluate(t), k_power))
+    return magnitude_norm(PlaneSampler(j.grid, n_eval), grad_j, 1, "|grad j|")
 
 
 def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,
@@ -263,11 +266,12 @@ def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,
 
     Streaming over the time lattice, so no full trajectory is stored, and on
     the triple's own grid; the physical-space norms sample the n_eval grid
-    (see the module docstring).
+    (see the module docstring), B(t)'s through one sampler over all steps.
     """
     lr_norms, grad_norms, sup_hs, sup_hs_dt = [], [], 0.0, 0.0
+    sample = PlaneSampler(B0.grid, n_eval)
     for t, b, bt in wave_steps(B0, B1, j, T, nt):
-        lr_norms.append(lp_norm(on_eval_grid(b, n_eval), e.r))
+        lr_norms.append(magnitude_norm(sample, b.component_spectra(), e.r, "|B(t)|"))
         sup_hs = max(sup_hs, hs_norm(b, e.s))
         sup_hs_dt = max(sup_hs_dt, hs_norm(bt, e.s - 1.0))
         grad_norms.append(source_gradient_l1(j, t, e.k, n_eval) if j is not None else 0.0)

@@ -15,6 +15,7 @@ from vortexlab.bb_lab import (
     random_family,
     refinement_study,
 )
+from vortexlab.family import Family
 from vortexlab.biot_savart import (
     leray_project,
     velocity_from_vorticity_2d,
@@ -22,6 +23,7 @@ from vortexlab.biot_savart import (
 )
 from vortexlab.fields import (
     Grid,
+    PlaneSampler,
     ScalarField,
     VectorField,
     curl3d,
@@ -29,11 +31,10 @@ from vortexlab.fields import (
     divergence,
     gradient,
     lp_norm,
-    spectral_refine,
 )
 from vortexlab.oseen import GRAD_L1_PREFACTOR, VMAX_PREFACTOR
 from vortexlab.random_data import random_vector_field
-from test_spectral_properties import padded_refine
+from test_spectral_properties import padded_refine, spectral_refine
 
 TWO_PI = 2.0 * np.pi
 
@@ -198,6 +199,19 @@ class TestFamilyReports:
         maxima = [lv["family_max"] for lv in levels]
         assert abs(maxima[1] - maxima[0]) < 0.1 * maxima[0]
 
+    @pytest.mark.parametrize("dim, n, levels", [(2, 16, [16, 32, 48]), (3, 8, [8, 16])])
+    def test_refinement_study_builds_each_member_once(self, monkeypatch, dim, n, levels):
+        spec = RandomFieldSpec(seed=3, beta=2.0, dim=dim, n=n, box_length=TWO_PI, count=3)
+        read = []
+        get = Family.__getitem__
+        monkeypatch.setattr(Family, "__getitem__", lambda fam, i: read.append(i) or get(fam, i))
+        fn = bb_ratio_2d if dim == 2 else bb_ratio_3d
+        levels_out = refinement_study(spec, fn, levels)
+        assert sorted(read) == [0, 1, 2]
+        members = [get(random_family(spec), i) for i in range(3)]
+        for m, lv in zip(levels, levels_out):
+            assert lv["rows"] == [{"sample": i, "ratio": fn(w, m)} for i, w in enumerate(members)]
+
     def test_smoothness_spread_recorded(self, capsys):
         # observational fixture: spread of the interpolation ratio by decay
         # exponent (recorded, not asserted as an ordering)
@@ -255,12 +269,12 @@ def full_grid_gn(omega):
 
 
 def sampler_calls(monkeypatch):
-    """The n_new of each fields.refined_samples call made from now on."""
+    """The evaluation n of each plane a fields.PlaneSampler samples from now on."""
     calls = []
-    sample = fields.refined_samples
-    monkeypatch.setattr(fields, "refined_samples",
-                        lambda grid, spectrum, n_new: calls.append(n_new)
-                        or sample(grid, spectrum, n_new))
+    sample = fields.PlaneSampler.__call__
+    monkeypatch.setattr(fields.PlaneSampler, "__call__",
+                        lambda self, spectrum: calls.append(self.eval_grid.n)
+                        or sample(self, spectrum))
     return calls
 
 
@@ -364,6 +378,10 @@ def test_bb_ratio_3d_takes_one_curl(monkeypatch):
     assert len(curls) == 1
 
 
+def spectra(comps):
+    return [c.spectrum() for c in comps]
+
+
 class TestNonconstantCheck:
     """The Hausdorff-Young shortcut makes the decision of the exact rule
     den <= 1e-12 * max(max|w|, 1)."""
@@ -378,7 +396,7 @@ class TestNonconstantCheck:
         den = factor * 1e-12 * max(scale, 1.0)
         exact_rejects = den <= 1e-12 * max(scale, 1.0)
         try:
-            bb_lab._check_nonconstant(den, comps, None, "w")
+            bb_lab._check_nonconstant(den, spectra(comps), PlaneSampler(comps[0].grid), "w")
             rejected = False
         except ValueError:
             rejected = True
@@ -394,11 +412,11 @@ class TestNonconstantCheck:
         comps = single_mode(3, 5.0).components
         sampled = sampler_calls(monkeypatch)
         with pytest.raises(ValueError, match="denominator vanishes"):
-            bb_lab._check_nonconstant(0.0, comps, 32, "w")
+            bb_lab._check_nonconstant(0.0, spectra(comps), PlaneSampler(comps[0].grid, 32), "w")
         assert sampled == [32, 32, 32]  # one sample per component
 
     def test_cleared_denominator_reads_no_samples(self, monkeypatch):
         comps = single_mode(3, 5.0).components
         shapes = irfftn_shapes(monkeypatch)
-        bb_lab._check_nonconstant(1.0, comps, None, "w")
+        bb_lab._check_nonconstant(1.0, spectra(comps), PlaneSampler(comps[0].grid), "w")
         assert shapes == []

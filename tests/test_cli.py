@@ -244,6 +244,76 @@ k = 0.25
         assert json.loads(capsys.readouterr().err)["error"] == (
             "inadmissible exponents: range violated: q must satisfy 2 <= q <= inf, got 0.0")
 
+    @pytest.mark.parametrize("kind, old, new, key", [
+        ("oseen-scaling", "t_count = 3", "t_count = 3\nalpha0 = inf", "alpha0"),
+        ("picard", "nt = 8", "nt = 8\namplitude = nan", "amplitude"),
+        ("continuous-dependence", "epsilons = 1e-3 1e-2", "epsilons = 1e-3 inf", "epsilons"),
+        ("bb-ratio-2d", "count = 2", "count = 2\nbeta = inf", "beta"),
+        ("maxwell-strichartz", "s = 0.5", "s = nan", "s"),
+    ])
+    def test_non_finite_float_key_named(self, tmp_path, capsys, kind, old, new, key):
+        body = tiny_config(kind)
+        assert old in body
+        path = write_config(tmp_path, "c.ini", body.replace(old, new))
+        for command in ("validate", "run"):
+            assert main(["--out", str(tmp_path / "out"), command, path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert json.loads(captured.err)["error"].startswith(f"{key} must be finite, got ")
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_strichartz_time_exponents_allowed(self, tmp_path):
+        # (q, r, q_tilde, s, k) = (inf, 2, inf, 0, 1/2) is admissible
+        body = tiny_config("maxwell-strichartz")
+        for old, new in (("\nq = 4.0", "\nq = inf"), ("r = 4.0", "r = 2.0"),
+                         ("q_tilde = 4.0", "q_tilde = inf"), ("s = 0.5", "s = 0.0"),
+                         ("k = 0.75", "k = 0.5")):
+            body = body.replace(old, new)
+        assert main(["validate", write_config(tmp_path, "c.ini", body)]) == 0
+
+    @pytest.mark.parametrize("kind, beta, level", [
+        ("bb-ratio-2d", "1e5", "n_eval 16"),
+        ("gn-ratio", "1e5", "n_eval 16"),
+        ("bb-ratio-3d", "1e5", "n_eval 8"),
+    ])
+    def test_all_degenerate_level_is_an_error(self, tmp_path, capsys, kind, beta, level):
+        # |w_hat| ~ (1+|k|^2)^(-beta/2) underflows: every member is zero
+        body = tiny_config(kind).replace("count = 2", f"count = 3\nbeta = {beta}")
+        out_dir = tmp_path / "out"
+        assert main(["--out", str(out_dir), "run", write_config(tmp_path, "c.ini", body)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        ratio = kind.replace("-", "_")  # the kind's ratio function
+        assert json.loads(captured.err)["error"] == (
+            f"{ratio} at {level}: all 3 members discarded; member 0: "
+            f"{ratio} rejected: denominator vanishes (constant field)")
+        assert list(out_dir.iterdir()) == []  # no report of an empty level
+
+    def test_all_degenerate_fixtures_are_an_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "strichartz_ratio_experiment",
+                            lambda *args: {"rows": [], "family_max": 0.0, "family_mean": 0.0,
+                                           "discarded": 1})
+        path = write_config(tmp_path, "c.ini", tiny_config("maxwell-strichartz"))
+        assert main(["--out", str(tmp_path / "out"), "run", path]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            "maxwell-strichartz at n 8: every fixture has RHS < 1e-12")
+
+    def test_partial_discard_stays_a_count(self, tmp_path, monkeypatch):
+        ratio = cli.gn_ratio
+        calls = []
+
+        def first_degenerate(omega, n_eval):
+            calls.append(n_eval)
+            if len(calls) == 1:
+                raise ValueError("gn_ratio rejected: denominator vanishes (constant field)")
+            return ratio(omega, n_eval)
+
+        monkeypatch.setattr(cli, "gn_ratio", first_degenerate)
+        path = write_config(tmp_path, "c.ini", tiny_config("gn-ratio"))
+        assert main(["--out", str(tmp_path / "out"), "run", path]) == 0
+        levels = json.loads(read_outputs(tmp_path / "out")["gn-ratio-7.json"])["levels"]
+        assert [lv["discarded"] for lv in levels] == [1]
+
     def test_wide_vortex_named(self):
         cfg = {
             "seed": 0, "n": 32, "box_length": 2.0, "out": ".",
@@ -395,14 +465,18 @@ class TestNonConvergence:
 
 class TestRatioPool:
     """--threads spreads the members of a ratio or maxwell-strichartz family
-    over one pool, one level at a time."""
+    over one pool, in one map per run; a ratio member takes every level in
+    its own task."""
 
     @pytest.mark.parametrize("body", [
         "[bb-ratio-3d]\nseed = 7\nn = 16\nbox_length = 6.283185307179586\ncount = 3\n",
         "[bb-ratio-2d]\nseed = 7\nn = 16\nbox_length = 6.283185307179586\ncount = 3\n"
         "n_eval = 32 16 64\n",
+        "[bb-ratio-3d]\nseed = 7\nn = 8\nbox_length = 6.283185307179586\ncount = 3\n"
+        "n_eval = 8 16\n",
         tiny_config("maxwell-strichartz").replace("count = 1", "count = 3"),
-    ], ids=["bb-ratio-3d-single-level", "bb-ratio-2d-three-levels", "maxwell-strichartz"])
+    ], ids=["bb-ratio-3d-single-level", "bb-ratio-2d-three-levels", "bb-ratio-3d-two-levels",
+            "maxwell-strichartz"])
     def test_reports_independent_of_threads(self, tmp_path, body):
         path = write_config(tmp_path, "r.ini", body)
         outputs = []
@@ -438,8 +512,8 @@ class TestRatioPool:
         for threads, expect in ((5000, 4), (3, 3), (1, 1)):
             assert main(["--threads", str(threads), "--out", str(tmp_path / "o"), "run", path]) == 0
             assert workers.pop() == expect
-        assert mapped == [4, 4, 3, 3]  # both levels through the pool; one thread maps here
+        assert mapped == [4, 3]  # one map per run, over both levels; one thread maps here
         body = tiny_config("maxwell-strichartz").replace("count = 1", "count = 3")
         path = write_config(tmp_path, "ms.ini", body)
         assert main(["--threads", "2", "--out", str(tmp_path / "m"), "run", path]) == 0
-        assert workers == [2] and mapped[4:] == [2]  # the fixtures share the pool too
+        assert workers == [2] and mapped[2:] == [2]  # the fixtures share the pool too

@@ -21,15 +21,18 @@ from vortexlab.fields import (
     gradient,
     hs_norm,
     hs_sq,
-    jacobian_magnitude,
+    PlaneSampler,
+    _magnitude,
+    gradient_planes,
     lp_norm,
+    magnitude_norm,
     mean_is_negligible,
-    spectral_refine,
     time_lq_norm,
     w11_norm,
 )
 from vortexlab.maxwell_wave import StrichartzExponents, strichartz_sides
 from vortexlab.random_data import wave_fixture_family
+from test_spectral_properties import spectral_refine
 
 TWO_PI = 2.0 * np.pi
 
@@ -210,14 +213,19 @@ class TestCalculus:
         rot = VectorField([-gr.components[1], gr.components[0]])
         assert np.max(np.abs(divergence(rot).samples)) < 1e-10
 
-    def test_jacobian_magnitude_of_single_mode(self, g64):
+    def test_gradient_magnitude_of_single_mode(self, g64):
         v = VectorField([
             ScalarField.zeros(g64),
             ScalarField.from_function(g64, lambda x, y: np.sin(x)),
         ])
-        jm = jacobian_magnitude(v)
+        sample = PlaneSampler(g64)
+        planes = list(gradient_planes(v))
+        jm = _magnitude(sample(d) for d in planes)
         exact = np.abs(np.cos(g64.meshgrid()[0]))
-        assert np.max(np.abs(jm.samples - exact)) < 1e-10
+        assert np.max(np.abs(jm - exact)) < 1e-10
+        assert magnitude_norm(sample, planes, np.inf, "grad v") == pytest.approx(1.0, abs=1e-10)
+        assert magnitude_norm(sample, planes, 1, "grad v") == pytest.approx(lp_norm(
+            ScalarField(g64, exact), 1), rel=1e-10)
 
 
 class TestLpNorms:

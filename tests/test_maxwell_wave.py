@@ -11,7 +11,6 @@ from vortexlab.fields import (
     divergence,
     hs_norm,
     lp_norm,
-    spectral_refine,
 )
 from vortexlab.maxwell_wave import (
     CurrentDensity,
@@ -28,6 +27,7 @@ from vortexlab.maxwell_wave import (
 )
 from vortexlab.heat import SERIES_Z
 from vortexlab.random_data import random_vector_field, wave_fixture_family
+from test_spectral_properties import spectral_refine
 
 TWO_PI = 2.0 * np.pi
 

@@ -5,7 +5,7 @@ import pytest
 
 from vortexlab import fields, mild_solver
 from vortexlab.biot_savart import CirculationObstructionError, velocity_from_vorticity_2d
-from vortexlab.fields import (Grid, ScalarField, Trajectory, jacobian_magnitude, lp_norm,
+from vortexlab.fields import (Grid, ScalarField, Trajectory, _magnitude, derivative, lp_norm,
                               w11_norm, w11_norms)
 from vortexlab.heat import etd_weights, heat_evolve
 from vortexlab.mild_solver import (
@@ -24,6 +24,13 @@ from vortexlab.oseen import oseen_dipole
 from vortexlab.random_data import smooth_bump, two_mode_vorticity
 
 TWO_PI = 2.0 * np.pi
+
+
+def jacobian_magnitude(v):
+    """Pointwise Frobenius magnitude of the gradient tensor of v, from the
+    field-layer derivatives."""
+    return ScalarField(v.grid, _magnitude(
+        derivative(c, a).samples for c in v.components for a in range(v.grid.dim)))
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from vortexlab.biot_savart import (
 )
 from vortexlab.fields import (
     Grid,
+    PlaneSampler,
     ScalarField,
     VectorField,
     curl3d,
@@ -20,10 +21,10 @@ from vortexlab.fields import (
     divergence,
     fractional_laplacian,
     _magnitude,
+    batch_samples,
     hs_norm,
-    on_eval_grid,
+    magnitude_norm,
     refined_samples,
-    spectral_refine,
 )
 from vortexlab.heat import heat_evolve
 
@@ -96,8 +97,8 @@ def ref_refine(f, n_new):
 def padded_refine(f, n_new):
     """f (scalar or vector) on the n_new grid from its half spectrum with the
     Nyquist planes dropped, placed by wavenumber into a zero n_new-point half
-    spectrum and scaled: the zero-padding reference of spectral_refine, as a
-    field that holds that spectrum."""
+    spectrum and scaled: the zero-padding reference of ``refined_samples``,
+    as a field that holds that spectrum."""
     if isinstance(f, VectorField):
         return VectorField([padded_refine(c, n_new) for c in f.components])
     g = f.grid
@@ -108,6 +109,17 @@ def padded_refine(f, n_new):
     coeffs[np.ix_(*[k[i] % n_new for i in keep])] = (
         f.spectrum()[np.ix_(*keep)] * (n_new / g.n) ** g.dim)
     return ScalarField.from_spectrum(fine, coeffs)
+
+
+def spectral_refine(f, n_new):
+    """f (scalar or vector) on the n_new grid as a field that holds the
+    samples ``refined_samples`` gives it, or f itself at its own n."""
+    if isinstance(f, VectorField):
+        return VectorField([spectral_refine(c, n_new) for c in f.components])
+    g = f.grid
+    if n_new == g.n:
+        return f
+    return ScalarField(Grid(g.dim, n_new, g.box_length), refined_samples(g, f.spectrum(), n_new))
 
 
 def ref_inv_ksq(grid):
@@ -237,15 +249,18 @@ def test_spectral_refine_band_limited(grid, seed, factor):
 
 @PROPERTY
 @given(grid=grids, seed=seeds, factor=st.sampled_from([1, 2, 3]))
-def test_on_eval_grid(grid, seed, factor):
-    # the field itself on its own grid, else its refinement
+def test_sampler_on_own_grid_and_finer(grid, seed, factor):
+    # batch_samples on the field's own grid, else the samples of its refinement
     rng = np.random.default_rng(seed)
     v = VectorField([band_limited(grid, rng) for _ in range(grid.dim)])
-    assert on_eval_grid(v, None) is v and on_eval_grid(v, grid.n) is v
-    got = on_eval_grid(v, factor * grid.n)
-    want = spectral_refine(v, factor * grid.n)
-    assert all(np.array_equal(a.samples, b.samples)
-               for a, b in zip(got.components, want.components))
+    sample = PlaneSampler(grid, factor * grid.n)
+    assert sample.eval_grid == Grid(grid.dim, factor * grid.n, grid.box_length)
+    assert PlaneSampler(grid).eval_grid == grid
+    want = padded_refine(v, factor * grid.n)  # Nyquist-free: equal at factor 1 too
+    for a, b in zip(v.components, want.components):
+        assert np.array_equal(sample(a.spectrum()), b.samples)
+        if factor == 1:
+            assert np.array_equal(sample(a.spectrum()), batch_samples(grid, a.spectrum()))
 
 
 @PROPERTY
@@ -258,9 +273,24 @@ def test_refined_samples_equal_zero_padding_bitwise(grid, seed, factor):
     n_new = factor * grid.n
     want = padded_refine(f, n_new).samples
     assert np.array_equal(refined_samples(grid, f.spectrum(), n_new), want)
-    if factor > 1:
-        assert np.array_equal(spectral_refine(f, n_new).samples, want)
     assert_close(want, ref_refine(f, n_new))
+
+
+@PROPERTY
+@given(grid=st.builds(Grid, dim=st.sampled_from([2, 3]), n=st.sampled_from([8, 10, 16]),
+                      box_length=st.sampled_from([2.0 * np.pi, 3.0])),
+       seed=seeds, factor=st.sampled_from([1, 2, 3, 4]))
+def test_reused_sampler_equals_zero_padding_bitwise(grid, seed, factor):
+    # one sampler over a sequence of different spectra: its kept buffers must
+    # hold nothing of an earlier call (unrestricted input, Nyquist planes too)
+    rng = np.random.default_rng(seed)
+    sample = PlaneSampler(grid, factor * grid.n)
+    for _ in range(3):
+        f = ScalarField(grid, rng.standard_normal(grid.shape))
+        want = padded_refine(f, factor * grid.n).samples
+        assert np.array_equal(sample.staged(f.spectrum()), want)
+        if factor > 1:
+            assert np.array_equal(sample(f.spectrum()), want)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -269,15 +299,24 @@ def test_non_integer_refinement_equals_zero_padding_bitwise(dim):
     grid = Grid(dim, 16, 3.0)
     v = VectorField([band_limited(grid, np.random.default_rng(dim + a)) for a in range(dim)])
     fine = spectral_refine(v, 24)
-    for got, want in zip(fine.components, padded_refine(v, 24).components):
+    sample = PlaneSampler(grid, 24)  # one sampler, reused over the components
+    for c, got, want in zip(v.components, fine.components, padded_refine(v, 24).components):
         assert got.grid == want.grid == Grid(dim, 24, 3.0)
         assert np.array_equal(got.samples, want.samples)
+        assert np.array_equal(sample(c.spectrum()), want.samples)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_refined_field_holds_samples_only(dim):
+    # a one-shot refinement is the caller's own array, not a sampler's buffer
+    # that a later call would overwrite
     f = band_limited(Grid(dim, 8, 2.5), np.random.default_rng(0))
-    fine = spectral_refine(f, 16)
+    first = refined_samples(f.grid, f.spectrum(), 16)
+    kept = first.copy()
+    second = refined_samples(f.grid, (2.0 * f).spectrum(), 16)
+    assert first is not second and first.flags.writeable
+    assert np.array_equal(first, kept) and np.array_equal(second, 2.0 * kept)
+    fine = ScalarField(Grid(dim, 16, 2.5), first)
     assert fine._spectrum is None and not fine.samples.flags.writeable
 
 
@@ -288,7 +327,7 @@ def test_vector_refine_and_restrict(grid, seed):
     # restrict it back to the input
     rng = np.random.default_rng(seed)
     v = VectorField([band_limited(grid, rng) for _ in range(grid.dim)])
-    fine = assert_componentwise(spectral_refine, v, 2 * grid.n)
+    fine = spectral_refine(v, 2 * grid.n)
     for b, c in zip(fine.components, v.components):
         assert_close(b.samples[(slice(None, None, 2),) * grid.dim], c.samples)
 
@@ -337,3 +376,35 @@ def test_magnitude_equals_stacked_formula(planes):
     # accumulated plane by plane, it adds in the order np.sum takes over axis 0
     got = _magnitude(iter(list(planes)))
     assert np.array_equal(got, np.sqrt(np.sum(planes * planes, axis=0)))
+
+
+def general_magnitude_norm(planes, grid, p):
+    """(sum |m|^p h^d)^(1/p) of m = sqrt(sum of squared planes), by pow."""
+    m = np.sqrt(np.sum(planes * planes, axis=0))
+    if np.isinf(p):
+        return float(np.max(m))
+    return float((float(np.sum(m ** float(p))) * grid.cell_measure) ** (1.0 / p))
+
+
+@PROPERTY
+@given(grid=grids, seed=seeds, count=st.sampled_from([1, 2, 3, 9]),
+       factor=st.sampled_from([1, 2]), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, np.inf]))
+def test_magnitude_norm_fast_paths_match_general_formula(grid, seed, count, factor, p):
+    rng = np.random.default_rng(seed)
+    spectra = [band_limited(grid, rng).spectrum() for _ in range(count)]
+    sample = PlaneSampler(grid, factor * grid.n)
+    planes = np.stack([sample(s).copy() for s in spectra])
+    want = general_magnitude_norm(planes, sample.eval_grid, p)
+    got = magnitude_norm(sample, spectra, p, "m")
+    assert abs(got - want) <= 1e-15 * want
+    if p in (1.0, 1.5, 2.0, np.inf):  # the same operations in the same order
+        assert got == want
+
+
+@pytest.mark.parametrize("bad, p", [(1e200, 2.0), (1e200, 1.0), (1e200, np.inf), (np.nan, 3.0)])
+def test_magnitude_norm_names_itself_when_not_finite(bad, p):
+    grid = Grid(3, 8, 2.0 * np.pi)
+    f = band_limited(grid, np.random.default_rng(1))
+    spectrum = f.spectrum() * bad if np.isfinite(bad) else np.full(grid.spectral_shape, bad)
+    with pytest.raises(ValueError, match=f"norm 'grad f' \\(p = {p:g}\\) must be finite"):
+        magnitude_norm(PlaneSampler(grid, 16), [spectrum, spectrum], p, "grad f")
