@@ -12,11 +12,12 @@ from .fields import (
     Grid,
     ScalarField,
     VectorField,
+    _readonly,
     batch_samples,
     curl3d,
     fractional_laplacian,
     hs_sq,
-    negligible_means,
+    mean_is_negligible,
 )
 
 
@@ -25,30 +26,28 @@ class CirculationObstructionError(ValueError):
 
 
 def _check_mean_zero(f: ScalarField, what: str):
-    _check_means_zero(f.grid, f.spectrum()[None], what)
-
-
-def _check_means_zero(grid: Grid, spectra: np.ndarray, what: str):
-    """Raise unless every field of a stack of half spectra (leading axis) is mean-zero."""
-    bad = np.flatnonzero(~negligible_means(grid, spectra))
+    """Raise unless f, or every field of a stack, is mean-zero."""
+    bad = np.flatnonzero(~np.asarray(mean_is_negligible(f)))
     if bad.size:
+        g = f.grid
+        row = f.spectrum().reshape((-1,) + g.spectral_shape)[bad[0]]
         raise CirculationObstructionError(
             f"circulation obstruction on torus: {what} has nonzero mean "
-            f"{batch_samples(grid, spectra[bad[0]]).mean():.3e} "
+            f"{batch_samples(g, row).mean():.3e} "
             "(|mean| must be <= 1e-10 * max|field|)"
         )
 
 
 def _check_solenoidal(grid: Grid, components):
-    """Raise unless each vector field of a stack, given as one stack of half
-    spectra per component, has a discrete divergence below 1e-8 of its size
-    (both L2 norms, by Parseval; |i k.u| = |k.u|)."""
+    """Raise unless a vector field, or each of a stack, given as one (stack
+    of) half spectra per component, has a discrete divergence below 1e-8 of
+    its size (both L2 norms, by Parseval; |i k.u| = |k.u|)."""
     size = np.sqrt(sum(hs_sq(grid, c) for c in components))
     div = np.sqrt(hs_sq(grid, sum(grid.deriv_wavenumber(a) * c for a, c in enumerate(components))))
     bad = np.flatnonzero((size > 0) & (div > 1e-8 * size))
     if bad.size:
         raise ValueError(
-            f"field is not solenoidal: |div|_2 = {div[bad[0]]:.3e} vs 1e-8 * |u|_2"
+            f"field is not solenoidal: |div|_2 = {np.ravel(div)[bad[0]]:.3e} vs 1e-8 * |u|_2"
         )
 
 
@@ -58,33 +57,24 @@ class SolenoidalVectorField(VectorField):
 
     def __init__(self, components):
         super().__init__(components)
-        _check_solenoidal(self.grid, [c.spectrum()[None] for c in self.components])
-
-
-def _biot_savart_2d(grid: Grid, spectra: np.ndarray) -> np.ndarray:
-    """v = (-Lap)^{-1} (d2 omega, -d1 omega) for each omega of a stack of half
-    spectra (leading axis): shape (2, count, *grid.spectral_shape)."""
-    k = [grid.deriv_wavenumber(a) for a in range(2)]
-    multipliers = np.stack(np.broadcast_arrays(1j * k[1], -1j * k[0]))[:, None]
-    return multipliers * (grid.kpow(-2.0) * spectra)
-
-
-def velocity_spectra_2d(grid: Grid, spectra: np.ndarray) -> np.ndarray:
-    """2D Biot-Savart of each vorticity of a stack of half spectra: each must
-    be mean-zero and each velocity solenoidal."""
-    _check_means_zero(grid, spectra, "vorticity")
-    v = _biot_savart_2d(grid, spectra)
-    _check_solenoidal(grid, v)
-    return v
+        _check_solenoidal(self.grid, self.component_spectra())
 
 
 def velocity_from_vorticity_2d(omega: ScalarField) -> SolenoidalVectorField:
-    """2D Biot-Savart of one vorticity: the stack rules on a stack of one."""
+    """2D Biot-Savart v = (-Lap)^{-1} (d2 omega, -d1 omega) of a vorticity,
+    or of each of a stack (a velocity of stacked components): each vorticity
+    must be mean-zero and each velocity solenoidal."""
     g = omega.grid
     if g.dim != 2:
         raise ValueError("velocity_from_vorticity_2d requires a 2D scalar field")
     _check_mean_zero(omega, "vorticity")
-    return SolenoidalVectorField.from_spectra(g, _biot_savart_2d(g, omega.spectrum()[None])[:, 0])
+    k = [g.deriv_wavenumber(a) for a in range(2)]
+    multipliers = np.stack(np.broadcast_arrays(1j * k[1], -1j * k[0]))
+    # one array for both components: as two, the Picard CLI runs took 7x the page faults
+    v = multipliers.reshape((2,) + (1,) * len(omega.lead) + g.spectral_shape) * (
+        g.kpow(-2.0) * omega.spectrum())
+    # not scanned again: omega was, and the multipliers are at most L / 2 pi in size
+    return SolenoidalVectorField([ScalarField._held(g, spectrum=c) for c in _readonly(v)])
 
 
 def velocity_from_vorticity_3d(omega: VectorField) -> SolenoidalVectorField:

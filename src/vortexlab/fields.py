@@ -15,20 +15,20 @@ Conventions, fixed once for the whole package:
 * All integral norms carry the cell measure ``h**dim`` so values converge
   to continuum integrals under refinement.
 * Vector magnitudes (including gradient tensors) are pointwise Euclidean.
-* A per-field operation decorated ``componentwise`` (the heat semigroup,
-  the fractional Laplacian) takes a VectorField too, and applies
-  to each component with the same arguments; callers never map components.
 * A field keeps the grid it was built on, and spectral work never leaves
   it.  A norm on an evaluation grid is ``magnitude_norm``: a ``PlaneSampler``
   samples the half spectra there plane by plane into buffers it keeps, exact
   for a field without Nyquist content; no evaluation-grid spectrum is built.
-* A stack of fields (a trajectory) is an array with leading axes before the
-  field's own; its transforms and reductions run over the last ``dim`` axes,
-  bitwise as for each field alone, one batched call per ``blocks`` slice.
+* A field may be a stack (a trajectory): its arrays carry leading axes
+  ``lead`` before the grid's own, and ``f[i]`` is row i, over views.  Its
+  transforms and each rule below (norms, mean-zero test, Biot-Savart, heat)
+  run over the last ``dim`` axes, bitwise as for each row alone, one batched
+  call per ``blocks`` slice; a rule gives a float for an unstacked field and
+  an array of shape ``lead`` for a stack.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,21 +166,25 @@ def _magnitude(comps) -> np.ndarray:
 
 
 class ScalarField:
-    """A real field on a Grid, held in the domain it was built in.
+    """A real field on a Grid, or a stack of them, held in the domain it was
+    built in: samples of shape ``lead + grid.shape`` and/or half spectra of
+    shape ``lead + grid.spectral_shape``, where ``lead`` is () for one field.
 
-    Samples and the rfftn half spectrum are each computed on first use and
-    then cached; both are read-only.  Linear arithmetic keeps every domain
-    both operands already hold, and transforms only when they share none.
+    Both are checked finite once, at construction, and are read-only; each is
+    computed over the last ``dim`` axes on first use and then cached.  Linear
+    arithmetic keeps every domain both operands already hold, and transforms
+    only when they share none.
     """
 
     __slots__ = ("grid", "_samples", "_spectrum")
+    __iter__ = None  # rows are read by index, so a stack is never unpacked by accident
 
     def __init__(self, grid: Grid, samples=None, *, spectrum=None):
         """From real samples (checked finite; copied unless read-only), from
         rfftn coefficients (see from_spectrum), or from both."""
         if samples is not None:
             samples = np.asarray(samples, dtype=np.float64)
-            if samples.shape != grid.shape:
+            if samples.shape[-grid.dim:] != grid.shape:
                 raise ValueError(
                     f"samples shape {samples.shape} does not match grid {grid.shape}"
                 )
@@ -189,7 +193,7 @@ class ScalarField:
             samples = _readonly(samples.copy() if samples.flags.writeable else samples)
         if spectrum is not None:
             spectrum = np.asarray(spectrum, dtype=np.complex128)
-            if spectrum.shape != grid.spectral_shape:
+            if spectrum.shape[-grid.dim:] != grid.spectral_shape:
                 raise ValueError(
                     f"spectrum shape {spectrum.shape} is not the rfftn half "
                     f"spectrum shape {grid.spectral_shape} of grid {grid.shape}"
@@ -202,6 +206,29 @@ class ScalarField:
         self.grid = grid
         self._samples = samples
         self._spectrum = spectrum
+
+    @classmethod
+    def _held(cls, grid: Grid, samples=None, spectrum=None) -> "ScalarField":
+        """A field over arrays taken as they are, neither copied nor checked:
+        views of a checked field, spectra a bounded multiplier derives from
+        one, or samples whose norm reports overflow."""
+        f = cls.__new__(cls)
+        f.grid, f._samples, f._spectrum = grid, samples, spectrum
+        return f
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        """The stack axes before the grid's own; () for one field."""
+        held = self._spectrum if self._samples is None else self._samples
+        return held.shape[:held.ndim - self.grid.dim]
+
+    def __getitem__(self, i) -> "ScalarField":
+        """Row i (an index or a slice along the first stack axis), over views
+        of what the stack holds; not checked again."""
+        if not self.lead:
+            raise TypeError("an unstacked field has no rows")
+        return ScalarField._held(self.grid, *(None if a is None else a[i]
+                                              for a in (self._samples, self._spectrum)))
 
     @classmethod
     def zeros(cls, grid: Grid) -> "ScalarField":
@@ -226,10 +253,11 @@ class ScalarField:
 
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            self._spectrum = _readonly(np.fft.rfftn(self._samples))
+            self._spectrum = _readonly(np.fft.rfftn(self._samples, axes=range(-self.grid.dim, 0)))
         return self._spectrum
 
     def mean(self) -> float:
+        """Mean of an unstacked field."""
         return float(self.samples.mean())
 
     def _linear(self, op, *others) -> "ScalarField":
@@ -271,7 +299,7 @@ class ScalarField:
 
 
 class VectorField:
-    """dim ScalarField components sharing one grid."""
+    """dim ScalarField components sharing one grid and one ``lead``."""
 
     __slots__ = ("grid", "components")
 
@@ -285,10 +313,18 @@ class VectorField:
                 f"expected {grid.dim} components, got {len(components)}"
             )
         for c in components[1:]:
-            if c.grid != grid:
-                raise ValueError("vector components must share one grid")
+            if c.grid != grid or c.lead != components[0].lead:
+                raise ValueError("vector components must share one grid and stack axes")
         self.grid = grid
         self.components = components
+
+    @property
+    def lead(self) -> tuple[int, ...]:
+        return self.components[0].lead
+
+    def __getitem__(self, i) -> "VectorField":
+        """Row i of a stack of vector fields: row i of each component."""
+        return VectorField([c[i] for c in self.components])
 
     @classmethod
     def zeros(cls, grid: Grid) -> "VectorField":
@@ -324,52 +360,30 @@ class VectorField:
         return f"VectorField(dim={self.grid.dim}, n={self.grid.n}, L={self.grid.box_length})"
 
 
-def componentwise(op):
-    """Lift op(f: ScalarField, *args) -> ScalarField to VectorFields, one
-    component at a time with the same arguments."""
-    @wraps(op)
-    def lifted(f, *args):
-        if isinstance(f, VectorField):
-            return VectorField([op(c, *args) for c in f.components])
-        return op(f, *args)
-    return lifted
-
-
 class Trajectory:
-    """Time-indexed fields on a uniform lattice over [0, t_max]."""
+    """Fields at the times of a uniform lattice over [0, t_max], held as one
+    stack whose leading axis is time: a ScalarField, or a VectorField of
+    stacked components."""
 
-    __slots__ = ("grid", "times", "snapshots", "_spectra")
+    __slots__ = ("grid", "times", "field")
 
-    def __init__(self, times, snapshots):
+    def __init__(self, times, field):
         times = np.asarray(times, dtype=np.float64)
-        snapshots = list(snapshots)
-        if times.ndim != 1 or len(times) != len(snapshots):
+        if times.ndim != 1 or field.lead != times.shape:
             raise ValueError("times and snapshots must have equal length")
         if len(times) == 0:
             raise ValueError("empty trajectory")
         dts = np.diff(times)
         if len(dts) and (np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-10, atol=0)):
             raise ValueError("times must be strictly increasing and uniform")
-        self.grid = snapshots[0].grid
-        for s in snapshots[1:]:
-            if s.grid != self.grid:
-                raise ValueError("all snapshots must share one grid")
+        self.grid = field.grid
         self.times = times
-        self.snapshots = snapshots
-        self._spectra = None
+        self.field = field
 
-    @classmethod
-    def from_spectra(cls, times, grid: Grid, spectra: np.ndarray) -> "Trajectory":
-        """Snapshots over the rows of a complex stack of half spectra (leading
-        time axis), which is kept without a copy and made read-only."""
-        traj = cls(times, [ScalarField.from_spectrum(grid, c) for c in _readonly(spectra)])
-        traj._spectra = spectra
-        return traj
-
-    def spectra(self) -> np.ndarray:
-        """Snapshot half spectra stacked, shape (len(self), *grid.spectral_shape)."""
-        return self._spectra if self._spectra is not None else np.stack(
-            [s.spectrum() for s in self.snapshots])
+    @property
+    def snapshots(self) -> list:
+        """The field at each time: the rows of the stack, over views."""
+        return [self.field[i] for i in range(len(self.times))]
 
     def __len__(self):
         return len(self.times)
@@ -434,13 +448,7 @@ class PlaneSampler:
     def __init__(self, grid: Grid, n_eval: int | None = None):
         check_n_eval(grid, n_eval)
         self.grid, self.eval_grid = grid, Grid(grid.dim, n_eval or grid.n, grid.box_length)
-        m, half = self.eval_grid.n, grid.n // 2  # the staged buffers, zeroed once
-        self._scaled = np.empty(grid.spectral_shape[:-1] + (half,), dtype=np.complex128)
-        shapes = [(m,) * (a + 1) + (grid.n,) * (grid.dim - 2 - a) + (half,)
-                  for a in range(grid.dim - 1)]
-        self._stages = [(np.zeros(s, dtype=np.complex128), np.empty(s, dtype=np.complex128))
-                        for s in shapes]
-        self._out = np.empty(self.eval_grid.shape)
+        self._buffers = None  # the staged transform's, built on its first call
 
     def __call__(self, spectrum: np.ndarray) -> np.ndarray:
         own = self.eval_grid == self.grid
@@ -451,18 +459,20 @@ class PlaneSampler:
         ``ifft`` per axis but the last over the kept modes, writing only their
         rows, then ``irfft``; bitwise ``irfftn`` of the zero-padded spectrum."""
         g, m, half = self.grid, self.eval_grid.n, self.grid.n // 2
-        a = np.multiply(spectrum[..., :half], (m / g.n) ** g.dim, out=self._scaled)
-        for axis, (padded, out) in enumerate(self._stages):
+        if self._buffers is None:  # the padded stage inputs are zeroed once
+            shapes = [(m,) * (a + 1) + (g.n,) * (g.dim - 2 - a) + (half,)
+                      for a in range(g.dim - 1)]
+            self._buffers = (np.empty(g.spectral_shape[:-1] + (half,), dtype=np.complex128),
+                             [(np.zeros(s, dtype=np.complex128), np.empty(s, dtype=np.complex128))
+                              for s in shapes], np.empty(self.eval_grid.shape))
+        scaled, stages, result = self._buffers
+        a = np.multiply(spectrum[..., :half], (m / g.n) ** g.dim, out=scaled)
+        for axis, (padded, out) in enumerate(stages):
             # wavenumbers 0..half-1 and -(half-1)..-1: the same index on both grids
             for k in (slice(0, half), slice(1 - half, None)):
                 padded[(slice(None),) * axis + (k,)] = a[(slice(None),) * axis + (k,)]
             a = np.fft.ifft(padded, axis=axis, out=out)
-        return np.fft.irfft(a, n=m, axis=-1, out=self._out)
-
-
-def refined_samples(grid: Grid, spectrum: np.ndarray, n_new: int) -> np.ndarray:
-    """``PlaneSampler.staged`` of a fresh sampler, whose result the caller owns."""
-    return PlaneSampler(grid, n_new).staged(spectrum)
+        return np.fft.irfft(a, n=m, axis=-1, out=result)
 
 
 def check_n_eval(grid: Grid, n_eval: int | None):
@@ -471,11 +481,13 @@ def check_n_eval(grid: Grid, n_eval: int | None):
         raise ValueError(f"n_eval must be even and >= n = {grid.n}, got {n_eval}")
 
 
-@componentwise
-def fractional_laplacian(f: ScalarField, power: float) -> ScalarField:
-    """Multiplier |k|^power; the zero mode is dropped (mean-zero input for
-    power < 0, same obstruction as the homogeneous Sobolev norms)."""
-    if power < 0 and not mean_is_negligible(f):
+def fractional_laplacian(f, power: float):
+    """Multiplier |k|^power on a scalar field, or on each component of a
+    vector field; the zero mode is dropped (mean-zero input for power < 0,
+    same obstruction as the homogeneous Sobolev norms)."""
+    if isinstance(f, VectorField):
+        return VectorField([fractional_laplacian(c, power) for c in f.components])
+    if power < 0 and not np.all(mean_is_negligible(f)):
         raise ValueError("fractional_laplacian with power < 0 needs a mean-zero field")
     return ScalarField.from_spectrum(f.grid, f.grid.kpow(power) * f.spectrum())
 
@@ -483,27 +495,34 @@ def fractional_laplacian(f: ScalarField, power: float) -> ScalarField:
 # ---------------------------------------------------------------------------
 # norms
 
-def lp_norm(f, p: float) -> float:
-    """Discrete Lp norm with cell measure; vectors use pointwise Euclidean magnitude."""
+def _stacked(a: np.ndarray, dim: int) -> np.ndarray:
+    """a with its stack axes flattened into one leading axis (of length 1 for one field)."""
+    return a.reshape((-1,) + a.shape[a.ndim - dim:])
+
+
+def _per_field(f, values: list):
+    """values, one per field of f in row order: the one value of an unstacked
+    field, else an array of shape f.lead."""
+    return np.array(values).reshape(f.lead) if f.lead else values[0]
+
+
+def lp_norm(f, p: float):
+    """Discrete Lp norm (p >= 1) with cell measure of a field or of each field
+    of a stack; vectors use pointwise Euclidean magnitude."""
     if p < 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
     vector = isinstance(f, VectorField)
     samples = _magnitude(c.samples for c in f.components) if vector else f.samples
-    return lp_norms(f.grid, samples[None], p)[0]
-
-
-def lp_norms(grid: Grid, samples: np.ndarray, p: float) -> list[float]:
-    """lp_norm of each field of a stack of real samples (leading axis), p >= 1."""
-    axes = tuple(range(-grid.dim, 0))
+    samples, axes = _stacked(samples, f.grid.dim), tuple(range(-f.grid.dim, 0))
     if np.isinf(p):
-        return [float(m) for m in np.max(np.abs(samples), axis=axes)]
+        return _per_field(f, [float(m) for m in np.max(np.abs(samples), axis=axes)])
     if p == 1:
         sums = np.sum(np.abs(samples), axis=axes)
     elif p == 2:
         sums = np.sum(samples * samples, axis=axes)
     else:
         sums = np.sum(np.abs(samples) ** float(p), axis=axes)
-    return [float((float(s) * grid.cell_measure) ** (1.0 / p)) for s in sums]
+    return _per_field(f, [float((float(s) * f.grid.cell_measure) ** (1.0 / p)) for s in sums])
 
 
 def magnitude_norm(sample: PlaneSampler, planes, p: float, name: str) -> float:
@@ -529,23 +548,22 @@ def magnitude_norm(sample: PlaneSampler, planes, p: float, name: str) -> float:
     return total
 
 
-def w11_norm(f: ScalarField) -> float:
-    """L1 norm of f plus L1 norm of its (Euclidean) gradient; 2D only."""
-    if f.grid.dim != 2:
+def w11_norm(f: ScalarField):
+    """L1 norm of f plus L1 norm of its (Euclidean) gradient, of a 2D field
+    or of each field of a stack.  Held samples are used as they are; what
+    else is read is sampled in one batched inverse transform per block."""
+    g = f.grid
+    if g.dim != 2:
         raise ValueError("w11_norm is defined for 2D scalar fields")
-    return lp_norm(f, 1) + lp_norm(gradient(f), 1)
-
-
-def w11_norms(grid: Grid, spectra: np.ndarray) -> list[float]:
-    """w11_norm of each field of a stack of 2D half spectra (leading axis),
-    with one batched inverse transform per block."""
-    if grid.dim != 2:
-        raise ValueError("w11_norms is defined for 2D scalar fields")
+    spectra, held = _stacked(f.spectrum(), 2), f._samples is not None
     out = []
     for b in blocks(len(spectra), 3 * spectra[0].nbytes):
-        f, *grad = batch_samples(grid, np.stack([spectra[b], *gradient_spectra(grid, spectra[b])]))
-        out += [a + g for a, g in zip(lp_norms(grid, f, 1), lp_norms(grid, _magnitude(grad), 1))]
-    return out
+        first = [] if held else [spectra[b]]  # f itself, unless its samples are held
+        x = batch_samples(g, np.stack(first + gradient_spectra(g, spectra[b])))
+        w = _stacked(f._samples, 2)[b] if held else x[0]
+        out += (lp_norm(ScalarField._held(g, w), 1)
+                + lp_norm(ScalarField._held(g, _magnitude(x[-2:])), 1)).tolist()
+    return _per_field(f, out)
 
 
 def hs_sq(grid: Grid, coeffs: np.ndarray, s: float = 0.0):
@@ -557,14 +575,16 @@ def hs_sq(grid: Grid, coeffs: np.ndarray, s: float = 0.0):
     return total * grid.cell_measure / grid.n**grid.dim
 
 
-def negligible_means(grid: Grid, spectra: np.ndarray) -> np.ndarray:
-    """Whether |mean| <= 1e-10 * max|f| for each field f of a stack of half
-    spectra (leading axis; an all-zero field passes).
+def mean_is_negligible(f: ScalarField):
+    """Whether |mean| <= 1e-10 * max|f| for a field or for each field of a
+    stack (an all-zero field passes).
 
     Decided from the spectrum when the mean is exactly 0, or else when
     |mean| <= 1e-10 * rms: rms <= max|f|, so that implies the sample test.
     Only the other fields are sampled.
     """
+    grid = f.grid
+    spectra = _stacked(f.spectrum(), grid.dim)
     mean = np.abs(spectra.reshape(len(spectra), -1)[:, 0].real) / grid.n**grid.dim
     ok = mean == 0
     rest = np.flatnonzero(~ok)
@@ -572,14 +592,9 @@ def negligible_means(grid: Grid, spectra: np.ndarray) -> np.ndarray:
         rms = np.sqrt(hs_sq(grid, spectra[rest]) / grid.box_length**grid.dim)
         ok[rest] = mean[rest] <= 1e-10 * rms
     for i in np.flatnonzero(~ok):
-        f = batch_samples(grid, spectra[i])
-        ok[i] = abs(float(f.mean())) <= 1e-10 * float(np.max(np.abs(f)))
-    return ok
-
-
-def mean_is_negligible(f: ScalarField) -> bool:
-    """negligible_means of one field."""
-    return bool(negligible_means(f.grid, f.spectrum()[None])[0])
+        x = batch_samples(grid, spectra[i])
+        ok[i] = abs(float(x.mean())) <= 1e-10 * float(np.max(np.abs(x)))
+    return _per_field(f, ok.tolist())
 
 
 def hs_norm(f, s: float) -> float:

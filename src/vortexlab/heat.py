@@ -15,18 +15,20 @@ from math import factorial
 
 import numpy as np
 
-from .fields import ScalarField, componentwise
+from .fields import ScalarField
 
 SERIES_Z = 0.1
 SERIES_TERMS = 12  # truncation error < 1e-17 relative for z < SERIES_Z
 
 
-@componentwise
-def heat_evolve(f: ScalarField, t: float) -> ScalarField:
-    """Apply exp(t * Laplacian) (viscosity 1) to a scalar or vector field."""
-    if t < 0:
+def heat_evolve(f: ScalarField, t) -> ScalarField:
+    """exp(t * Laplacian) f (viscosity 1) for a time t >= 0, or for each time
+    of a 1-D array t: a stack whose leading axis is t's."""
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t < 0):
         raise ValueError(f"heat_evolve requires t >= 0, got {t}")
-    return ScalarField.from_spectrum(f.grid, np.exp(-f.grid.ksq() * t) * f.spectrum())
+    decay = np.exp(-f.grid.ksq() * t.reshape(t.shape + (1,) * f.grid.dim))
+    return ScalarField.from_spectrum(f.grid, decay * f.spectrum())
 
 
 def _series_or_closed(z: np.ndarray, coeff, closed):

@@ -230,8 +230,9 @@ def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
 def solve_wave(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
                T: float, nt: int):
     """Materialized trajectories (B, dB/dt) on nt uniform times in [0, T]."""
-    times, bs, bts = zip(*wave_steps(B0, B1, j, T, nt))
-    return Trajectory(times, bs), Trajectory(times, bts)
+    times, *stacks = zip(*wave_steps(B0, B1, j, T, nt))
+    return tuple(Trajectory(times, VectorField.from_spectra(
+        B0.grid, np.stack([f.spectra() for f in x], axis=1))) for x in stacks)
 
 
 def wave_energy(B: VectorField, Bt: VectorField) -> float:

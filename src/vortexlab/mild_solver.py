@@ -11,22 +11,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .biot_savart import _check_mean_zero, velocity_spectra_2d
+from .biot_savart import _check_mean_zero, velocity_from_vorticity_2d
 from .fields import (
     Grid,
     ScalarField,
     Trajectory,
     _magnitude,
     _readonly,
+    _stacked,
+    _per_field,
     batch_samples,
     blocks,
     gradient_spectra,
     hs_sq,
-    lp_norms,
+    lp_norm,
     w11_norm,
-    w11_norms,
 )
-from .heat import etd_weights
+from .heat import etd_weights, heat_evolve
 
 CALIBRATION_NT = 16  # time samples of each trial horizon in calibrate_horizon
 MAX_HALVINGS = 20  # trial horizons calibrate_horizon halves through
@@ -80,11 +81,12 @@ class PicardTrace:
     iterations: int = 0
 
 
-def _flux_divergence(grid: Grid, spectra: np.ndarray) -> np.ndarray:
+def _flux_divergence(omega: ScalarField) -> np.ndarray:
     """Dealiased spectra of -div(v w), the advective source, for each w of a
-    block of vorticity half spectra (leading axis); v by Biot-Savart."""
-    w_and_v = batch_samples(grid, np.concatenate([spectra[None],
-                                                  velocity_spectra_2d(grid, spectra)]))
+    stack of vorticities; v by Biot-Savart."""
+    grid = omega.grid
+    w_and_v = batch_samples(grid, np.stack(
+        [omega.spectrum(), *velocity_from_vorticity_2d(omega).component_spectra()]))
     flux = np.fft.rfftn(w_and_v[1:] * w_and_v[0], axes=(-2, -1))
     div = sum(1j * grid.deriv_wavenumber(a) * flux[a] for a in range(2))
     return np.where(grid.dealias_mask(), -div, 0.0)
@@ -104,7 +106,7 @@ def apply_T(omega_traj: Trajectory, omega0: ScalarField, cfg: MildSolveConfig) -
     linear interpolant of the flux between nodes is integrated exactly
     against the heat kernel (``heat.etd_weights``).  Starting the recurrence
     from the spectrum of omega0 folds in its heat evolution.  The result is
-    a spectrum stack (``Trajectory.from_spectra``).
+    one stack of spectra.
     """
     _check_mean_zero(omega0, "initial vorticity")
     grid = cfg.grid
@@ -112,30 +114,22 @@ def apply_T(omega_traj: Trajectory, omega0: ScalarField, cfg: MildSolveConfig) -
     if len(omega_traj) != cfg.nt or not np.allclose(omega_traj.times, times, atol=0):
         raise ValueError("input trajectory does not live on the config time lattice")
     e, w_old, w_new = _panel_weights(grid, times[1] - times[0])
-    src = omega_traj.spectra()
-    out = np.empty_like(src)
+    out = np.empty((cfg.nt,) + grid.spectral_shape, dtype=np.complex128)
     out[0] = omega0.spectrum()
     d_prev = None
-    for block in blocks(cfg.nt, 3 * src[0].nbytes):  # w, v1 and v2 of each snapshot
-        for i, d_next in enumerate(_flux_divergence(grid, src[block]), start=block.start):
+    for block in blocks(cfg.nt, 3 * out[0].nbytes):  # w, v1 and v2 of each snapshot
+        for i, d_next in enumerate(_flux_divergence(omega_traj.field[block]), start=block.start):
             if i > 0:
                 out[i] = e * out[i - 1] + w_old * d_prev + w_new * d_next
                 if not np.all(np.isfinite(out[i])):
                     raise ArithmeticError("non-finite values in Duhamel term: iteration diverged")
             d_prev = d_next
-    return Trajectory.from_spectra(times, grid, out)
-
-
-def _heat_guess(omega0: ScalarField, cfg: MildSolveConfig) -> Trajectory:
-    """exp(t Lap) omega0 at every time of the lattice, as one broadcast product."""
-    t = cfg.times[:, None, None]
-    return Trajectory.from_spectra(cfg.times, cfg.grid,
-                                   np.exp(-cfg.grid.ksq() * t) * omega0.spectrum())
+    return Trajectory(times, ScalarField.from_spectrum(grid, out))
 
 
 def _sup_w11_diff(a: Trajectory, b: Trajectory) -> float:
     """sup in time of the W^{1,1} norm of a - b, differenced spectrally."""
-    return max(w11_norms(a.grid, a.spectra() - b.spectra()))
+    return max(w11_norm(a.field - b.field).tolist())
 
 
 def picard_solve(omega0: ScalarField, cfg: MildSolveConfig):
@@ -147,13 +141,13 @@ def picard_solve(omega0: ScalarField, cfg: MildSolveConfig):
     """
     _check_mean_zero(omega0, "initial vorticity")
     trace = PicardTrace()
-    current = _heat_guess(omega0, cfg)
+    current = Trajectory(cfg.times, heat_evolve(omega0, cfg.times))
     prev_diff = None
     bad_streak = 0
     for it in range(1, cfg.max_iter + 1):
         nxt = apply_T(current, omega0, cfg)
         diff = _sup_w11_diff(nxt, current)
-        trace.sup_w11.append(max(w11_norms(cfg.grid, nxt.spectra())))
+        trace.sup_w11.append(max(w11_norm(nxt.field).tolist()))
         trace.diff_w11.append(diff)
         if prev_diff is not None and prev_diff > 0:
             ratio = diff / prev_diff
@@ -186,33 +180,28 @@ def require_converged(trace: PicardTrace, cfg: MildSolveConfig):
 
 
 def snapshot_norms(omega: ScalarField) -> dict:
-    """Norm bundle of one vorticity snapshot, in report-column order: L1,
-    W11, velocity sup and gradient L2.  Each must be finite and >= 0."""
-    return trajectory_norms(omega.grid, omega.spectrum()[None])[0]
-
-
-def trajectory_norms(grid: Grid, spectra: np.ndarray) -> list[dict]:
-    """snapshot_norms of each vorticity of a stack of half spectra (leading
-    axis), with one batched inverse transform per block."""
-    v_hat = velocity_spectra_2d(grid, spectra)
-    rows = []
-    for b in blocks(len(spectra), 9 * spectra[0].nbytes):
-        v = list(v_hat[:, b])
-        w, dw1, dw2, v1, v2, *grad_v = batch_samples(grid, np.stack(
-            [spectra[b], *gradient_spectra(grid, spectra[b]), *v,
-             *(d for c in v for d in gradient_spectra(grid, c))]))
+    """Norm bundle of a vorticity, or of each of a stack, in report-column
+    order: L1, W11, velocity sup and gradient L2, with one batched inverse
+    transform per block.  Each must be finite and >= 0."""
+    g, v = omega.grid, velocity_from_vorticity_2d(omega)
+    w_hat, *v_hat = (_stacked(x, 2) for x in (omega.spectrum(), *v.component_spectra()))
+    columns = {"L1": [], "W11": [], "Linf_v": [], "L2_gradv": []}
+    for b in blocks(len(w_hat), 9 * w_hat[0].nbytes):
+        w, dw1, dw2, v1, v2, *grad_v = batch_samples(g, np.stack(
+            [w_hat[b], *gradient_spectra(g, w_hat[b]), *(c[b] for c in v_hat),
+             *(d for c in v_hat for d in gradient_spectra(g, c[b]))]))
         # an overflowed magnitude is reported below, by the norm it reaches
         with np.errstate(over="ignore"):
-            l1 = lp_norms(grid, w, 1)
-            grad_l1 = lp_norms(grid, _magnitude([dw1, dw2]), 1)
-            columns = {"L1": l1, "W11": [a + g for a, g in zip(l1, grad_l1)],
-                       "Linf_v": lp_norms(grid, _magnitude([v1, v2]), np.inf),
-                       "L2_gradv": lp_norms(grid, _magnitude(grad_v), 2)}
-        rows += [dict(zip(columns, values)) for values in zip(*columns.values())]
-    for label, value in (item for row in rows for item in row.items()):
+            l1, grad_l1, linf_v, l2_gradv = (
+                lp_norm(ScalarField._held(g, x), p) for x, p in
+                ((w, 1), (_magnitude([dw1, dw2]), 1), (_magnitude([v1, v2]), np.inf),
+                 (_magnitude(grad_v), 2)))
+        for column, values in zip(columns.values(), (l1, l1 + grad_l1, linf_v, l2_gradv)):
+            column += values.tolist()
+    for label, value in ((k, x) for k, xs in columns.items() for x in xs):
         if not 0 <= value < np.inf:
             raise ValueError(f"norm {label!r} must be finite and >= 0, got {value}")
-    return rows
+    return {k: _per_field(omega, xs) for k, xs in columns.items()}
 
 
 def calibrate_horizon(omega0: ScalarField, grid: Grid, t_max: float):
@@ -233,7 +222,7 @@ def calibrate_horizon(omega0: ScalarField, grid: Grid, t_max: float):
 
 def first_contraction_ratio(omega0: ScalarField, cfg: MildSolveConfig) -> float:
     """Ratio of the first two successive-difference norms of the iteration."""
-    guess = _heat_guess(omega0, cfg)
+    guess = Trajectory(cfg.times, heat_evolve(omega0, cfg.times))
     first = apply_T(guess, omega0, cfg)
     second = apply_T(first, omega0, cfg)
     d1 = _sup_w11_diff(first, guess)
@@ -273,8 +262,8 @@ def reference_stepper(omega0: ScalarField, t0: float, nt_fine: int) -> Trajector
         raise ValueError("nt_fine must be >= 2")
     ksq = grid.ksq()
     times = np.linspace(0.0, t0, nt_fine)
-    w_hat = omega0.spectrum()
-    snaps = [omega0]
+    spectra = np.empty((nt_fine,) + grid.spectral_shape, dtype=np.complex128)
+    spectra[0] = w_hat = omega0.spectrum()
     for i in range(nt_fine - 1):
         span = times[i + 1] - times[i]
         _, vmax = _nonlinear_rhs(w_hat, grid)
@@ -303,8 +292,8 @@ def reference_stepper(omega0: ScalarField, t0: float, nt_fine: int) -> Trajector
                     f"enstrophy increased ({ens_old:.6e} -> {ens_new:.6e}): "
                     "step unstable"
                 )
-        snaps.append(ScalarField.from_spectrum(grid, w_hat))
-    return Trajectory(times, snaps)
+        spectra[i + 1] = w_hat
+    return Trajectory(times, ScalarField.from_spectrum(grid, spectra))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from vortexlab.biot_savart import (
     velocity_from_curl_3d,
     velocity_from_vorticity_2d,
     velocity_from_vorticity_3d,
-    velocity_spectra_2d,
 )
 from vortexlab.fields import (
     Grid,
@@ -79,17 +78,11 @@ class Test2D:
         with pytest.raises(CirculationObstructionError):
             velocity_from_vorticity_2d(w)
 
-    def test_stack_matches_single_fields(self, g2):
-        ws = [random_mean_zero(g2, 10 + i) for i in range(3)]
-        stack = velocity_spectra_2d(g2, np.stack([w.spectrum() for w in ws]))
-        for i, w in enumerate(ws):
-            assert np.array_equal(stack[:, i], velocity_from_vorticity_2d(w).spectra())
-
     def test_stack_rejects_any_nonzero_mean_member(self, g2):
         spectra = np.stack([random_mean_zero(g2, 20 + i).spectrum() for i in range(3)])
         spectra[2, 0, 0] = 1e-3 * g2.n**2
         with pytest.raises(CirculationObstructionError, match="nonzero mean 1.000e-03"):
-            velocity_spectra_2d(g2, spectra)
+            velocity_from_vorticity_2d(ScalarField.from_spectrum(g2, spectra))
 
 
 class Test3D:

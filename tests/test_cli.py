@@ -262,6 +262,17 @@ k = 0.25
             assert json.loads(captured.err)["error"].startswith(f"{key} must be finite, got ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_zero_alpha0_rejected(self, tmp_path, capsys, command):
+        # every norm of a zero vortex vanishes, so its log-log slopes are NaN
+        body = tiny_config("oseen-scaling") + "alpha0 = 0\n"
+        path = write_config(tmp_path, "c.ini", body)
+        assert main(["--out", str(tmp_path / "out"), command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "alpha0 must be nonzero, got 0.0"
+        assert not (tmp_path / "out").exists()
+
     def test_infinite_strichartz_time_exponents_allowed(self, tmp_path):
         # (q, r, q_tilde, s, k) = (inf, 2, inf, 0, 1/2) is admissible
         body = tiny_config("maxwell-strichartz")

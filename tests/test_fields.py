@@ -30,7 +30,11 @@ from vortexlab.fields import (
     time_lq_norm,
     w11_norm,
 )
+from vortexlab.biot_savart import velocity_from_vorticity_2d
+from vortexlab.heat import heat_evolve
 from vortexlab.maxwell_wave import StrichartzExponents, strichartz_sides
+from vortexlab.mild_solver import snapshot_norms
+from vortexlab.oseen import oseen_dipole
 from vortexlab.random_data import wave_fixture_family
 from test_spectral_properties import spectral_refine
 
@@ -415,21 +419,117 @@ class TestContainers:
             VectorField([ScalarField.zeros(g64)] * 3)
 
     def test_trajectory_requires_increasing_times(self, g64):
-        f = ScalarField.zeros(g64)
+        def stack(count):
+            return ScalarField(g64, np.zeros((count,) + g64.shape))
+
         with pytest.raises(ValueError):
-            Trajectory([0.0, 0.0], [f, f])
+            Trajectory([0.0, 0.0], stack(2))
         with pytest.raises(ValueError):
-            Trajectory([0.0, 0.2, 0.3], [f, f, f])  # non-uniform spacing
+            Trajectory([0.0, 0.2, 0.3], stack(3))  # non-uniform spacing
         with pytest.raises(ValueError):  # uniform to an absolute 1e-8, not relatively
-            Trajectory([0.0, 1e-9, 5e-9, 6e-9], [f] * 4)
+            Trajectory([0.0, 1e-9, 5e-9, 6e-9], stack(4))
+        with pytest.raises(ValueError, match="equal length"):
+            Trajectory([0.0, 0.1], stack(3))
 
     def test_trajectory_over_a_spectrum_stack(self, g64):
         stack = np.stack([random_smooth(g64, 30 + i).spectrum() for i in range(3)])
-        traj = Trajectory.from_spectra([0.0, 0.1, 0.2], g64, stack)
-        assert traj.spectra() is stack and not stack.flags.writeable
+        traj = Trajectory([0.0, 0.1, 0.2], ScalarField.from_spectrum(g64, stack))
+        assert traj.field.spectrum() is stack and not stack.flags.writeable
         assert all(np.shares_memory(s.spectrum(), stack) for s in traj.snapshots)
-        listed = Trajectory(traj.times, traj.snapshots).spectra()
-        assert np.array_equal(listed, stack)
+        assert [s.lead for s in traj.snapshots] == [()] * 3
+        assert all(np.array_equal(s.spectrum(), c) for s, c in zip(traj.snapshots, stack))
+
+
+def stack_of(built):
+    """Three mean-zero 2D fields in one stack: built from half spectra, or
+    from the samples of Oseen dipoles (whose spectra move the last bit)."""
+    g = Grid(2, 64, TWO_PI)
+    if built == "spectra":
+        spectra = np.stack([random_smooth(g, 40 + i).spectrum() for i in range(3)])
+        spectra[:, 0, 0] = 0.0
+        return ScalarField.from_spectrum(g, spectra)
+    return ScalarField(g, np.stack([oseen_dipole(1.0, g.box_length / 4.0, g, t).samples
+                                    for t in (0.005, 0.01, 0.02)]))
+
+
+def rows(stack):
+    return [stack[i] for i in range(stack.lead[0])]
+
+
+def w11_reference(f):
+    """W11 of one field by its definition, from its own samples when it holds them."""
+    return lp_norm(f, 1) + lp_norm(gradient(f), 1)
+
+
+def as_rows(columns):
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+
+
+# rule -> stack -> (the rule on the stack, row by row; the rule on each row)
+STACK_RULES = {
+    **{f"lp_norm-{p}": lambda s, p=p: (lp_norm(s, p).tolist(), [lp_norm(r, p) for r in rows(s)])
+       for p in (1, 2, 3, np.inf)},
+    **{f"lp_norm-vector-{p}": lambda s, p=p: (
+        lp_norm(VectorField([s, 2.0 * s]), p).tolist(),
+        [lp_norm(VectorField([r, 2.0 * r]), p) for r in rows(s)]) for p in (1, 2, 3, np.inf)},
+    "w11_norm": lambda s: (w11_norm(s).tolist() + [w11_norm(r) for r in rows(s)],
+                           2 * [w11_reference(r) for r in rows(s)]),
+    "mean_is_negligible": lambda s: (mean_is_negligible(s).tolist(),
+                                     [mean_is_negligible(r) for r in rows(s)]),
+    "snapshot_norms": lambda s: (as_rows(snapshot_norms(s)), [snapshot_norms(r) for r in rows(s)]),
+    "velocity_from_vorticity_2d": lambda s: (
+        list(velocity_from_vorticity_2d(s).spectra().swapaxes(0, 1)),
+        [velocity_from_vorticity_2d(r).spectra() for r in rows(s)]),
+    "heat_evolve": lambda s: (list(heat_evolve(s[0], [0.0, 0.01, 0.1]).spectrum()),
+                              [heat_evolve(s[0], t).spectrum() for t in (0.0, 0.01, 0.1)]),
+}
+
+
+def bitwise_equal(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(bitwise_equal(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("built", ["spectra", "samples"])
+@pytest.mark.parametrize("rule", STACK_RULES)
+def test_stack_equals_rows_bitwise(rule, built):
+    # each rule exists once: on a stack it gives, row by row, bitwise what
+    # it gives on each row, and on one field a Python scalar
+    on_stack, on_rows = STACK_RULES[rule](stack_of(built))
+    assert len(on_stack) == len(on_rows) > 0
+    assert all(bitwise_equal(a, b) for a, b in zip(on_stack, on_rows))
+
+
+class TestStackedField:
+    def test_rows_are_views_checked_once(self, g64, monkeypatch):
+        stack = ScalarField(g64, np.ones((4,) + g64.shape))
+        scans = []
+        monkeypatch.setattr(np, "isfinite", lambda a, _f=np.isfinite: scans.append(1) or _f(a))
+        row = stack[2]
+        assert row.lead == () and stack.lead == (4,) and stack[1:3].lead == (2,)
+        assert np.shares_memory(row.samples, stack.samples) and not row.samples.flags.writeable
+        assert scans == []
+
+    def test_mismatched_components_rejected(self, g64):
+        with pytest.raises(ValueError, match="stack axes"):
+            VectorField([ScalarField.zeros(g64), ScalarField(g64, np.zeros((2,) + g64.shape))])
+
+    def test_unstacked_field_has_no_rows(self, g64):
+        f = ScalarField.zeros(g64)
+        with pytest.raises(TypeError):
+            f[0]
+        with pytest.raises(TypeError):  # nor is a stack unpacked by iteration
+            list(ScalarField(g64, np.zeros((2,) + g64.shape)))
+
+    def test_sampler_builds_staged_buffers_on_first_use(self, g64):
+        own, finer = PlaneSampler(g64), PlaneSampler(g64, 96)
+        own(ScalarField.zeros(g64).spectrum())
+        assert own._buffers is None and finer._buffers is None
+        finer(ScalarField.zeros(g64).spectrum())
+        assert finer._buffers is not None
 
 
 def test_fields_import_loads_no_other_package_module():

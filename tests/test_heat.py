@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vortexlab.fields import Grid, ScalarField, VectorField
+from vortexlab.fields import Grid, ScalarField
 from vortexlab.heat import SERIES_Z, etd_weights, heat_evolve
 
 TWO_PI = 2.0 * np.pi
@@ -45,14 +45,6 @@ class TestHeatEvolve:
         out = heat_evolve(gauss(tau), t)
         expect = gauss(tau + t) * (tau / (tau + t))
         assert np.max(np.abs(out.samples - expect.samples)) < 1e-6
-
-    def test_vector_field_componentwise(self, g64):
-        f = ScalarField.from_function(g64, lambda x, y: np.sin(x))
-        v = VectorField([f, f * 2.0])
-        out = heat_evolve(v, 0.5)
-        single = heat_evolve(f, 0.5)
-        assert np.allclose(out.components[0].samples, single.samples)
-        assert np.allclose(out.components[1].samples, 2.0 * single.samples)
 
 
 def duhamel_march(s0, source, ksq, times):

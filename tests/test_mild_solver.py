@@ -6,7 +6,7 @@ import pytest
 from vortexlab import fields, mild_solver
 from vortexlab.biot_savart import CirculationObstructionError, velocity_from_vorticity_2d
 from vortexlab.fields import (Grid, ScalarField, Trajectory, _magnitude, derivative, lp_norm,
-                              w11_norm, w11_norms)
+                              w11_norm)
 from vortexlab.heat import etd_weights, heat_evolve
 from vortexlab.mild_solver import (
     ContractionFailureError,
@@ -18,7 +18,6 @@ from vortexlab.mild_solver import (
     picard_solve,
     reference_stepper,
     snapshot_norms,
-    trajectory_norms,
 )
 from vortexlab.oseen import oseen_dipole
 from vortexlab.random_data import smooth_bump, two_mode_vorticity
@@ -38,6 +37,15 @@ def g64():
     return Grid(2, 64, TWO_PI)
 
 
+def zeros(grid, count):
+    return ScalarField(grid, np.zeros((count,) + grid.shape))
+
+
+def heat_guess(w0, cfg):
+    """The first Picard iterate's input: exp(t Lap) w0 at each time of the lattice."""
+    return Trajectory(cfg.times, heat_evolve(w0, cfg.times))
+
+
 def dipole(grid, t_init=0.005, sep=None, alpha0=1.0):
     if sep is None:
         sep = grid.box_length / 4.0
@@ -48,8 +56,7 @@ class TestApplyT:
     def test_zero_everything(self, g64):
         cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
         zero = ScalarField.zeros(g64)
-        traj = Trajectory(cfg.times, [zero] * cfg.nt)
-        out = apply_T(traj, zero, cfg)
+        out = apply_T(Trajectory(cfg.times, zeros(g64, cfg.nt)), zero, cfg)
         assert all(np.max(np.abs(s.samples)) == 0.0 for s in out.snapshots)
 
     def test_zero_flux_reduces_to_heat_evolution(self, g64):
@@ -57,8 +64,7 @@ class TestApplyT:
         # bare heat evolution of the initial datum
         cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
         w0 = dipole(g64)
-        traj = Trajectory(cfg.times, [ScalarField.zeros(g64)] * cfg.nt)
-        out = apply_T(traj, w0, cfg)
+        out = apply_T(Trajectory(cfg.times, zeros(g64, cfg.nt)), w0, cfg)
         for t, snap in out:
             expect = heat_evolve(w0, t)
             assert np.max(np.abs(snap.samples - expect.samples)) < 1e-12
@@ -73,8 +79,7 @@ class TestApplyT:
         t0s = [0.01, 0.02, 0.04]
         for t0 in t0s:
             cfg = MildSolveConfig(grid=g, t0=t0, nt=16)
-            guess = Trajectory(cfg.times, [heat_evolve(w0, t) for t in cfg.times])
-            first = apply_T(guess, w0, cfg)
+            first = apply_T(heat_guess(w0, cfg), w0, cfg)
             second = apply_T(first, w0, cfg)
             d2s.append(
                 max(
@@ -90,7 +95,7 @@ class TestApplyT:
         # [0, 5e-9] against [0, 1e-9] is within an absolute 1e-8 at every time
         for t0, t_bad in ((0.1, 0.2), (1e-9, 5e-9)):
             cfg = MildSolveConfig(grid=g64, t0=t0, nt=8)
-            bad = Trajectory(np.linspace(0.0, t_bad, 8), [zero] * 8)
+            bad = Trajectory(np.linspace(0.0, t_bad, 8), zeros(g64, 8))
             with pytest.raises(ValueError, match="config time lattice"):
                 apply_T(bad, zero, cfg)
 
@@ -130,7 +135,8 @@ class TestBlockedPath:
         for block_bytes in (1, 3 * block_bytes_for(g64, cfg.nt)):
             monkeypatch.setattr(fields, "BLOCK_BYTES", block_bytes)
             traj, trace = picard_solve(w0, cfg)
-            solves.append((traj.spectra(), trace, trajectory_norms(g64, traj.spectra())))
+            norms = {k: v.tolist() for k, v in snapshot_norms(traj.field).items()}
+            solves.append((traj.field.spectrum(), trace, norms))
         (a, trace_a, norms_a), (b, trace_b, norms_b) = solves
         assert trace_a.converged and trace_a.iterations > 2
         assert np.array_equal(a, b)
@@ -141,17 +147,13 @@ class TestBlockedPath:
         w0 = dipole(g64)
         cfg = MildSolveConfig(grid=g64, t0=0.05, nt=8)
         expect = [heat_evolve(w0, t).spectrum() for t in cfg.times]
-        assert np.array_equal(mild_solver._heat_guess(w0, cfg).spectra(), expect)
-
-    def test_stacked_w11_matches_per_snapshot_norms(self, g64):
-        traj, _trace = picard_solve(dipole(g64), MildSolveConfig(grid=g64, t0=0.02, nt=8))
-        assert w11_norms(g64, traj.spectra()) == [w11_norm(s) for s in traj.snapshots]
+        assert np.array_equal(heat_guess(w0, cfg).field.spectrum(), expect)
 
     def test_stacked_apply_T_matches_per_snapshot_loop(self, g64):
         w0 = two_mode_vorticity(g64, 0.05)
         cfg = MildSolveConfig(grid=g64, t0=0.2, nt=16)
-        first = apply_T(mild_solver._heat_guess(w0, cfg), w0, cfg)
-        got = apply_T(first, w0, cfg).spectra()
+        first = apply_T(heat_guess(w0, cfg), w0, cfg)
+        got = apply_T(first, w0, cfg).field.spectrum()
         expect = per_snapshot_apply_T(first, w0, cfg)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
@@ -161,7 +163,7 @@ class TestBlockedPath:
         counts = []
         for nt, snapshots in ((32, 4), (64, 8)):
             cfg = MildSolveConfig(grid=g64, t0=0.01, nt=nt)
-            guess = mild_solver._heat_guess(w0, cfg)
+            guess = heat_guess(w0, cfg)
             monkeypatch.setattr(fields, "BLOCK_BYTES", block_bytes_for(g64, snapshots))
             calls = []
             for name in ("rfftn", "irfftn"):
@@ -178,28 +180,27 @@ class TestBlockedPath:
     def test_nonzero_mean_snapshot_in_a_block_rejected(self, g64, bad):
         cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
         w0 = two_mode_vorticity(g64, 0.05)
-        snaps = list(mild_solver._heat_guess(w0, cfg).snapshots)
-        snaps[bad] = snaps[bad] + ScalarField(g64, np.full(g64.shape, 0.5))
-        traj = Trajectory(cfg.times, snaps)
+        spectra = heat_guess(w0, cfg).field.spectrum().copy()
+        spectra[bad, 0, 0] += 0.5 * g64.n**2  # a mean of 0.5
+        traj = Trajectory(cfg.times, ScalarField.from_spectrum(g64, spectra))
         with pytest.raises(CirculationObstructionError):
             apply_T(traj, w0, cfg)
         with pytest.raises(CirculationObstructionError):
-            trajectory_norms(g64, traj.spectra())
+            snapshot_norms(traj.field)
 
     @pytest.mark.parametrize("bad", [0, 5, 7])
     def test_nonfinite_snapshot_in_a_block_rejected(self, g64, bad):
         cfg = MildSolveConfig(grid=g64, t0=0.1, nt=8)
         w0 = two_mode_vorticity(g64, 0.05)
-        spectra = mild_solver._heat_guess(w0, cfg).spectra().copy()
+        spectra = heat_guess(w0, cfg).field.spectrum().copy()
         spectra[bad, 1, 1] = np.nan
         with pytest.raises(ValueError, match="field spectrum must be finite"):
-            Trajectory.from_spectra(cfg.times, g64, spectra)
+            ScalarField.from_spectrum(g64, spectra)
         # finite, but its flux overflows
-        snaps = list(mild_solver._heat_guess(w0, cfg).snapshots)
-        snaps[bad] = snaps[bad] * 1e200
+        spectra[bad] = heat_guess(w0, cfg).field.spectrum()[bad] * 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArithmeticError, match="non-finite values in Duhamel term"):
-                apply_T(Trajectory(cfg.times, snaps), w0, cfg)
+                apply_T(Trajectory(cfg.times, ScalarField.from_spectrum(g64, spectra)), w0, cfg)
 
     def test_panel_weights_built_once_per_grid_and_step(self, g64, monkeypatch):
         built = []
@@ -359,8 +360,8 @@ class TestSnapshotNorms:
             v = velocity_from_vorticity_2d(w)
             expect.append({"L1": lp_norm(w, 1), "W11": w11_norm(w), "Linf_v": lp_norm(v, np.inf),
                            "L2_gradv": lp_norm(jacobian_magnitude(v), 2)})
-        assert trajectory_norms(g64, traj.spectra()) == expect
-        assert snapshot_norms(traj.snapshots[3]) == expect[3]
+        got = snapshot_norms(traj.field)
+        assert [dict(zip(got, row)) for row in zip(*(v.tolist() for v in got.values()))] == expect
 
 
 class TestConfigValidation:

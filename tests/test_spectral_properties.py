@@ -24,7 +24,6 @@ from vortexlab.fields import (
     batch_samples,
     hs_norm,
     magnitude_norm,
-    refined_samples,
 )
 from vortexlab.heat import heat_evolve
 
@@ -97,7 +96,7 @@ def ref_refine(f, n_new):
 def padded_refine(f, n_new):
     """f (scalar or vector) on the n_new grid from its half spectrum with the
     Nyquist planes dropped, placed by wavenumber into a zero n_new-point half
-    spectrum and scaled: the zero-padding reference of ``refined_samples``,
+    spectrum and scaled: the zero-padding reference of ``PlaneSampler.staged``,
     as a field that holds that spectrum."""
     if isinstance(f, VectorField):
         return VectorField([padded_refine(c, n_new) for c in f.components])
@@ -113,13 +112,14 @@ def padded_refine(f, n_new):
 
 def spectral_refine(f, n_new):
     """f (scalar or vector) on the n_new grid as a field that holds the
-    samples ``refined_samples`` gives it, or f itself at its own n."""
+    samples ``PlaneSampler.staged`` gives it, or f itself at its own n."""
     if isinstance(f, VectorField):
         return VectorField([spectral_refine(c, n_new) for c in f.components])
     g = f.grid
     if n_new == g.n:
         return f
-    return ScalarField(Grid(g.dim, n_new, g.box_length), refined_samples(g, f.spectrum(), n_new))
+    fine = Grid(g.dim, n_new, g.box_length)
+    return ScalarField(fine, PlaneSampler(g, n_new).staged(f.spectrum()))
 
 
 def ref_inv_ksq(grid):
@@ -272,7 +272,7 @@ def test_refined_samples_equal_zero_padding_bitwise(grid, seed, factor):
     f = ScalarField(grid, np.random.default_rng(seed).standard_normal(grid.shape))
     n_new = factor * grid.n
     want = padded_refine(f, n_new).samples
-    assert np.array_equal(refined_samples(grid, f.spectrum(), n_new), want)
+    assert np.array_equal(PlaneSampler(grid, n_new).staged(f.spectrum()), want)
     assert_close(want, ref_refine(f, n_new))
 
 
@@ -306,20 +306,6 @@ def test_non_integer_refinement_equals_zero_padding_bitwise(dim):
         assert np.array_equal(sample(c.spectrum()), want.samples)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_refined_field_holds_samples_only(dim):
-    # a one-shot refinement is the caller's own array, not a sampler's buffer
-    # that a later call would overwrite
-    f = band_limited(Grid(dim, 8, 2.5), np.random.default_rng(0))
-    first = refined_samples(f.grid, f.spectrum(), 16)
-    kept = first.copy()
-    second = refined_samples(f.grid, (2.0 * f).spectrum(), 16)
-    assert first is not second and first.flags.writeable
-    assert np.array_equal(first, kept) and np.array_equal(second, 2.0 * kept)
-    fine = ScalarField(Grid(dim, 16, 2.5), first)
-    assert fine._spectrum is None and not fine.samples.flags.writeable
-
-
 @PROPERTY
 @given(grid=grids, seed=seeds)
 def test_vector_refine_and_restrict(grid, seed):
@@ -333,11 +319,9 @@ def test_vector_refine_and_restrict(grid, seed):
 
 
 @PROPERTY
-@given(grid=grids, seed=seeds, t=st.floats(0.0, 0.5),
-       power=st.sampled_from([-1.0, 0.5, 2.0]))
-def test_vector_heat_evolve_and_fractional_laplacian(grid, seed, t, power):
+@given(grid=grids, seed=seeds, power=st.sampled_from([-1.0, 0.5, 2.0]))
+def test_vector_fractional_laplacian(grid, seed, power):
     v = random_vector(grid, np.random.default_rng(seed), mean_zero=True)
-    assert_componentwise(heat_evolve, v, t)
     assert_componentwise(fractional_laplacian, v, power)
 
 
