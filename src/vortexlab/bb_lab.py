@@ -63,10 +63,10 @@ def random_family(spec: RandomFieldSpec) -> Family:
     return Family(build, spec.seed, spec.count)
 
 
-def _check_nonconstant(den: float, spectra, sample: PlaneSampler, what: str):
-    """Reject when den <= 1e-12 * max(max|w|, 1), max|w| over the components
-    with half spectra `spectra` as `sample` samples them, read only when den
-    does not clear twice (for roundoff) the Hausdorff-Young bound sum|w_hat| / N^d."""
+def _check_nonconstant(den: float, spectra: np.ndarray, sample: PlaneSampler, what: str):
+    """Reject when den <= 1e-12 * max(max|w|, 1), max|w| over the stack of half
+    spectra `spectra` as `sample` samples it, read only when den does not
+    clear twice (for roundoff) the Hausdorff-Young bound sum|w_hat| / N^d."""
     g = sample.grid
     bound = max(np.sum(g.sobolev_weight(0) * np.abs(c)) for c in spectra) / g.n**g.dim
     if den <= 1e-12 * max(2.0 * bound, 1.0) and den <= 1e-12 * max(
@@ -74,32 +74,36 @@ def _check_nonconstant(den: float, spectra, sample: PlaneSampler, what: str):
         raise ValueError(f"{what} rejected: denominator vanishes (constant field)")
 
 
+def _grad_l1_denominator(omega: ScalarField, n_eval: int | None, what: str):
+    """A sampler on the n_eval grid and |grad w|_L1 there, checked nonconstant."""
+    sample, w = PlaneSampler(omega.grid, n_eval), omega.spectrum()
+    den = magnitude_norm(sample, gradient_spectra(omega.grid, w), 1, f"{what} |grad w|")
+    _check_nonconstant(den, w[None], sample, what)
+    return sample, den
+
+
 def bb_ratio_2d(omega: ScalarField, n_eval: int | None = None) -> float:
     """(|v|_Linf + |grad v|_L2) / |grad w|_L1 with v from the 2D inversion."""
-    g, sample, w = omega.grid, PlaneSampler(omega.grid, n_eval), omega.spectrum()
-    den = magnitude_norm(sample, gradient_spectra(g, w), 1, "bb_ratio_2d |grad w|")
-    _check_nonconstant(den, [w], sample, "bb_ratio_2d")
+    sample, den = _grad_l1_denominator(omega, n_eval, "bb_ratio_2d")
     v = velocity_from_vorticity_2d(omega)
-    return (magnitude_norm(sample, v.component_spectra(), np.inf, "bb_ratio_2d |v|")
+    return (magnitude_norm(sample, v.stack.spectrum(), np.inf, "bb_ratio_2d |v|")
             + magnitude_norm(sample, gradient_planes(v), 2, "bb_ratio_2d |grad v|")) / den
 
 
 def bb_ratio_3d(omega: VectorField, n_eval: int | None = None) -> float:
     """(|v|_L3 + |grad v|_L{3/2}) / |curl w|_L1 with v from the 3D inversion."""
     sample, curl = PlaneSampler(omega.grid, n_eval), curl3d(omega)
-    den = magnitude_norm(sample, curl.component_spectra(), 1, "bb_ratio_3d |curl w|")
-    _check_nonconstant(den, omega.component_spectra(), sample, "bb_ratio_3d")
+    den = magnitude_norm(sample, curl.stack.spectrum(), 1, "bb_ratio_3d |curl w|")
+    _check_nonconstant(den, omega.stack.spectrum(), sample, "bb_ratio_3d")
     v = velocity_from_curl_3d(omega, curl)
-    return (magnitude_norm(sample, v.component_spectra(), 3, "bb_ratio_3d |v|")
+    return (magnitude_norm(sample, v.stack.spectrum(), 3, "bb_ratio_3d |v|")
             + magnitude_norm(sample, gradient_planes(v), 1.5, "bb_ratio_3d |grad v|")) / den
 
 
 def gn_ratio(omega: ScalarField, n_eval: int | None = None) -> float:
     """|w|_L2 / |grad w|_L1 (the interpolation step of the well-posedness proof)."""
-    g, sample, w = omega.grid, PlaneSampler(omega.grid, n_eval), omega.spectrum()
-    den = magnitude_norm(sample, gradient_spectra(g, w), 1, "gn_ratio |grad w|")
-    _check_nonconstant(den, [w], sample, "gn_ratio")
-    return magnitude_norm(sample, [w], 2, "gn_ratio |w|") / den
+    sample, den = _grad_l1_denominator(omega, n_eval, "gn_ratio")
+    return magnitude_norm(sample, [omega.spectrum()], 2, "gn_ratio |w|") / den
 
 
 def refinement_study(spec: RandomFieldSpec, ratio_fn, n_levels, map_fn=map) -> list:

@@ -9,11 +9,9 @@ configurations (dipoles).  The inverse Laplacian zero mode is set to zero
 import numpy as np
 
 from .fields import (
-    Grid,
     ScalarField,
     VectorField,
     _readonly,
-    batch_samples,
     curl3d,
     fractional_laplacian,
     hs_sq,
@@ -26,38 +24,30 @@ class CirculationObstructionError(ValueError):
 
 
 def _check_mean_zero(f: ScalarField, what: str):
-    """Raise unless f, or every field of a stack, is mean-zero."""
+    """Raise unless f, or each field of a stack, is mean-zero (naming its first bad row)."""
     bad = np.flatnonzero(~np.asarray(mean_is_negligible(f)))
     if bad.size:
-        g = f.grid
-        row = f.spectrum().reshape((-1,) + g.spectral_shape)[bad[0]]
+        i = np.unravel_index(bad[0], f.lead)  # () for one field
+        row = f" {', '.join(map(str, i))} of {', '.join(map(str, f.lead))}" if i else ""
         raise CirculationObstructionError(
-            f"circulation obstruction on torus: {what} has nonzero mean "
-            f"{batch_samples(g, row).mean():.3e} "
-            "(|mean| must be <= 1e-10 * max|field|)"
-        )
-
-
-def _check_solenoidal(grid: Grid, components):
-    """Raise unless a vector field, or each of a stack, given as one (stack
-    of) half spectra per component, has a discrete divergence below 1e-8 of
-    its size (both L2 norms, by Parseval; |i k.u| = |k.u|)."""
-    size = np.sqrt(sum(hs_sq(grid, c) for c in components))
-    div = np.sqrt(hs_sq(grid, sum(grid.deriv_wavenumber(a) * c for a, c in enumerate(components))))
-    bad = np.flatnonzero((size > 0) & (div > 1e-8 * size))
-    if bad.size:
-        raise ValueError(
-            f"field is not solenoidal: |div|_2 = {np.ravel(div)[bad[0]]:.3e} vs 1e-8 * |u|_2"
-        )
+            f"circulation obstruction on torus: {what}{row} has nonzero mean "
+            f"{(f[i] if i else f).mean():.3e} (|mean| must be <= 1e-10 * max|field|)")
 
 
 class SolenoidalVectorField(VectorField):
-    """VectorField whose discrete divergence is negligible relative to its size
-    (both L2 norms, taken by Parseval on the component spectra)."""
+    """VectorField, or stack of them, whose discrete divergence is below 1e-8
+    of its size (both L2 norms, by Parseval on the component spectra; |i k.u| = |k.u|)."""
 
     def __init__(self, components):
         super().__init__(components)
-        _check_solenoidal(self.grid, self.component_spectra())
+        g, uh = self.grid, self.stack.spectrum()
+        size = np.sqrt(sum(hs_sq(g, uh)))
+        div = np.sqrt(hs_sq(g, sum(g.deriv_wavenumber(a) * uh[a] for a in range(g.dim))))
+        bad = np.flatnonzero((size > 0) & (div > 1e-8 * size))
+        if bad.size:
+            raise ValueError(
+                f"field is not solenoidal: |div|_2 = {np.ravel(div)[bad[0]]:.3e} vs 1e-8 * |u|_2"
+            )
 
 
 def velocity_from_vorticity_2d(omega: ScalarField) -> SolenoidalVectorField:
@@ -74,7 +64,7 @@ def velocity_from_vorticity_2d(omega: ScalarField) -> SolenoidalVectorField:
     v = multipliers.reshape((2,) + (1,) * len(omega.lead) + g.spectral_shape) * (
         g.kpow(-2.0) * omega.spectrum())
     # not scanned again: omega was, and the multipliers are at most L / 2 pi in size
-    return SolenoidalVectorField([ScalarField._held(g, spectrum=c) for c in _readonly(v)])
+    return SolenoidalVectorField(ScalarField._held(g, spectrum=_readonly(v)))
 
 
 def velocity_from_vorticity_3d(omega: VectorField) -> SolenoidalVectorField:
@@ -87,9 +77,8 @@ def velocity_from_vorticity_3d(omega: VectorField) -> SolenoidalVectorField:
 def velocity_from_curl_3d(omega: VectorField, curl_omega: VectorField) -> SolenoidalVectorField:
     """3D Biot-Savart from a curl the caller already holds: v = (-Lap)^{-1}
     curl_omega, where curl_omega is curl3d(omega), which is checked mean-zero."""
-    for c in omega.components:
-        _check_mean_zero(c, "vorticity component")
-    return SolenoidalVectorField(fractional_laplacian(curl_omega, -2.0).components)
+    _check_mean_zero(omega.stack, "vorticity component")
+    return SolenoidalVectorField(fractional_laplacian(curl_omega.stack, -2.0))
 
 
 def leray_project(u: VectorField) -> SolenoidalVectorField:
@@ -99,17 +88,14 @@ def leray_project(u: VectorField) -> SolenoidalVectorField:
     the output is solenoidal for that operator (Nyquist planes pass through
     untouched, as they carry no discrete derivative).
     """
-    g = u.grid
-    k = [g.deriv_wavenumber(a) for a in range(g.dim)]
-    ksq = sum(ka**2 for ka in k)
+    g, uh = u.grid, u.stack.spectrum()
+    k = np.stack(np.broadcast_arrays(*(g.deriv_wavenumber(a) for a in range(g.dim))))
+    k = k.reshape((g.dim,) + (1,) * len(u.lead) + g.spectral_shape)  # along the stack axes
+    ksq = sum(k**2)
     inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
-    uh = [c.spectrum() for c in u.components]
-    kdotu = sum(k[a] * uh[a] for a in range(g.dim))
-    proj = [uh[a] - k[a] * kdotu * inv for a in range(g.dim)]
+    proj = uh - k * sum(k * uh) * inv
     # pure-gradient inputs leave only roundoff; snap that to exact zero so
     # the solenoidal invariant is not tested against noise
-    size_in = np.sqrt(sum(hs_sq(g, c) for c in uh))
-    size_out = np.sqrt(sum(hs_sq(g, c) for c in proj))
-    if size_out <= 1e-12 * size_in:
-        proj = [np.zeros_like(c) for c in proj]
-    return SolenoidalVectorField.from_spectra(g, proj)
+    size_in, size_out = (np.sqrt(sum(hs_sq(g, x))) for x in (uh, proj))
+    proj[:, size_out <= 1e-12 * size_in] = 0.0  # one field: a 0-d mask, all or nothing
+    return SolenoidalVectorField(ScalarField.from_spectrum(g, proj))

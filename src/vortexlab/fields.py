@@ -21,10 +21,13 @@ Conventions, fixed once for the whole package:
   for a field without Nyquist content; no evaluation-grid spectrum is built.
 * A field may be a stack (a trajectory): its arrays carry leading axes
   ``lead`` before the grid's own, and ``f[i]`` is row i, over views.  Its
-  transforms and each rule below (norms, mean-zero test, Biot-Savart, heat)
-  run over the last ``dim`` axes, bitwise as for each row alone, one batched
-  call per ``blocks`` slice; a rule gives a float for an unstacked field and
-  an array of shape ``lead`` for a stack.
+  transforms and each rule below (norms, mean, mean-zero test, Biot-Savart,
+  heat) run over the last ``dim`` axes, bitwise as for each row alone, one
+  batched call per ``blocks`` slice; a rule gives a float for an unstacked
+  field and an array of shape ``lead`` for a stack.
+* A vector field is one such stack, ``VectorField.stack``: the component
+  axis comes first, then the stack axes, then the grid's, so its arrays have
+  shape ``(dim,) + lead + grid.shape``; its components are rows of the stack.
 """
 
 from dataclasses import dataclass
@@ -223,8 +226,8 @@ class ScalarField:
         return held.shape[:held.ndim - self.grid.dim]
 
     def __getitem__(self, i) -> "ScalarField":
-        """Row i (an index or a slice along the first stack axis), over views
-        of what the stack holds; not checked again."""
+        """Row i (an index or a slice along the first stack axis, or a tuple of
+        them), over views of what the stack holds; not checked again."""
         if not self.lead:
             raise TypeError("an unstacked field has no rows")
         return ScalarField._held(self.grid, *(None if a is None else a[i]
@@ -256,9 +259,10 @@ class ScalarField:
             self._spectrum = _readonly(np.fft.rfftn(self._samples, axes=range(-self.grid.dim, 0)))
         return self._spectrum
 
-    def mean(self) -> float:
-        """Mean of an unstacked field."""
-        return float(self.samples.mean())
+    def mean(self):
+        """Mean of the field, or of each field of a stack."""
+        rows = _stacked(self.samples, self.grid.dim)
+        return _per_field(self, rows.mean(axis=tuple(range(1, rows.ndim))).tolist())
 
     def _linear(self, op, *others) -> "ScalarField":
         """op in every domain that self and `others` all hold, else on samples."""
@@ -299,59 +303,57 @@ class ScalarField:
 
 
 class VectorField:
-    """dim ScalarField components sharing one grid and one ``lead``."""
+    """dim components sharing one grid and one ``lead``, held as one
+    ScalarField ``stack`` whose first axis is the component axis: arrays of
+    shape ``(dim,) + lead + grid.shape``."""
 
-    __slots__ = ("grid", "components")
+    __slots__ = ("grid", "stack")
 
     def __init__(self, components):
-        components = tuple(components)
-        if not components:
-            raise ValueError("vector field needs at least one component")
-        grid = components[0].grid
-        if len(components) != grid.dim:
-            raise ValueError(
-                f"expected {grid.dim} components, got {len(components)}"
-            )
-        for c in components[1:]:
-            if c.grid != grid or c.lead != components[0].lead:
+        """From such a stack (checked when it was built), or from a sequence
+        of checked components: each domain any of them holds is stacked
+        (computed for the others, as on first use), not scanned again."""
+        if not isinstance(components, ScalarField):
+            comps = tuple(components)
+            if len({(c.grid, c.lead) for c in comps}) != 1:
                 raise ValueError("vector components must share one grid and stack axes")
-        self.grid = grid
-        self.components = components
+            components = ScalarField._held(comps[0].grid, *(
+                _readonly(np.stack([read(c) for c in comps]))
+                if any(getattr(c, slot) is not None for c in comps) else None
+                for slot, read in (("_samples", lambda c: c.samples),
+                                   ("_spectrum", ScalarField.spectrum))))
+        self.grid, self.stack = components.grid, components
+        if self.stack.lead[:1] != (self.grid.dim,):
+            raise ValueError(f"expected {self.grid.dim} components on the stack's first "
+                             f"axis, got stack axes {self.stack.lead}")
 
     @property
     def lead(self) -> tuple[int, ...]:
-        return self.components[0].lead
+        return self.stack.lead[1:]
+
+    @property
+    def components(self) -> tuple:
+        """The components, rows of the stack over views."""
+        return tuple(self.stack[c] for c in range(self.grid.dim))
 
     def __getitem__(self, i) -> "VectorField":
-        """Row i of a stack of vector fields: row i of each component."""
-        return VectorField([c[i] for c in self.components])
+        """Row i of a stack of vector fields, over views."""
+        if not self.lead:
+            raise TypeError("an unstacked field has no rows")
+        return VectorField(self.stack[:, i])
 
     @classmethod
     def zeros(cls, grid: Grid) -> "VectorField":
-        return cls([ScalarField.zeros(grid) for _ in range(grid.dim)])
-
-    @classmethod
-    def from_spectra(cls, grid: Grid, spectra) -> "VectorField":
-        """Field whose component c is ScalarField.from_spectrum(grid, spectra[c])."""
-        return cls([ScalarField.from_spectrum(grid, c) for c in spectra])
-
-    def component_spectra(self) -> list[np.ndarray]:
-        return [c.spectrum() for c in self.components]
-
-    def spectra(self) -> np.ndarray:
-        """Component half spectra stacked, shape (dim, *grid.spectral_shape)."""
-        return np.stack(self.component_spectra())
+        return cls(ScalarField(grid, np.zeros((grid.dim,) + grid.shape)))
 
     def __add__(self, other):
         if isinstance(other, VectorField):
-            return VectorField(
-                [a + b for a, b in zip(self.components, other.components)]
-            )
+            return VectorField(self.stack + other.stack)
         return NotImplemented
 
     def __mul__(self, c):
         if isinstance(c, (int, float)):
-            return VectorField([comp * c for comp in self.components])
+            return VectorField(self.stack * c)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -362,10 +364,9 @@ class VectorField:
 
 class Trajectory:
     """Fields at the times of a uniform lattice over [0, t_max], held as one
-    stack whose leading axis is time: a ScalarField, or a VectorField of
-    stacked components."""
+    ScalarField or VectorField whose first stack axis (its ``lead``) is time."""
 
-    __slots__ = ("grid", "times", "field")
+    __slots__ = ("times", "field")
 
     def __init__(self, times, field):
         times = np.asarray(times, dtype=np.float64)
@@ -376,7 +377,6 @@ class Trajectory:
         dts = np.diff(times)
         if len(dts) and (np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-10, atol=0)):
             raise ValueError("times must be strictly increasing and uniform")
-        self.grid = field.grid
         self.times = times
         self.field = field
 
@@ -395,49 +395,59 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # spectral calculus
 
-def _dspec(f: ScalarField, axis: int) -> np.ndarray:
-    """Spectrum of the derivative of f along `axis`."""
-    return 1j * f.grid.deriv_wavenumber(axis) * f.spectrum()
+def _dspec(grid: Grid, spectra: np.ndarray, axis: int) -> np.ndarray:
+    """Spectra of the derivative along `axis` of the fields with half spectra `spectra`."""
+    return 1j * grid.deriv_wavenumber(axis) * spectra
 
 
-def gradient_spectra(grid: Grid, spectra: np.ndarray) -> list[np.ndarray]:
-    """Spectra of the gradient components of a field or of each field of a stack."""
-    return [1j * grid.deriv_wavenumber(a) * spectra for a in range(grid.dim)]
+def gradient_spectra(grid: Grid, spectra: np.ndarray, with_field: bool = False) -> np.ndarray:
+    """Spectra of the gradient of a field or of each field of a stack, one
+    array whose first axis is the derivative's; with_field puts `spectra`
+    first, so that one batched transform samples a field and its gradient."""
+    first = int(with_field)
+    out = np.empty((first + grid.dim,) + spectra.shape, dtype=np.complex128)
+    out[:first] = spectra
+    for a in range(grid.dim):
+        np.multiply(1j * grid.deriv_wavenumber(a), spectra, out=out[first + a])
+    return out
 
 
 def gradient_planes(v: VectorField):
-    """Half spectra of every d_a v_c, component-major, one at a time."""
-    return (d for c in v.components for d in gradient_spectra(v.grid, c.spectrum()))
+    """Half spectra of every d_a v_c, component-major, one component's at a time."""
+    return (d for c in v.stack.spectrum() for d in gradient_spectra(v.grid, c))
 
 
 def derivative(f: ScalarField, axis: int) -> ScalarField:
     g = f.grid
     if not 0 <= axis < g.dim:
         raise ValueError(f"axis {axis} out of range for dim {g.dim}")
-    return ScalarField.from_spectrum(g, _dspec(f, axis))
+    return ScalarField.from_spectrum(g, _dspec(g, f.spectrum(), axis))
 
 
 def gradient(f: ScalarField) -> VectorField:
-    return VectorField([derivative(f, a) for a in range(f.grid.dim)])
+    return VectorField(ScalarField.from_spectrum(f.grid, gradient_spectra(f.grid, f.spectrum())))
 
 
 def divergence(v: VectorField) -> ScalarField:
-    return ScalarField.from_spectrum(v.grid, sum(_dspec(c, a) for a, c in enumerate(v.components)))
+    g, s = v.grid, v.stack.spectrum()
+    return ScalarField.from_spectrum(g, sum(_dspec(g, s[a], a) for a in range(g.dim)))
 
 
 def curl2d(v: VectorField) -> ScalarField:
     if v.grid.dim != 2:
         raise ValueError("curl2d requires a 2D field")
-    c = v.components
-    return ScalarField.from_spectrum(v.grid, _dspec(c[1], 0) - _dspec(c[0], 1))
+    g, s = v.grid, v.stack.spectrum()
+    return ScalarField.from_spectrum(g, _dspec(g, s[1], 0) - _dspec(g, s[0], 1))
 
 
 def curl3d(v: VectorField) -> VectorField:
     if v.grid.dim != 3:
         raise ValueError("curl3d requires a 3D field")
-    c = v.components
-    return VectorField.from_spectra(
-        v.grid, [_dspec(c[i], j) - _dspec(c[j], i) for i, j in ((2, 1), (0, 2), (1, 0))])
+    g, s = v.grid, v.stack.spectrum()
+    out = np.empty(s.shape, dtype=np.complex128)
+    for c, (i, j) in enumerate(((2, 1), (0, 2), (1, 0))):
+        np.subtract(_dspec(g, s[i], j), _dspec(g, s[j], i), out=out[c])
+    return VectorField(ScalarField.from_spectrum(g, out))
 
 
 class PlaneSampler:
@@ -481,12 +491,10 @@ def check_n_eval(grid: Grid, n_eval: int | None):
         raise ValueError(f"n_eval must be even and >= n = {grid.n}, got {n_eval}")
 
 
-def fractional_laplacian(f, power: float):
-    """Multiplier |k|^power on a scalar field, or on each component of a
-    vector field; the zero mode is dropped (mean-zero input for power < 0,
-    same obstruction as the homogeneous Sobolev norms)."""
-    if isinstance(f, VectorField):
-        return VectorField([fractional_laplacian(c, power) for c in f.components])
+def fractional_laplacian(f: ScalarField, power: float) -> ScalarField:
+    """Multiplier |k|^power on a field or on each field of a stack, such as a
+    vector field's ``stack``; the zero mode is dropped (mean-zero input for
+    power < 0, same obstruction as the homogeneous Sobolev norms)."""
     if power < 0 and not np.all(mean_is_negligible(f)):
         raise ValueError("fractional_laplacian with power < 0 needs a mean-zero field")
     return ScalarField.from_spectrum(f.grid, f.grid.kpow(power) * f.spectrum())
@@ -511,8 +519,7 @@ def lp_norm(f, p: float):
     of a stack; vectors use pointwise Euclidean magnitude."""
     if p < 1:
         raise ValueError(f"p must satisfy 1 <= p <= inf, got {p}")
-    vector = isinstance(f, VectorField)
-    samples = _magnitude(c.samples for c in f.components) if vector else f.samples
+    samples = _magnitude(f.stack.samples) if isinstance(f, VectorField) else f.samples
     samples, axes = _stacked(samples, f.grid.dim), tuple(range(-f.grid.dim, 0))
     if np.isinf(p):
         return _per_field(f, [float(m) for m in np.max(np.abs(samples), axis=axes)])
@@ -558,8 +565,8 @@ def w11_norm(f: ScalarField):
     spectra, held = _stacked(f.spectrum(), 2), f._samples is not None
     out = []
     for b in blocks(len(spectra), 3 * spectra[0].nbytes):
-        first = [] if held else [spectra[b]]  # f itself, unless its samples are held
-        x = batch_samples(g, np.stack(first + gradient_spectra(g, spectra[b])))
+        # f itself too, unless its samples are held
+        x = batch_samples(g, gradient_spectra(g, spectra[b], with_field=not held))
         w = _stacked(f._samples, 2)[b] if held else x[0]
         out += (lp_norm(ScalarField._held(g, w), 1)
                 + lp_norm(ScalarField._held(g, _magnitude(x[-2:])), 1)).tolist()
@@ -597,16 +604,19 @@ def mean_is_negligible(f: ScalarField):
     return _per_field(f, ok.tolist())
 
 
-def hs_norm(f, s: float) -> float:
-    """Homogeneous Sobolev norm, normalized so hs_norm(f, 0) == lp_norm(f, 2)
-    on mean-zero fields.  Zero mode excluded for s != 0; s < 0 requires a
-    vanishing mean.
+def hs_norm(f, s: float):
+    """Homogeneous Sobolev norm of a field or of each field of a stack,
+    normalized so hs_norm(f, 0) == lp_norm(f, 2) on mean-zero fields; a
+    vector's is the root of the sum of its components' squared norms.  Zero
+    mode excluded for s != 0; s < 0 requires a vanishing mean.
     """
-    if isinstance(f, VectorField):
-        return float(np.sqrt(sum(hs_norm(c, s) ** 2 for c in f.components)))
-    if s < 0 and not mean_is_negligible(f):
+    x = f.stack if isinstance(f, VectorField) else f
+    if s < 0 and not np.all(mean_is_negligible(x)):
         raise ValueError("homogeneous norm undefined: s < 0 requires a mean-zero field")
-    return float(np.sqrt(hs_sq(f.grid, f.spectrum(), s)))
+    norms = np.sqrt(hs_sq(f.grid, x.spectrum(), s))
+    if x is not f:  # each component's root, squared as a Python float (pow, not x * x)
+        norms = [np.sqrt(sum(float(c) ** 2 for c in cs)) for cs in zip(*map(np.ravel, norms))]
+    return _per_field(f, np.ravel(norms).tolist())
 
 
 def time_lq_norm(values, dt: float, q: float) -> float:

@@ -26,6 +26,7 @@ from .family import family_report
 from .fields import (
     Grid,
     PlaneSampler,
+    ScalarField,
     Trajectory,
     VectorField,
     curl3d,
@@ -111,8 +112,8 @@ class CurrentDensity:
         return j
 
     def curl_spectra(self, t: float) -> np.ndarray:
-        """Stacked half spectra of curl j(t), shape (3, *spectral_shape)."""
-        return curl3d(self.evaluate(t)).spectra()
+        """Half spectra of curl j(t): its component stack's, shape (3, *spectral_shape)."""
+        return curl3d(self.evaluate(t)).stack.spectrum()
 
 
 class HarmonicCurrentDensity(CurrentDensity):
@@ -129,8 +130,7 @@ class HarmonicCurrentDensity(CurrentDensity):
         self.j_cos = j_cos
         self.j_sin = j_sin
         self.sigma = sigma
-        self._curl_cos = curl3d(j_cos).spectra()
-        self._curl_sin = curl3d(j_sin).spectra()
+        self._curl_cos, self._curl_sin = (curl3d(j).stack.spectrum() for j in (j_cos, j_sin))
         self._grad_cache = {}
 
     def evaluate(self, t: float) -> VectorField:
@@ -152,8 +152,8 @@ class HarmonicCurrentDensity(CurrentDensity):
         key = (k_power, n_eval or self.grid.n)
         if key not in cache:
             sample = PlaneSampler(self.grid, n_eval)
-            ta, tb = ([sample(d).copy() for d in gradient_planes(fractional_laplacian(f, k_power))]
-                      for f in (self.j_cos, self.j_sin))
+            ta, tb = ([sample(d).copy() for d in gradient_planes(VectorField(
+                fractional_laplacian(f.stack, k_power)))] for f in (self.j_cos, self.j_sin))
             # summed one component at a time, so no product holds nine planes
             p = sum(x * x for x in ta)
             mu = np.divide(sum(x * y for x, y in zip(ta, tb)), p, where=p > 0,
@@ -215,7 +215,7 @@ def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
     k_sin = -grid.ksq() * sinc  # -|k| sin x
     a_new, c_new = a0 - a1, sinc - c1
 
-    b, bt = B0.spectra(), B1.spectra()
+    b, bt = B0.stack.spectrum(), B1.stack.spectrum()
     d_new = j.curl_spectra(times[0]) if j is not None else None
     for i, t in enumerate(times):
         if i > 0:
@@ -224,15 +224,15 @@ def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
                 d_old, d_new = d_new, j.curl_spectra(t)
                 b += a1 * d_old + a_new * d_new
                 bt += c1 * d_old + c_new * d_new
-        yield float(t), VectorField.from_spectra(grid, b), VectorField.from_spectra(grid, bt)
+        yield float(t), *(VectorField(ScalarField.from_spectrum(grid, x)) for x in (b, bt))
 
 
 def solve_wave(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
                T: float, nt: int):
     """Materialized trajectories (B, dB/dt) on nt uniform times in [0, T]."""
     times, *stacks = zip(*wave_steps(B0, B1, j, T, nt))
-    return tuple(Trajectory(times, VectorField.from_spectra(
-        B0.grid, np.stack([f.spectra() for f in x], axis=1))) for x in stacks)
+    return tuple(Trajectory(times, VectorField(ScalarField.from_spectrum(
+        B0.grid, np.stack([f.stack.spectrum() for f in x], axis=1)))) for x in stacks)
 
 
 def wave_energy(B: VectorField, Bt: VectorField) -> float:
@@ -257,7 +257,7 @@ def source_gradient_l1(j: CurrentDensity, t: float, k_power: float,
         u += np.square(v, out=v)
         grid = replace(j.grid, n=n_eval or j.grid.n)
         return float(np.sum(np.sqrt(u, out=u)) * grid.cell_measure)
-    grad_j = gradient_planes(fractional_laplacian(j.evaluate(t), k_power))
+    grad_j = gradient_planes(VectorField(fractional_laplacian(j.evaluate(t).stack, k_power)))
     return magnitude_norm(PlaneSampler(j.grid, n_eval), grad_j, 1, "|grad j|")
 
 
@@ -272,7 +272,7 @@ def strichartz_sides(e: StrichartzExponents, B0: VectorField, B1: VectorField,
     lr_norms, grad_norms, sup_hs, sup_hs_dt = [], [], 0.0, 0.0
     sample = PlaneSampler(B0.grid, n_eval)
     for t, b, bt in wave_steps(B0, B1, j, T, nt):
-        lr_norms.append(magnitude_norm(sample, b.component_spectra(), e.r, "|B(t)|"))
+        lr_norms.append(magnitude_norm(sample, b.stack.spectrum(), e.r, "|B(t)|"))
         sup_hs = max(sup_hs, hs_norm(b, e.s))
         sup_hs_dt = max(sup_hs_dt, hs_norm(bt, e.s - 1.0))
         grad_norms.append(source_gradient_l1(j, t, e.k, n_eval) if j is not None else 0.0)

@@ -84,9 +84,8 @@ class PicardTrace:
 def _flux_divergence(omega: ScalarField) -> np.ndarray:
     """Dealiased spectra of -div(v w), the advective source, for each w of a
     stack of vorticities; v by Biot-Savart."""
-    grid = omega.grid
-    w_and_v = batch_samples(grid, np.stack(
-        [omega.spectrum(), *velocity_from_vorticity_2d(omega).component_spectra()]))
+    grid, v = omega.grid, velocity_from_vorticity_2d(omega).stack.spectrum()
+    w_and_v = batch_samples(grid, np.concatenate((omega.spectrum()[None], v)))
     flux = np.fft.rfftn(w_and_v[1:] * w_and_v[0], axes=(-2, -1))
     div = sum(1j * grid.deriv_wavenumber(a) * flux[a] for a in range(2))
     return np.where(grid.dealias_mask(), -div, 0.0)
@@ -183,19 +182,19 @@ def snapshot_norms(omega: ScalarField) -> dict:
     """Norm bundle of a vorticity, or of each of a stack, in report-column
     order: L1, W11, velocity sup and gradient L2, with one batched inverse
     transform per block.  Each must be finite and >= 0."""
-    g, v = omega.grid, velocity_from_vorticity_2d(omega)
-    w_hat, *v_hat = (_stacked(x, 2) for x in (omega.spectrum(), *v.component_spectra()))
+    g, w_hat = omega.grid, _stacked(omega.spectrum(), 2)
+    v_hat = velocity_from_vorticity_2d(omega).stack.spectrum().reshape((2,) + w_hat.shape)
     columns = {"L1": [], "W11": [], "Linf_v": [], "L2_gradv": []}
     for b in blocks(len(w_hat), 9 * w_hat[0].nbytes):
-        w, dw1, dw2, v1, v2, *grad_v = batch_samples(g, np.stack(
-            [w_hat[b], *gradient_spectra(g, w_hat[b]), *(c[b] for c in v_hat),
-             *(d for c in v_hat for d in gradient_spectra(g, c[b]))]))
+        # x[0] is (w, v1, v2), x[1 + a] their derivatives d_a; grad v is summed component-major
+        x = batch_samples(g, gradient_spectra(
+            g, np.concatenate((w_hat[b][None], v_hat[:, b])), with_field=True))
         # an overflowed magnitude is reported below, by the norm it reaches
         with np.errstate(over="ignore"):
             l1, grad_l1, linf_v, l2_gradv = (
-                lp_norm(ScalarField._held(g, x), p) for x, p in
-                ((w, 1), (_magnitude([dw1, dw2]), 1), (_magnitude([v1, v2]), np.inf),
-                 (_magnitude(grad_v), 2)))
+                lp_norm(ScalarField._held(g, y), p) for y, p in
+                ((x[0, 0], 1), (_magnitude(x[1:, 0]), 1), (_magnitude(x[0, 1:]), np.inf),
+                 (_magnitude(d for dv_c in x[1:, 1:].swapaxes(0, 1) for d in dv_c), 2)))
         for column, values in zip(columns.values(), (l1, l1 + grad_l1, linf_v, l2_gradv)):
             column += values.tolist()
     for label, value in ((k, x) for k, xs in columns.items() for x in xs):

@@ -72,7 +72,7 @@ def oseen_velocity(p: OseenParams, grid: Grid) -> VectorField:
     with np.errstate(divide="ignore", invalid="ignore"):
         fac = p.alpha0 / (2.0 * np.pi) * (1.0 - np.exp(-r2 / (4.0 * p.t))) / r2
     fac = np.where(r2 > 0.0, fac, 0.0)
-    return VectorField([ScalarField(grid, -Y * fac), ScalarField(grid, X * fac)])
+    return VectorField(ScalarField(grid, np.stack([-Y * fac, X * fac])))
 
 
 def oseen_dipole(alpha0: float, separation: float, grid: Grid, t: float,

@@ -321,7 +321,7 @@ class TestBandLatticeRatios:
             raw = random_vector_field(spec.grid, rng, spec.beta)
             want = leray_project(padded_refine(raw, 32))
             assert got.grid == spec.grid
-            assert np.array_equal(padded_refine(got, 32).spectra(), want.spectra())
+            assert np.array_equal(padded_refine(got, 32).stack.spectrum(), want.stack.spectrum())
             for a, b in zip(spectral_refine(got, 32).components, want.components):
                 assert np.array_equal(a.samples, b.samples)
 
@@ -379,7 +379,7 @@ def test_bb_ratio_3d_takes_one_curl(monkeypatch):
 
 
 def spectra(comps):
-    return [c.spectrum() for c in comps]
+    return np.stack([c.spectrum() for c in comps])
 
 
 class TestNonconstantCheck:

@@ -133,12 +133,20 @@ class Test3D:
     def test_curl_entry_matches(self, g3):
         w = self._solenoidal(g3, 60)
         via_curl = velocity_from_curl_3d(w, curl3d(w))
-        assert np.array_equal(via_curl.spectra(), velocity_from_vorticity_3d(w).spectra())
+        assert np.array_equal(via_curl.stack.spectrum(), velocity_from_vorticity_3d(w).stack.spectrum())
 
     def test_nonzero_mean_component_rejected(self, g3):
         comps = [random_mean_zero(g3, 50 + i) for i in range(3)]
         comps[1] = comps[1] + ScalarField(g3, np.full(g3.shape, 0.5))
         with pytest.raises(CirculationObstructionError):
+            velocity_from_vorticity_3d(VectorField(comps))
+
+    def test_nonzero_mean_component_named(self, g3):
+        # the component stack is checked at once, and the message names the row at fault
+        comps = [random_mean_zero(g3, 50 + i) for i in range(3)]
+        comps[2] = comps[2] + ScalarField(g3, np.full(g3.shape, 0.25))
+        with pytest.raises(CirculationObstructionError,
+                           match="vorticity component 2 of 3 has nonzero mean 2.500e-01"):
             velocity_from_vorticity_3d(VectorField(comps))
 
 

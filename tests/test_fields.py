@@ -478,10 +478,16 @@ STACK_RULES = {
                                      [mean_is_negligible(r) for r in rows(s)]),
     "snapshot_norms": lambda s: (as_rows(snapshot_norms(s)), [snapshot_norms(r) for r in rows(s)]),
     "velocity_from_vorticity_2d": lambda s: (
-        list(velocity_from_vorticity_2d(s).spectra().swapaxes(0, 1)),
-        [velocity_from_vorticity_2d(r).spectra() for r in rows(s)]),
+        list(velocity_from_vorticity_2d(s).stack.spectrum().swapaxes(0, 1)),
+        [velocity_from_vorticity_2d(r).stack.spectrum() for r in rows(s)]),
     "heat_evolve": lambda s: (list(heat_evolve(s[0], [0.0, 0.01, 0.1]).spectrum()),
                               [heat_evolve(s[0], t).spectrum() for t in (0.0, 0.01, 0.1)]),
+    "mean": lambda s: (s.mean().tolist(), [r.mean() for r in rows(s)]),
+    **{f"hs_norm-{x}": lambda s, x=x: (hs_norm(s, x).tolist(), [hs_norm(r, x) for r in rows(s)])
+       for x in (0.0, 0.5, -0.5)},
+    **{f"hs_norm-vector-{x}": lambda s, x=x: (
+        hs_norm(VectorField([s, 2.0 * s]), x).tolist(),
+        [hs_norm(VectorField([r, 2.0 * r]), x) for r in rows(s)]) for x in (0.0, -0.5)},
 }
 
 
@@ -512,6 +518,35 @@ class TestStackedField:
         assert row.lead == () and stack.lead == (4,) and stack[1:3].lead == (2,)
         assert np.shares_memory(row.samples, stack.samples) and not row.samples.flags.writeable
         assert scans == []
+
+    def test_stack_rules_give_each_rows_value(self, g64):
+        # rows with distinct nonzero means: one mean over the stack would mix them
+        stack = ScalarField(g64, np.stack([random_smooth(g64, 50 + i).samples + m
+                                           for i, m in enumerate((-0.1, 0.02, -0.09))]))
+        for rule in (lambda f: f.mean(), lambda f: hs_norm(f, 0.5), lambda f: hs_norm(f, 0.0)):
+            got = rule(stack)
+            assert got.shape == (3,)
+            assert got.tolist() == [rule(stack[i]) for i in range(3)]
+            assert all(type(rule(stack[i])) is float for i in range(3))
+        assert len(set(stack.mean().tolist())) == 3
+
+    def test_vector_stack_needs_dim_components_first(self, g64):
+        for lead in ((), (3,), (1,), (4, 2)):
+            with pytest.raises(ValueError, match="expected 2 components on the stack"):
+                VectorField(ScalarField(g64, np.zeros(lead + g64.shape)))
+        v = VectorField(ScalarField(g64, np.zeros((2, 4) + g64.shape)))
+        assert v.lead == (4,) and v[1].lead == () and v.components[0].lead == (4,)
+
+    def test_components_are_stacked_once_and_read_as_views(self, g64, monkeypatch):
+        comps = [random_smooth(g64, 60), ScalarField(g64, np.ones(g64.shape))]
+        scans = []
+        monkeypatch.setattr(np, "isfinite", lambda a, _f=np.isfinite: scans.append(1) or _f(a))
+        v = VectorField(comps)
+        assert scans == []  # each component was checked when it was built
+        for c, got in zip(comps, v.components):
+            assert np.shares_memory(got.samples, v.stack.samples)
+            assert np.array_equal(got.samples, c.samples)
+            assert np.array_equal(got.spectrum(), c.spectrum())
 
     def test_mismatched_components_rejected(self, g64):
         with pytest.raises(ValueError, match="stack axes"):

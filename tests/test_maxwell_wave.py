@@ -23,6 +23,7 @@ from vortexlab.maxwell_wave import (
     strichartz_ratio_experiment,
     strichartz_sides,
     wave_energy,
+    wave_steps,
     wave_weights,
 )
 from vortexlab.heat import SERIES_Z
@@ -111,6 +112,20 @@ class TestHomogeneousPropagator:
             for (_, b), (_, bt) in zip(traj_b, traj_bt)
         ]
         assert (max(es) - min(es)) / max(es) < 1e-8
+
+    def test_trajectory_rows_are_views_of_the_steps(self, g16):
+        rng = np.random.default_rng(11)
+        B0, B1 = random_vector_field(g16, rng), random_vector_field(g16, rng)
+        traj_b, _ = solve_wave(B0, B1, None, 0.7, 5)
+        stack = traj_b.field.stack.spectrum()
+        assert stack.shape == (3, 5) + g16.spectral_shape
+        for i, (t, b, _bt) in enumerate(wave_steps(B0, B1, None, 0.7, 5)):
+            row = traj_b.field[i]
+            assert traj_b.times[i] == t and row.lead == ()
+            for c in range(3):
+                for comp in (row.components[c], traj_b.field.components[c][i]):
+                    assert np.shares_memory(comp.spectrum(), stack)
+                    assert np.array_equal(comp.spectrum(), b.components[c].spectrum())
 
     def test_time_reversal(self, g16):
         rng = np.random.default_rng(10)
