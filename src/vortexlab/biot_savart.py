@@ -58,10 +58,8 @@ def velocity_from_vorticity_2d(omega: ScalarField) -> SolenoidalVectorField:
     if g.dim != 2:
         raise ValueError("velocity_from_vorticity_2d requires a 2D scalar field")
     _check_mean_zero(omega, "vorticity")
-    k = [g.deriv_wavenumber(a) for a in range(2)]
-    multipliers = np.stack(np.broadcast_arrays(1j * k[1], -1j * k[0]))
     # one array for both components: as two, the Picard CLI runs took 7x the page faults
-    v = multipliers.reshape((2,) + (1,) * len(omega.lead) + g.spectral_shape) * (
+    v = g.biot_savart_pair().reshape((2,) + (1,) * len(omega.lead) + g.spectral_shape) * (
         g.kpow(-2.0) * omega.spectrum())
     # not scanned again: omega was, and the multipliers are at most L / 2 pi in size
     return SolenoidalVectorField(ScalarField._held(g, spectrum=_readonly(v)))
@@ -89,11 +87,11 @@ def leray_project(u: VectorField) -> SolenoidalVectorField:
     untouched, as they carry no discrete derivative).
     """
     g, uh = u.grid, u.stack.spectrum()
-    k = np.stack(np.broadcast_arrays(*(g.deriv_wavenumber(a) for a in range(g.dim))))
-    k = k.reshape((g.dim,) + (1,) * len(u.lead) + g.spectral_shape)  # along the stack axes
-    ksq = sum(k**2)
-    inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
-    proj = uh - k * sum(k * uh) * inv
+    k = [g.deriv_wavenumber(a) for a in range(g.dim)]  # each broadcasts along the stack axes
+    k_dot_u, inv = sum(k[a] * uh[a] for a in range(g.dim)), g.inverse_deriv_ksq()
+    proj = np.empty_like(uh)
+    for a in range(g.dim):
+        np.subtract(uh[a], k[a] * k_dot_u * inv, out=proj[a])
     # pure-gradient inputs leave only roundoff; snap that to exact zero so
     # the solenoidal invariant is not tested against noise
     size_in, size_out = (np.sqrt(sum(hs_sq(g, x))) for x in (uh, proj))

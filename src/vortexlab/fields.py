@@ -111,6 +111,19 @@ class Grid:
         return _readonly(sum(k**2 for k in self._wavenumbers(False)))
 
     @lru_cache(maxsize=32)
+    def inverse_deriv_ksq(self) -> np.ndarray:
+        """1 / |k|^2 on the odd-derivative wavenumbers, 0 where |k| is 0."""
+        ksq = sum(k**2 for k in self._wavenumbers(True))
+        return _readonly(np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0))
+
+    @lru_cache(maxsize=32)
+    def biot_savart_pair(self) -> np.ndarray:
+        """The 2D multipliers (i k2, -i k1) of (d2, -d1), stacked, on the
+        odd-derivative wavenumbers."""
+        k = self._wavenumbers(True)
+        return _readonly(np.stack(np.broadcast_arrays(1j * k[1], -1j * k[0])))
+
+    @lru_cache(maxsize=32)
     def kmag(self) -> np.ndarray:
         return _readonly(np.sqrt(self.ksq()))
 
@@ -567,10 +580,15 @@ def w11_norm(f: ScalarField):
     for b in blocks(len(spectra), 3 * spectra[0].nbytes):
         # f itself too, unless its samples are held
         x = batch_samples(g, gradient_spectra(g, spectra[b], with_field=not held))
-        w = _stacked(f._samples, 2)[b] if held else x[0]
-        out += (lp_norm(ScalarField._held(g, w), 1)
-                + lp_norm(ScalarField._held(g, _magnitude(x[-2:])), 1)).tolist()
+        out += w11_rows(g, _stacked(f._samples, 2)[b] if held else x[0], x[-2:])
     return _per_field(f, out)
+
+
+def w11_rows(grid: Grid, samples: np.ndarray, gradient: np.ndarray) -> list:
+    """W^{1,1} norm of each field of a stack of 2D samples, given the samples
+    of its gradient (derivative axis first), in ``w11_norm``'s arithmetic."""
+    return (lp_norm(ScalarField._held(grid, samples), 1)
+            + lp_norm(ScalarField._held(grid, _magnitude(gradient)), 1)).tolist()
 
 
 def hs_sq(grid: Grid, coeffs: np.ndarray, s: float = 0.0):

@@ -4,6 +4,13 @@ independent integrating-factor RK4 time stepper as cross-validation oracle.
 Both discretize the same dynamics (w_t - Lap w = -div(v w), v by Biot-Savart)
 through different routes: the fixed point of the Duhamel integral operator
 vs explicit spectral time stepping with 2/3-rule dealiasing.
+
+A Picard iteration is one in-place sweep over the time lattice that carries
+the iterate's samples of (w, d1 w, d2 w): per block of snapshots it samples
+v for the flux, runs the recurrence into the iterate's own spectra, and
+samples the new (w, d1 w, d2 w) for the W11 norms of the iterate and of its
+difference from the held samples, which it then overwrites: 5 inverse and 2
+forward transformed planes per snapshot.  ``apply_T`` shares that code.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -26,6 +33,7 @@ from .fields import (
     hs_sq,
     lp_norm,
     w11_norm,
+    w11_rows,
 )
 from .heat import etd_weights, heat_evolve
 
@@ -83,10 +91,15 @@ class PicardTrace:
 
 def _flux_divergence(omega: ScalarField) -> np.ndarray:
     """Dealiased spectra of -div(v w), the advective source, for each w of a
-    stack of vorticities; v by Biot-Savart."""
+    stack of vorticities; v by Biot-Savart.  Samples of w that the stack
+    holds are read as they are, else w is sampled with v in one transform."""
     grid, v = omega.grid, velocity_from_vorticity_2d(omega).stack.spectrum()
-    w_and_v = batch_samples(grid, np.concatenate((omega.spectrum()[None], v)))
-    flux = np.fft.rfftn(w_and_v[1:] * w_and_v[0], axes=(-2, -1))
+    if omega._samples is None:
+        w_and_v = batch_samples(grid, np.concatenate((omega.spectrum()[None], v)))
+        w, v = w_and_v[0], w_and_v[1:]
+    else:
+        w, v = omega._samples, batch_samples(grid, v)
+    flux = np.fft.rfftn(v * w, axes=(-2, -1))
     div = sum(1j * grid.deriv_wavenumber(a) * flux[a] for a in range(2))
     return np.where(grid.dealias_mask(), -div, 0.0)
 
@@ -97,56 +110,90 @@ def _panel_weights(grid: Grid, dt: float):
     return tuple(_readonly(w) for w in etd_weights(grid.ksq(), dt))
 
 
+def _duhamel_block(out, block: slice, omega: ScalarField, omega0: ScalarField, weights, d_prev):
+    """Write the Duhamel recurrence into out[block] from the fluxes of omega,
+    the block's input vorticities, formed first (so out may hold them); row 0
+    is omega0, whose heat evolution the recurrence folds in.  Returns the
+    block's last flux."""
+    e, w_old, w_new = weights
+    for i, d_next in enumerate(_flux_divergence(omega), start=block.start):
+        if i == 0:
+            out[0] = omega0.spectrum()
+        else:
+            np.multiply(e, out[i - 1], out=out[i])
+            out[i] += w_old * d_prev
+            out[i] += w_new * d_next
+        d_prev = d_next
+    if not np.all(np.isfinite(out[block])):
+        raise ArithmeticError("non-finite values in Duhamel term: iteration diverged")
+    return d_prev
+
+
 def apply_T(omega_traj: Trajectory, omega0: ScalarField, cfg: MildSolveConfig) -> Trajectory:
-    """One application of the Duhamel fixed-point operator to a trajectory.
+    """One application of the Duhamel fixed-point operator to a trajectory,
+    checked mean-zero whole first, so a bad snapshot is named by its index.
 
     One streaming pass over the time lattice, a block of input snapshots at
     a time: the flux divergences of a block are formed together, and the
     linear interpolant of the flux between nodes is integrated exactly
     against the heat kernel (``heat.etd_weights``).  Starting the recurrence
     from the spectrum of omega0 folds in its heat evolution.  The result is
-    one stack of spectra.
+    one stack of spectra.  Picard sweeps run the same code in place.
     """
     _check_mean_zero(omega0, "initial vorticity")
     grid = cfg.grid
     times = cfg.times
     if len(omega_traj) != cfg.nt or not np.allclose(omega_traj.times, times, atol=0):
         raise ValueError("input trajectory does not live on the config time lattice")
-    e, w_old, w_new = _panel_weights(grid, times[1] - times[0])
+    _check_mean_zero(omega_traj.field, "vorticity")
+    weights = _panel_weights(grid, times[1] - times[0])
     out = np.empty((cfg.nt,) + grid.spectral_shape, dtype=np.complex128)
-    out[0] = omega0.spectrum()
     d_prev = None
     for block in blocks(cfg.nt, 3 * out[0].nbytes):  # w, v1 and v2 of each snapshot
-        for i, d_next in enumerate(_flux_divergence(omega_traj.field[block]), start=block.start):
-            if i > 0:
-                out[i] = e * out[i - 1] + w_old * d_prev + w_new * d_next
-                if not np.all(np.isfinite(out[i])):
-                    raise ArithmeticError("non-finite values in Duhamel term: iteration diverged")
-            d_prev = d_next
-    return Trajectory(times, ScalarField.from_spectrum(grid, out))
+        d_prev = _duhamel_block(out, block, omega_traj.field[block], omega0, weights, d_prev)
+    return Trajectory(times, ScalarField._held(grid, spectrum=_readonly(out)))
 
 
-def _sup_w11_diff(a: Trajectory, b: Trajectory) -> float:
-    """sup in time of the W^{1,1} norm of a - b, differenced spectrally."""
-    return max(w11_norm(a.field - b.field).tolist())
+def _picard_sweeps(omega0: ScalarField, cfg: MildSolveConfig):
+    """Picard sweeps (see the module docstring) from the heat evolution of
+    omega0, whose samples take 3 inverse planes per snapshot, over buffers
+    allocated once.  Yields (spectra, sup_w11, diff_w11) after each, sups in
+    time; the next sweep overwrites spectra."""
+    _check_mean_zero(omega0, "initial vorticity")
+    grid, times = cfg.grid, cfg.times
+    weights = _panel_weights(grid, times[1] - times[0])
+    spectra = heat_evolve(omega0, times).spectrum().copy()
+    held = np.empty((3, cfg.nt) + grid.shape)
+    steps = blocks(cfg.nt, 3 * spectra[0].nbytes)  # (w, v1, v2), then (w, d1 w, d2 w)
+    for b in steps:
+        held[:, b] = batch_samples(grid, gradient_spectra(grid, spectra[b], with_field=True))
+    while True:
+        d_prev, sup, diff = None, [], []
+        for b in steps:
+            d_prev = _duhamel_block(spectra, b, ScalarField._held(grid, held[0, b], spectra[b]),
+                                    omega0, weights, d_prev)
+            x = batch_samples(grid, gradient_spectra(grid, spectra[b], with_field=True))
+            sup += w11_rows(grid, x[0], x[1:])
+            d = np.subtract(x, held[:, b], out=held[:, b])
+            diff += w11_rows(grid, d[0], d[1:])
+            held[:, b] = x
+        yield spectra, max(sup), max(diff)
 
 
 def picard_solve(omega0: ScalarField, cfg: MildSolveConfig):
     """Iterate the Duhamel operator from the pure heat evolution until the
     sup-in-time W^{1,1} successive difference drops below cfg.tol.
 
-    Returns (Trajectory, PicardTrace).  Raises ContractionFailureError if
-    the difference ratio stays >= 1 for three consecutive iterations.
+    Each iteration is one in-place sweep; the difference's norm is taken
+    from both iterates' samples.  Returns (Trajectory, PicardTrace), the
+    trajectory holding spectra only.  Raises ContractionFailureError if the
+    difference ratio stays >= 1 for three consecutive iterations.
     """
-    _check_mean_zero(omega0, "initial vorticity")
     trace = PicardTrace()
-    current = Trajectory(cfg.times, heat_evolve(omega0, cfg.times))
     prev_diff = None
     bad_streak = 0
-    for it in range(1, cfg.max_iter + 1):
-        nxt = apply_T(current, omega0, cfg)
-        diff = _sup_w11_diff(nxt, current)
-        trace.sup_w11.append(max(w11_norm(nxt.field).tolist()))
+    for it, (spectra, sup, diff) in zip(range(1, cfg.max_iter + 1), _picard_sweeps(omega0, cfg)):
+        trace.sup_w11.append(sup)
         trace.diff_w11.append(diff)
         if prev_diff is not None and prev_diff > 0:
             ratio = diff / prev_diff
@@ -160,13 +207,12 @@ def picard_solve(omega0: ScalarField, cfg: MildSolveConfig):
                     )
             else:
                 bad_streak = 0
-        current = nxt
         trace.iterations = it
         if diff < cfg.tol:
             trace.converged = True
             break
         prev_diff = diff
-    return current, trace
+    return Trajectory(cfg.times, ScalarField._held(cfg.grid, spectrum=_readonly(spectra))), trace
 
 
 def require_converged(trace: PicardTrace, cfg: MildSolveConfig):
@@ -221,11 +267,8 @@ def calibrate_horizon(omega0: ScalarField, grid: Grid, t_max: float):
 
 def first_contraction_ratio(omega0: ScalarField, cfg: MildSolveConfig) -> float:
     """Ratio of the first two successive-difference norms of the iteration."""
-    guess = Trajectory(cfg.times, heat_evolve(omega0, cfg.times))
-    first = apply_T(guess, omega0, cfg)
-    second = apply_T(first, omega0, cfg)
-    d1 = _sup_w11_diff(first, guess)
-    d2 = _sup_w11_diff(second, first)
+    sweeps = _picard_sweeps(omega0, cfg)
+    (_, _, d1), (_, _, d2) = next(sweeps), next(sweeps)
     if d1 == 0.0:
         return 0.0
     return d2 / d1
@@ -310,7 +353,7 @@ def continuous_dependence_experiment(omega0: ScalarField, perturbations, cfg: Mi
         input_size = w11_norm(delta)
         pert, trace = picard_solve(omega0 + delta, cfg)
         require_converged(trace, cfg)
-        output_size = _sup_w11_diff(pert, base)
+        output_size = max(w11_norm(pert.field - base.field).tolist())
         ratio = output_size / input_size if input_size > 0 else 0.0
         rows.append(
             {"input_w11": input_size, "output_w11": output_size, "ratio": ratio}

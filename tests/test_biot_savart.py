@@ -85,6 +85,21 @@ class Test2D:
             velocity_from_vorticity_2d(ScalarField.from_spectrum(g2, spectra))
 
 
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_cached_pair_matches_the_rebuilt_multipliers(self, lead):
+        g = Grid(2, 32, 3.0)
+        rng = np.random.default_rng(5)
+        w = ScalarField(g, rng.standard_normal(lead + g.shape))
+        w = ScalarField.from_spectrum(g, w.spectrum() - w.spectrum()[..., :1, :1])  # mean-zero
+        k = [g.deriv_wavenumber(a) for a in range(2)]
+        pair = np.stack(np.broadcast_arrays(1j * k[1], -1j * k[0]))
+        expect = pair.reshape((2,) + (1,) * len(lead) + g.spectral_shape) * (
+            g.kpow(-2.0) * w.spectrum())
+        assert velocity_from_vorticity_2d(w).stack.spectrum().tobytes() == expect.tobytes()
+        assert g.biot_savart_pair() is Grid(2, 32, 3.0).biot_savart_pair()
+        assert not g.biot_savart_pair().flags.writeable
+
+
 class Test3D:
     def _solenoidal(self, g3, seed):
         comps = [random_mean_zero(g3, seed + i) for i in range(3)]
@@ -176,6 +191,26 @@ class TestLerayProjection:
         assert isinstance(p, SolenoidalVectorField)
         with pytest.raises(ValueError):
             SolenoidalVectorField(u.components)
+
+
+    @pytest.mark.parametrize("dim, n, box_length, lead",
+                             [(2, 16, TWO_PI, ()), (2, 32, 3.0, (2,)), (3, 8, 2.5, ()),
+                              (3, 8, TWO_PI, (3,))])
+    def test_matches_the_stacked_wavevector_formula(self, dim, n, box_length, lead):
+        # Nyquist content included; each component row is projected by the
+        # per-axis wavenumbers and the cached inverse, bitwise as by one
+        # stacked wavevector and its squared sum built per call
+        g = Grid(dim, n, box_length)
+        u = VectorField(ScalarField(
+            g, np.random.default_rng(n).standard_normal((dim,) + lead + g.shape)))
+        uh = u.stack.spectrum()
+        k = np.stack(np.broadcast_arrays(*(g.deriv_wavenumber(a) for a in range(dim))))
+        k = k.reshape((dim,) + (1,) * len(lead) + g.spectral_shape)
+        ksq = sum(k**2)
+        inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
+        expect = uh - k * sum(k * uh) * inv
+        assert leray_project(u).stack.spectrum().tobytes() == expect.tobytes()
+        assert not g.inverse_deriv_ksq().flags.writeable
 
 
 @pytest.mark.parametrize("n", [8, 16])

@@ -183,10 +183,9 @@ class TestBlockedPath:
         spectra = heat_guess(w0, cfg).field.spectrum().copy()
         spectra[bad, 0, 0] += 0.5 * g64.n**2  # a mean of 0.5
         traj = Trajectory(cfg.times, ScalarField.from_spectrum(g64, spectra))
-        with pytest.raises(CirculationObstructionError):
-            apply_T(traj, w0, cfg)
-        with pytest.raises(CirculationObstructionError):
-            snapshot_norms(traj.field)
+        for run in (lambda: apply_T(traj, w0, cfg), lambda: snapshot_norms(traj.field)):
+            with pytest.raises(CirculationObstructionError, match=f"vorticity {bad} of 8 has"):
+                run()
 
     @pytest.mark.parametrize("bad", [0, 5, 7])
     def test_nonfinite_snapshot_in_a_block_rejected(self, g64, bad):
@@ -213,6 +212,63 @@ class TestBlockedPath:
         assert trace.iterations > 1 and len(built) == 1
         e, w_old, w_new = mild_solver._panel_weights(g64, cfg.times[1] - cfg.times[0])
         assert not (e.flags.writeable or w_old.flags.writeable or w_new.flags.writeable)
+
+
+def apply_T_solve(w0, cfg):
+    """picard_solve written as a loop of apply_T, with spectrally differenced
+    W11 norms: (final trajectory, sup_w11 list, diff_w11 list)."""
+    current, sup, diff = heat_guess(w0, cfg), [], []
+    for _ in range(cfg.max_iter):
+        nxt = apply_T(current, w0, cfg)
+        sup.append(max(w11_norm(nxt.field).tolist()))
+        diff.append(max(w11_norm(nxt.field - current.field).tolist()))
+        current = nxt
+        if diff[-1] < cfg.tol:
+            break
+    return current, sup, diff
+
+
+class TestInPlaceSweeps:
+    @pytest.mark.parametrize("family", ["two-mode", "dipole"])
+    def test_solve_matches_an_apply_T_loop(self, g64, family):
+        w0, t0 = {"two-mode": (two_mode_vorticity(g64, 0.05), 0.2),
+                  "dipole": (dipole(g64), 0.02)}[family]
+        cfg = MildSolveConfig(grid=g64, t0=t0, nt=16)
+        traj, trace = picard_solve(w0, cfg)
+        expect, sup, diff = apply_T_solve(w0, cfg)
+        assert trace.converged and trace.iterations == len(sup) > 2
+        assert traj.field._samples is None  # the solve's sample buffers are not kept
+        assert traj.field.spectrum().tobytes() == expect.field.spectrum().tobytes()
+        assert trace.sup_w11 == sup
+        # differenced from samples, not spectra: equal up to roundoff of the iterate's size
+        assert all(abs(a - b) <= 1e-12 * s for a, b, s in zip(trace.diff_w11, diff, sup))
+        got, want = snapshot_norms(traj.field), snapshot_norms(expect.field)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+    def test_first_contraction_ratio_is_the_solves_first_ratio(self, g64):
+        w0 = dipole(g64)
+        cfg = MildSolveConfig(grid=g64, t0=0.02, nt=16)
+        _traj, trace = picard_solve(w0, cfg)
+        assert first_contraction_ratio(w0, cfg) == trace.ratios[0]
+        assert trace.ratios[0] == trace.diff_w11[1] / trace.diff_w11[0]
+
+    def test_transformed_planes(self, g64, monkeypatch):
+        # the guess samples (w, d1 w, d2 w); a sweep samples v and the new
+        # (w, d1 w, d2 w), and transforms the two flux components forward
+        w0 = dipole(g64)
+        w0.spectrum()
+        cfg = MildSolveConfig(grid=g64, t0=0.02, nt=16)
+        planes = {}
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            def counted(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                planes[_name] = planes.get(_name, 0) + int(np.prod(np.shape(a)[:-2]))
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        _traj, trace = picard_solve(w0, cfg)
+        monkeypatch.undo()
+        assert trace.iterations > 2
+        assert planes == {"irfftn": (3 + 5 * trace.iterations) * cfg.nt,
+                          "rfftn": 2 * trace.iterations * cfg.nt}
 
 
 class TestPicardSolve:
