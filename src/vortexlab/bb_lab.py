@@ -66,11 +66,12 @@ def random_family(spec: RandomFieldSpec) -> Family:
 def _check_nonconstant(den: float, spectra: np.ndarray, sample: PlaneSampler, what: str):
     """Reject when den <= 1e-12 * max(max|w|, 1), max|w| over the stack of half
     spectra `spectra` as `sample` samples it, read only when den does not
-    clear twice (for roundoff) the Hausdorff-Young bound sum|w_hat| / N^d."""
+    clear twice (for roundoff) the Hausdorff-Young bound sum|w_hat| / N^d;
+    max|w| is read block by block."""
     g = sample.grid
     bound = max(np.sum(g.sobolev_weight(0) * np.abs(c)) for c in spectra) / g.n**g.dim
-    if den <= 1e-12 * max(2.0 * bound, 1.0) and den <= 1e-12 * max(
-            max(float(np.max(np.abs(sample(c)))) for c in spectra), 1.0):
+    if den <= 1e-12 * max(2.0 * bound, 1.0) and den <= 1e-12 * max(max(
+            float(np.max(np.abs(x))) for c in spectra for _, x in sample.slabs(c)), 1.0):
         raise ValueError(f"{what} rejected: denominator vanishes (constant field)")
 
 

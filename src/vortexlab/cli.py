@@ -37,7 +37,7 @@ from .fields import Grid, ScalarField, VectorField, check_n_eval, lp_norm
 from .maxwell_wave import (HarmonicCurrentDensity, StrichartzExponents, require_admissible,
                            strichartz_ratio_experiment, wave_steps)
 from .mild_solver import (MildSolveConfig, calibrate_horizon, continuous_dependence_experiment,
-                          picard_solve, require_converged, snapshot_norms)
+                          picard_solve, require_converged, solution_norms)
 from .oseen import oseen_dipole, sharpness_scaling_experiment
 from .random_data import smooth_bump, two_mode_vorticity, wave_fixture_family
 
@@ -137,7 +137,7 @@ def _run_picard(solve_cfg, cfg, _threads):
         t0, calibrated_ratio = calibrate_horizon(omega0, solve_cfg.grid, cfg["t_horizon_cap"])
         solve_cfg = replace(solve_cfg, t0=t0)
     traj, trace = picard_solve(omega0, solve_cfg)
-    norms = snapshot_norms(traj.field)
+    norms = solution_norms(traj, trace)
     rows = [(float(t), *n) for t, *n in zip(traj.times, *norms.values())]
     summary = {k: getattr(trace, k) for k in
                ("converged", "iterations", "diff_w11", "ratios", "sup_w11")}

@@ -17,8 +17,10 @@ Conventions, fixed once for the whole package:
 * Vector magnitudes (including gradient tensors) are pointwise Euclidean.
 * A field keeps the grid it was built on, and spectral work never leaves
   it.  A norm on an evaluation grid is ``magnitude_norm``: a ``PlaneSampler``
-  samples the half spectra there plane by plane into buffers it keeps, exact
-  for a field without Nyquist content; no evaluation-grid spectrum is built.
+  samples each half spectrum there as blocks of axis-0 slabs, its staged
+  transform's later stages one block at a time into a buffer it keeps, exact
+  for a field without Nyquist content; no evaluation-grid spectrum is built,
+  and the one full-size array a norm holds is its accumulator.
 * A field may be a stack (a trajectory): its arrays carry leading axes
   ``lead`` before the grid's own, and ``f[i]`` is row i, over views.  Its
   transforms and each rule below (norms, mean, mean-zero test, Biot-Savart,
@@ -38,6 +40,9 @@ import numpy as np
 # input spectra of one batched transform: 4 snapshots of three 64^2 spectra.
 # On a 2 MiB L2, blocks of 2-4 such snapshots ran fastest, of 5 or more slower
 BLOCK_BYTES = 400 << 10
+# evaluation-grid samples of one block of axis-0 slabs, the unit in which a
+# PlaneSampler hands out a plane: 8 slabs of a 64^3 grid
+SLAB_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -165,9 +170,10 @@ def batch_samples(grid: Grid, spectra: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(spectra, s=grid.shape, axes=range(-grid.dim, 0))
 
 
-def blocks(count: int, item_bytes: int) -> list[slice]:
-    """Slices of range(count), each as many items as fit BLOCK_BYTES (one at least)."""
-    step = max(1, BLOCK_BYTES // item_bytes)
+def blocks(count: int, item_bytes: int, budget: int | None = None) -> list[slice]:
+    """Slices of range(count), each as many items as fit `budget` bytes
+    (BLOCK_BYTES by default; one item at least)."""
+    step = max(1, (budget or BLOCK_BYTES) // item_bytes)
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
@@ -465,37 +471,76 @@ def curl3d(v: VectorField) -> VectorField:
 
 class PlaneSampler:
     """Samples on the n_eval grid (the field grid's own by default) of half
-    spectra on `grid`, one plane per call: ``batch_samples`` on the grid's
-    own, else ``staged``.  A call's result is valid until the next call."""
+    spectra on `grid`, handed out as blocks of axis-0 slabs, ``rows``: on the
+    grid's own, views of one ``batch_samples``; else the staged transform
+    runs its first stage on the whole plane and its later stages one block at
+    a time, into one block buffer.  A block covers SLAB_BYTES of samples of
+    each of `planes` planes, so that many blocks may be held at once.  What a
+    call returns is valid until the next call."""
 
-    def __init__(self, grid: Grid, n_eval: int | None = None):
+    def __init__(self, grid: Grid, n_eval: int | None = None, planes: int = 1):
         check_n_eval(grid, n_eval)
         self.grid, self.eval_grid = grid, Grid(grid.dim, n_eval or grid.n, grid.box_length)
+        self.own = self.eval_grid == grid
+        m, half = self.eval_grid.n, grid.n // 2
+        self.rows = blocks(m, planes * 8 * m ** (grid.dim - 1), SLAB_BYTES)
+        # wavenumbers 0..half-1 and -(half-1)..-1: the same index on both grids
+        self._kept = (slice(0, half), slice(1 - half, None))
         self._buffers = None  # the staged transform's, built on its first call
 
+    def slabs(self, spectrum: np.ndarray):
+        """(rows, samples of those rows) of one plane, block by block."""
+        first = self.first_stage(spectrum)
+        return ((rows, self.block(first, rows)) for rows in self.rows)
+
+    def first_stage(self, spectrum: np.ndarray) -> np.ndarray:
+        """What ``block`` reads of one plane: its samples (a fresh array) on
+        the grid's own, else the staged transform's first stage."""
+        return batch_samples(self.grid, spectrum) if self.own else self._first(spectrum)
+
+    def block(self, first: np.ndarray, rows: slice) -> np.ndarray:
+        """Samples of `rows` of the plane whose ``first_stage`` is `first`."""
+        return first[rows] if self.own else self._later(first, rows)
+
     def __call__(self, spectrum: np.ndarray) -> np.ndarray:
-        own = self.eval_grid == self.grid
-        return batch_samples(self.grid, spectrum) if own else self.staged(spectrum)
+        """The samples of one plane, whole: ``batch_samples`` on the grid's own, else ``staged``."""
+        return batch_samples(self.grid, spectrum) if self.own else self.staged(spectrum)
 
     def staged(self, spectrum: np.ndarray) -> np.ndarray:
         """The samples, Nyquist planes dropped (ambiguous under embedding): an
         ``ifft`` per axis but the last over the kept modes, writing only their
-        rows, then ``irfft``; bitwise ``irfftn`` of the zero-padded spectrum."""
+        rows, then ``irfft``; bitwise ``irfftn`` of the zero-padded spectrum.
+        Each line is transformed alone, so the blocks change no bit."""
+        first, out = self._first(spectrum), np.empty(self.eval_grid.shape)
+        for rows in self.rows:
+            out[rows] = self._later(first, rows)
+        return out
+
+    def _first(self, spectrum: np.ndarray) -> np.ndarray:
+        """The scaled kept modes, padded along axis 0 and transformed there."""
         g, m, half = self.grid, self.eval_grid.n, self.grid.n // 2
         if self._buffers is None:  # the padded stage inputs are zeroed once
-            shapes = [(m,) * (a + 1) + (g.n,) * (g.dim - 2 - a) + (half,)
+            step = self.rows[0].stop
+            shapes = [(m if a == 0 else step,) + (m,) * a + (g.n,) * (g.dim - 2 - a) + (half,)
                       for a in range(g.dim - 1)]
-            self._buffers = (np.empty(g.spectral_shape[:-1] + (half,), dtype=np.complex128),
-                             [(np.zeros(s, dtype=np.complex128), np.empty(s, dtype=np.complex128))
-                              for s in shapes], np.empty(self.eval_grid.shape))
-        scaled, stages, result = self._buffers
-        a = np.multiply(spectrum[..., :half], (m / g.n) ** g.dim, out=scaled)
-        for axis, (padded, out) in enumerate(stages):
-            # wavenumbers 0..half-1 and -(half-1)..-1: the same index on both grids
-            for k in (slice(0, half), slice(1 - half, None)):
+            self._buffers = ([(np.zeros(s, dtype=np.complex128), np.empty(s, dtype=np.complex128))
+                              for s in shapes], np.empty((step,) + self.eval_grid.shape[1:]))
+        padded, out = self._buffers[0][0]
+        for k in self._kept:
+            np.multiply(spectrum[k, ..., :half], (m / g.n) ** g.dim, out=padded[k])
+        return np.fft.ifft(padded, axis=0, out=out)
+
+    def _later(self, first: np.ndarray, rows: slice) -> np.ndarray:
+        """Rows `rows` of the samples from a plane's first stage: the ``ifft``
+        of each middle axis, then ``irfft``, in the block buffers."""
+        stages, result = self._buffers
+        count, a = rows.stop - rows.start, first[rows]
+        for axis, (padded, out) in enumerate(stages[1:], start=1):
+            padded, out = padded[:count], out[:count]
+            for k in self._kept:
                 padded[(slice(None),) * axis + (k,)] = a[(slice(None),) * axis + (k,)]
             a = np.fft.ifft(padded, axis=axis, out=out)
-        return np.fft.irfft(a, n=m, axis=-1, out=result)
+        return np.fft.irfft(a, n=self.eval_grid.n, axis=-1, out=result[:count])
 
 
 def check_n_eval(grid: Grid, n_eval: int | None):
@@ -547,15 +592,21 @@ def lp_norm(f, p: float):
 
 def magnitude_norm(sample: PlaneSampler, planes, p: float, name: str) -> float:
     """Lp norm (p >= 1, cell measure) of the pointwise magnitude of the fields
-    with half spectra `planes`: each sampled, its square added in place in
-    ``_magnitude``'s order.  Raises ValueError naming the norm and p unless finite."""
+    with half spectra `planes`: each sampled block by block, its squares added
+    in ``_magnitude``'s order into one accumulator, to which the p rule and
+    one sum or max apply.  Raises ValueError naming the norm and p unless finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, by name
-        planes = iter(planes)
-        acc = np.square(sample(next(planes)))
-        for x in map(sample, planes):
-            acc += np.square(x, out=x)
-        if p == 3:
-            acc *= np.sqrt(acc)
+        planes, acc = iter(planes), np.empty(sample.eval_grid.shape)
+        for rows, x in sample.slabs(next(planes)):
+            np.square(x, out=acc[rows])
+        for plane in planes:
+            for rows, x in sample.slabs(plane):
+                acc[rows] += np.square(x, out=x)
+        if p == 3:  # the root a block at a time, so no second full-size array
+            root = np.empty_like(acc[sample.rows[0]])
+            for rows in sample.rows:
+                a = acc[rows]
+                a *= np.sqrt(a, out=root[:len(a)])
         elif p % 2 == 0 and p > 2:
             acc **= p // 2
         elif not np.isinf(p):  # sqrt(acc)^p: at p = 2 bitwise the square of the magnitude
@@ -570,25 +621,33 @@ def magnitude_norm(sample: PlaneSampler, planes, p: float, name: str) -> float:
 
 def w11_norm(f: ScalarField):
     """L1 norm of f plus L1 norm of its (Euclidean) gradient, of a 2D field
-    or of each field of a stack.  Held samples are used as they are; what
+    or of each field of a stack."""
+    return _per_field(f, w11_columns(f)[1])
+
+
+def w11_columns(f: ScalarField) -> tuple[list, list]:
+    """The L1 and W^{1,1} norms of each field of f (a 2D field or a stack),
+    in ``w11_rows``' arithmetic.  Held samples are used as they are; what
     else is read is sampled in one batched inverse transform per block."""
     g = f.grid
     if g.dim != 2:
         raise ValueError("w11_norm is defined for 2D scalar fields")
     spectra, held = _stacked(f.spectrum(), 2), f._samples is not None
-    out = []
+    l1, w11 = [], []
     for b in blocks(len(spectra), 3 * spectra[0].nbytes):
         # f itself too, unless its samples are held
         x = batch_samples(g, gradient_spectra(g, spectra[b], with_field=not held))
-        out += w11_rows(g, _stacked(f._samples, 2)[b] if held else x[0], x[-2:])
-    return _per_field(f, out)
+        rows = w11_rows(g, _stacked(f._samples, 2)[b] if held else x[0], x[-2:])
+        l1 += rows[0]
+        w11 += rows[1]
+    return l1, w11
 
 
-def w11_rows(grid: Grid, samples: np.ndarray, gradient: np.ndarray) -> list:
-    """W^{1,1} norm of each field of a stack of 2D samples, given the samples
-    of its gradient (derivative axis first), in ``w11_norm``'s arithmetic."""
-    return (lp_norm(ScalarField._held(grid, samples), 1)
-            + lp_norm(ScalarField._held(grid, _magnitude(gradient)), 1)).tolist()
+def w11_rows(grid: Grid, samples: np.ndarray, gradient: np.ndarray) -> tuple[list, list]:
+    """The L1 and W^{1,1} norms of each field of a stack of 2D samples, given
+    the samples of its gradient (derivative axis first)."""
+    l1 = lp_norm(ScalarField._held(grid, samples), 1)
+    return l1.tolist(), (l1 + lp_norm(ScalarField._held(grid, _magnitude(gradient)), 1)).tolist()
 
 
 def hs_sq(grid: Grid, coeffs: np.ndarray, s: float = 0.0):

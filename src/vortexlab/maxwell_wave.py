@@ -14,7 +14,9 @@ A data triple is stepped, and its H^s norms taken, on the grid it was drawn
 on.  Only the physical-space norms see an evaluation grid ``n_eval``: the
 L^r norm of B(t) and the L^1 norm of the source gradient.  What they read
 is formed on the triple's grid (B, or the smoothed gradient planes of j)
-and sampled on ``n_eval`` by a ``PlaneSampler``'s exact staged transform.
+and sampled on ``n_eval`` by a ``PlaneSampler``'s exact staged transform,
+a block of axis-0 slabs at a time: B(t)'s squares go into one accumulator,
+and the source's QR planes are formed block by block.
 """
 
 from dataclasses import dataclass, replace
@@ -143,24 +145,35 @@ class HarmonicCurrentDensity(CurrentDensity):
     def smoothed_gradient_planes(self, k_power: float, n_eval: int | None = None):
         """Cached pointwise QR planes (r11, r12, r22) of [Ta Tb] on the n_eval
         grid (its own by default), where Ta and Tb are the (-Lap)^{k/2}
-        gradient tensors of j_cos and j_sin, taken on j's grid and sampled
-        there plane by plane, so that
+        gradient tensors of j_cos and j_sin, taken on j's grid, so that
         |a Ta + b Tb| = |(a r11 + b r12, b r22)|: r11 = |Ta|, r12 = mu r11 and
         r22 = |Tb - mu Ta| with mu = Ta.Tb / |Ta|^2 (0 where Ta = 0).  Taken
-        from the tensors, a near-cancelling sum keeps its relative accuracy."""
+        from the tensors, a near-cancelling sum keeps its relative accuracy.
+        The 18 planes keep their first stage on the n_eval grid, and the QR
+        planes are formed one block of slabs at a time from their blocks."""
         cache = self._grad_cache
         key = (k_power, n_eval or self.grid.n)
         if key not in cache:
-            sample = PlaneSampler(self.grid, n_eval)
-            ta, tb = ([sample(d).copy() for d in gradient_planes(VectorField(
-                fractional_laplacian(f.stack, k_power)))] for f in (self.j_cos, self.j_sin))
-            # summed one component at a time, so no product holds nine planes
-            p = sum(x * x for x in ta)
-            mu = np.divide(sum(x * y for x, y in zip(ta, tb)), p, where=p > 0,
-                           out=np.zeros_like(p))
-            r11 = np.sqrt(p)
-            r22 = np.sqrt(sum((y - mu * x) ** 2 for x, y in zip(ta, tb)))
-            cache[key] = (r11, mu * r11, r22)
+            # blocks of a quarter of SLAB_BYTES: the 18 held take 1.1 MiB, and
+            # thinner ones cost more transform calls than they save
+            sample = PlaneSampler(self.grid, n_eval, planes=4)
+            first = [sample.first_stage(d).copy() for f in (self.j_cos, self.j_sin)
+                     for d in gradient_planes(VectorField(fractional_laplacian(f.stack, k_power)))]
+            r11, r12, r22 = (np.empty(sample.eval_grid.shape) for _ in range(3))
+            held = np.empty((len(first),) + r11[sample.rows[0]].shape)  # a block of each plane
+            for rows in sample.rows:
+                block = held[:, :rows.stop - rows.start]
+                for out, s in zip(block, first):
+                    out[...] = sample.block(s, rows)
+                ta, tb = block[:9], block[9:]
+                # summed one component at a time, so no product holds nine blocks
+                p = sum(x * x for x in ta)
+                mu = np.divide(sum(x * y for x, y in zip(ta, tb)), p, where=p > 0,
+                               out=np.zeros_like(p))
+                np.sqrt(p, out=r11[rows])
+                np.multiply(mu, r11[rows], out=r12[rows])
+                np.sqrt(sum((y - mu * x) ** 2 for x, y in zip(ta, tb)), out=r22[rows])
+            cache[key] = (r11, r12, r22)
         return cache[key]
 
 

@@ -10,7 +10,9 @@ the iterate's samples of (w, d1 w, d2 w): per block of snapshots it samples
 v for the flux, runs the recurrence into the iterate's own spectra, and
 samples the new (w, d1 w, d2 w) for the W11 norms of the iterate and of its
 difference from the held samples, which it then overwrites: 5 inverse and 2
-forward transformed planes per snapshot.  ``apply_T`` shares that code.
+forward transformed planes per snapshot.  ``apply_T`` shares that code.  The
+last sweep's L1 and W11 norms per snapshot stay in the trace, so the report
+(``solution_norms``) samples only v and grad v.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -25,13 +27,13 @@ from .fields import (
     Trajectory,
     _magnitude,
     _readonly,
-    _stacked,
     _per_field,
     batch_samples,
     blocks,
     gradient_spectra,
     hs_sq,
     lp_norm,
+    w11_columns,
     w11_norm,
     w11_rows,
 )
@@ -87,6 +89,9 @@ class PicardTrace:
     ratios: list = dc_field(default_factory=list)
     converged: bool = False
     iterations: int = 0
+    # the L1 and W11 norm of each snapshot of the last iterate, from its sweep's samples
+    l1: list = dc_field(default_factory=list)
+    w11: list = dc_field(default_factory=list)
 
 
 def _flux_divergence(omega: ScalarField) -> np.ndarray:
@@ -157,8 +162,9 @@ def apply_T(omega_traj: Trajectory, omega0: ScalarField, cfg: MildSolveConfig) -
 def _picard_sweeps(omega0: ScalarField, cfg: MildSolveConfig):
     """Picard sweeps (see the module docstring) from the heat evolution of
     omega0, whose samples take 3 inverse planes per snapshot, over buffers
-    allocated once.  Yields (spectra, sup_w11, diff_w11) after each, sups in
-    time; the next sweep overwrites spectra."""
+    allocated once.  Yields (spectra, l1, w11, diff_w11) after each: the
+    iterate's L1 and W11 norm per snapshot and the sup in time of its
+    difference's; the next sweep overwrites spectra."""
     _check_mean_zero(omega0, "initial vorticity")
     grid, times = cfg.grid, cfg.times
     weights = _panel_weights(grid, times[1] - times[0])
@@ -168,16 +174,18 @@ def _picard_sweeps(omega0: ScalarField, cfg: MildSolveConfig):
     for b in steps:
         held[:, b] = batch_samples(grid, gradient_spectra(grid, spectra[b], with_field=True))
     while True:
-        d_prev, sup, diff = None, [], []
+        d_prev, l1, w11, diff = None, [], [], []
         for b in steps:
             d_prev = _duhamel_block(spectra, b, ScalarField._held(grid, held[0, b], spectra[b]),
                                     omega0, weights, d_prev)
             x = batch_samples(grid, gradient_spectra(grid, spectra[b], with_field=True))
-            sup += w11_rows(grid, x[0], x[1:])
+            rows = w11_rows(grid, x[0], x[1:])
+            l1 += rows[0]
+            w11 += rows[1]
             d = np.subtract(x, held[:, b], out=held[:, b])
-            diff += w11_rows(grid, d[0], d[1:])
+            diff += w11_rows(grid, d[0], d[1:])[1]
             held[:, b] = x
-        yield spectra, max(sup), max(diff)
+        yield spectra, l1, w11, max(diff)
 
 
 def picard_solve(omega0: ScalarField, cfg: MildSolveConfig):
@@ -186,14 +194,17 @@ def picard_solve(omega0: ScalarField, cfg: MildSolveConfig):
 
     Each iteration is one in-place sweep; the difference's norm is taken
     from both iterates' samples.  Returns (Trajectory, PicardTrace), the
-    trajectory holding spectra only.  Raises ContractionFailureError if the
-    difference ratio stays >= 1 for three consecutive iterations.
+    trajectory holding spectra only and the trace its L1 and W11 norms.
+    Raises ContractionFailureError if the difference ratio stays >= 1 for
+    three consecutive iterations.
     """
     trace = PicardTrace()
     prev_diff = None
     bad_streak = 0
-    for it, (spectra, sup, diff) in zip(range(1, cfg.max_iter + 1), _picard_sweeps(omega0, cfg)):
-        trace.sup_w11.append(sup)
+    sweeps = _picard_sweeps(omega0, cfg)
+    for it, (spectra, l1, w11, diff) in zip(range(1, cfg.max_iter + 1), sweeps):
+        trace.l1, trace.w11 = l1, w11
+        trace.sup_w11.append(max(w11))
         trace.diff_w11.append(diff)
         if prev_diff is not None and prev_diff > 0:
             ratio = diff / prev_diff
@@ -226,23 +237,31 @@ def require_converged(trace: PicardTrace, cfg: MildSolveConfig):
 
 def snapshot_norms(omega: ScalarField) -> dict:
     """Norm bundle of a vorticity, or of each of a stack, in report-column
-    order: L1, W11, velocity sup and gradient L2, with one batched inverse
-    transform per block.  Each must be finite and >= 0."""
-    g, w_hat = omega.grid, _stacked(omega.spectrum(), 2)
-    v_hat = velocity_from_vorticity_2d(omega).stack.spectrum().reshape((2,) + w_hat.shape)
-    columns = {"L1": [], "W11": [], "Linf_v": [], "L2_gradv": []}
-    for b in blocks(len(w_hat), 9 * w_hat[0].nbytes):
-        # x[0] is (w, v1, v2), x[1 + a] their derivatives d_a; grad v is summed component-major
-        x = batch_samples(g, gradient_spectra(
-            g, np.concatenate((w_hat[b][None], v_hat[:, b])), with_field=True))
-        # an overflowed magnitude is reported below, by the norm it reaches
-        with np.errstate(over="ignore"):
-            l1, grad_l1, linf_v, l2_gradv = (
-                lp_norm(ScalarField._held(g, y), p) for y, p in
-                ((x[0, 0], 1), (_magnitude(x[1:, 0]), 1), (_magnitude(x[0, 1:]), np.inf),
-                 (_magnitude(d for dv_c in x[1:, 1:].swapaxes(0, 1) for d in dv_c), 2)))
-        for column, values in zip(columns.values(), (l1, l1 + grad_l1, linf_v, l2_gradv)):
-            column += values.tolist()
+    order: L1 and W11 by ``w11_columns``, velocity sup and gradient L2.
+    Each must be finite and >= 0."""
+    with np.errstate(over="ignore"):  # an overflow is reported by the norm it reaches
+        return _norm_columns(omega, *w11_columns(omega))
+
+
+def solution_norms(traj: Trajectory, trace: PicardTrace) -> dict:
+    """``snapshot_norms`` of a Picard solution, whose L1 and W11 its trace
+    holds from the last sweep, so that only v and grad v are sampled."""
+    return _norm_columns(traj.field, trace.l1, trace.w11)
+
+
+def _norm_columns(omega: ScalarField, l1: list, w11: list) -> dict:
+    """The ``snapshot_norms`` of omega given its L1 and W11 columns: v and
+    its gradient are sampled in one batched inverse transform per block."""
+    g, v_hat = omega.grid, velocity_from_vorticity_2d(omega).stack.spectrum()
+    v_hat = v_hat.reshape((2, -1) + g.spectral_shape)
+    columns = {"L1": l1, "W11": w11, "Linf_v": [], "L2_gradv": []}
+    for b in blocks(v_hat.shape[1], 6 * v_hat[0, 0].nbytes):
+        # x[0] is v, x[1 + a] its derivative d_a; grad v is summed component-major
+        x = batch_samples(g, gradient_spectra(g, v_hat[:, b], with_field=True))
+        with np.errstate(over="ignore"):  # reported below, by the norm it reaches
+            for label, y, p in (("Linf_v", _magnitude(x[0]), np.inf), ("L2_gradv", _magnitude(
+                    d for dv_c in x[1:].swapaxes(0, 1) for d in dv_c), 2)):
+                columns[label] += lp_norm(ScalarField._held(g, y), p).tolist()
     for label, value in ((k, x) for k, xs in columns.items() for x in xs):
         if not 0 <= value < np.inf:
             raise ValueError(f"norm {label!r} must be finite and >= 0, got {value}")
@@ -268,7 +287,7 @@ def calibrate_horizon(omega0: ScalarField, grid: Grid, t_max: float):
 def first_contraction_ratio(omega0: ScalarField, cfg: MildSolveConfig) -> float:
     """Ratio of the first two successive-difference norms of the iteration."""
     sweeps = _picard_sweeps(omega0, cfg)
-    (_, _, d1), (_, _, d2) = next(sweeps), next(sweeps)
+    (*_, d1), (*_, d2) = next(sweeps), next(sweeps)
     if d1 == 0.0:
         return 0.0
     return d2 / d1

@@ -4,7 +4,7 @@ every seeded draw is made here."""
 import numpy as np
 
 from .family import Family
-from .fields import Grid, ScalarField, VectorField, check_n_eval
+from .fields import Grid, ScalarField, VectorField, batch_samples, check_n_eval
 from .maxwell_wave import HarmonicCurrentDensity
 from .oseen import min_image_displacements
 
@@ -32,23 +32,35 @@ def smooth_bump(grid: Grid) -> ScalarField:
     return ScalarField(grid, (X / sigma**2) * g)
 
 
-def _random_scalar(grid: Grid, beta: float, rng) -> ScalarField:
-    """Mean-zero random field with |f_hat(k)| ~ (1+|k|^2)^(-beta/2), scaled
-    to max|f| = 1; Nyquist planes zeroed so spectral refinement reproduces
-    the field exactly."""
+def _random_spectrum(grid: Grid, beta: float, rng) -> np.ndarray:
+    """Half spectrum of a mean-zero random field with |f_hat(k)| ~
+    (1+|k|^2)^(-beta/2), Nyquist planes zeroed so spectral refinement
+    reproduces the field exactly; not yet scaled."""
     coeffs = np.fft.rfftn(rng.standard_normal(grid.shape))
     coeffs *= (1.0 + grid.ksq()) ** (-beta / 2.0)
     coeffs.flat[0] = 0.0
     for a in range(grid.dim):
         np.moveaxis(coeffs, a, 0)[grid.n // 2] = 0.0
-    f = ScalarField.from_spectrum(grid, coeffs)
+    return coeffs
+
+
+def _random_scalar(grid: Grid, beta: float, rng) -> ScalarField:
+    """A ``_random_spectrum`` field scaled to max|f| = 1, holding both domains."""
+    f = ScalarField.from_spectrum(grid, _random_spectrum(grid, beta, rng))
     scale = float(np.max(np.abs(f.samples)))
     return f * (1.0 / scale) if scale > 0 else f
 
 
 def random_vector_field(grid: Grid, rng, beta: float = 2.0) -> VectorField:
-    """Mean-zero random vector field with smooth spectral decay."""
-    return VectorField([_random_scalar(grid, beta, rng) for _ in range(grid.dim)])
+    """Mean-zero random vector field with smooth spectral decay: each
+    component as ``_random_scalar`` draws it, its scaled spectrum written
+    straight into one stack; no samples are held."""
+    stack = np.empty((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
+    for c in range(grid.dim):
+        coeffs = _random_spectrum(grid, beta, rng)
+        scale = float(np.max(np.abs(batch_samples(grid, coeffs))))
+        np.multiply(coeffs, 1.0 / scale if scale > 0 else 1.0, out=stack[c])
+    return VectorField(ScalarField.from_spectrum(grid, stack))
 
 
 def wave_fixture_family(grid: Grid, seed: int, count: int, n_eval: int | None = None) -> Family:

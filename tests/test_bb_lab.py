@@ -271,10 +271,10 @@ def full_grid_gn(omega):
 def sampler_calls(monkeypatch):
     """The evaluation n of each plane a fields.PlaneSampler samples from now on."""
     calls = []
-    sample = fields.PlaneSampler.__call__
-    monkeypatch.setattr(fields.PlaneSampler, "__call__",
+    slabs = fields.PlaneSampler.slabs
+    monkeypatch.setattr(fields.PlaneSampler, "slabs",
                         lambda self, spectrum: calls.append(self.eval_grid.n)
-                        or sample(self, spectrum))
+                        or slabs(self, spectrum))
     return calls
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from vortexlab.fields import (
     hs_sq,
     PlaneSampler,
     _magnitude,
+    batch_samples,
     gradient_planes,
     lp_norm,
     magnitude_norm,
@@ -35,8 +37,8 @@ from vortexlab.heat import heat_evolve
 from vortexlab.maxwell_wave import StrichartzExponents, strichartz_sides
 from vortexlab.mild_solver import snapshot_norms
 from vortexlab.oseen import oseen_dipole
-from vortexlab.random_data import wave_fixture_family
-from test_spectral_properties import spectral_refine
+from vortexlab.random_data import random_vector_field, wave_fixture_family
+from test_spectral_properties import padded_refine, spectral_refine
 
 TWO_PI = 2.0 * np.pi
 
@@ -565,6 +567,85 @@ class TestStackedField:
         assert own._buffers is None and finer._buffers is None
         finer(ScalarField.zeros(g64).spectrum())
         assert finer._buffers is not None
+
+
+def whole_plane(grid, spectrum, n_eval):
+    """The samples of a half spectrum on the n_eval grid, whole: by irfftn on
+    the grid's own, else of the zero-padded spectrum (``padded_refine``)."""
+    if n_eval == grid.n:
+        return batch_samples(grid, spectrum)
+    return padded_refine(ScalarField.from_spectrum(grid, spectrum), n_eval).samples
+
+
+def whole_plane_norm(grid, spectra, n_eval, p):
+    """magnitude_norm's rule on whole planes: squares added in _magnitude's
+    order, the p rule on the whole accumulator, then one sum or max."""
+    acc = np.square(whole_plane(grid, spectra[0], n_eval))
+    for s in spectra[1:]:
+        x = whole_plane(grid, s, n_eval)
+        acc += x * x
+    if p == 3:
+        acc *= np.sqrt(acc)
+    elif p % 2 == 0 and p > 2:
+        acc **= p // 2
+    elif not np.isinf(p):
+        acc = np.sqrt(acc) ** p
+    if np.isinf(p):
+        return float(np.sqrt(np.max(acc)))
+    return float((float(np.sum(acc)) * Grid(grid.dim, n_eval, grid.box_length).cell_measure)
+                 ** (1.0 / p))
+
+
+def traced_peak(run) -> int:
+    """Bytes tracemalloc sees allocated at the peak of run(), over what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestSlabBlocks:
+    """A PlaneSampler hands out a plane as blocks of axis-0 slabs; the norms
+    over them are bitwise those over whole planes and hold one full-size array."""
+
+    @pytest.mark.parametrize("dim, n_eval", [(2, 16), (2, 24), (2, 32),
+                                             (3, 16), (3, 32), (3, 48)])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, np.inf])
+    @pytest.mark.parametrize("uneven", [False, True])
+    def test_magnitude_norm_equals_whole_planes_bitwise(self, monkeypatch, dim, n_eval, p,
+                                                        uneven):
+        grid = Grid(dim, 16, TWO_PI)
+        rng = np.random.default_rng(dim * n_eval)
+        # unrestricted, so the dropped Nyquist planes matter too
+        spectra = [ScalarField(grid, rng.standard_normal(grid.shape)).spectrum()
+                   for _ in range(dim)]
+        if uneven:  # blocks of 5 slabs, which divide none of the n_eval
+            monkeypatch.setattr(fields, "SLAB_BYTES", 5 * 8 * n_eval ** (dim - 1) + 1)
+        sample = PlaneSampler(grid, n_eval)
+        if uneven:
+            sizes = [r.stop - r.start for r in sample.rows]
+            assert sizes[0] == 5 and 0 < sizes[-1] < 5
+        want = whole_plane_norm(grid, spectra, n_eval, p)
+        assert magnitude_norm(sample, spectra, p, "m") == want
+        assert magnitude_norm(sample, spectra, p, "m") == want  # the buffers are reused
+
+    def test_three_plane_norm_holds_one_accumulator(self):
+        grid = Grid(3, 32, TWO_PI)
+        spectra = random_vector_field(grid, np.random.default_rng(2)).stack.spectrum()
+        accumulator = 8 * 64**3
+        for p in (3.0, 1.5):
+            peak = traced_peak(lambda: magnitude_norm(PlaneSampler(grid, 64), spectra, p, "v"))
+            assert peak <= accumulator + 2.5 * 2**20
+
+    def test_bb_ratio_3d_member_memory(self):
+        spec = RandomFieldSpec(seed=7, beta=2.0, dim=3, n=32, box_length=TWO_PI, count=2)
+        family = random_family(spec)
+        bb_ratio_3d(family[0], 64)  # the grid's cached multipliers are not the member's
+        omega = family[1]
+        assert traced_peak(lambda: bb_ratio_3d(omega, 64)) <= 7.5 * 2**20
 
 
 def test_fields_import_loads_no_other_package_module():

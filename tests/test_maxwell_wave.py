@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from vortexlab import random_data
+from vortexlab import fields, random_data
 from vortexlab.fields import (
     Grid,
     ScalarField,
     VectorField,
     divergence,
+    gradient_planes,
     hs_norm,
     lp_norm,
 )
@@ -28,6 +29,7 @@ from vortexlab.maxwell_wave import (
 )
 from vortexlab.heat import SERIES_Z
 from vortexlab.random_data import random_vector_field, wave_fixture_family
+from test_fields import traced_peak, whole_plane
 from test_spectral_properties import spectral_refine
 
 TWO_PI = 2.0 * np.pi
@@ -273,6 +275,17 @@ class TestFractionalLaplacian:
             fractional_laplacian(f, -0.5)
 
 
+def test_random_vector_field_stacks_the_scalar_draws():
+    # the same draws as three _random_scalar components, their spectra stacked
+    # bitwise; no samples are held
+    g = Grid(3, 16, TWO_PI)
+    v = random_vector_field(g, np.random.default_rng(5), 2.5)
+    rng = np.random.default_rng(5)
+    comps = [random_data._random_scalar(g, 2.5, rng) for _ in range(3)]
+    assert v.stack._samples is None
+    assert v.stack.spectrum().tobytes() == np.stack([c.spectrum() for c in comps]).tobytes()
+
+
 class TestSourceGradientL1:
     def test_harmonic_fast_path_matches_generic(self, g16):
         rng = np.random.default_rng(3)
@@ -295,6 +308,28 @@ class TestSourceGradientL1:
         assert own[0].shape == g16.shape and fine[0].shape == (32, 32, 32)
         assert j.smoothed_gradient_planes(0.75, 16) is own
         assert j.smoothed_gradient_planes(0.75, 32) is fine
+
+    @pytest.mark.parametrize("n_eval", [16, 32])
+    @pytest.mark.parametrize("slab_bytes", [None, 96 << 10])
+    def test_planes_equal_the_whole_plane_qr_bitwise(self, monkeypatch, g16, n_eval, slab_bytes):
+        rng = np.random.default_rng(8)
+        j = HarmonicCurrentDensity(*(random_vector_field(g16, rng) for _ in range(2)), 0.9)
+        if slab_bytes:  # a forced small block: a few slabs, dividing neither n_eval
+            monkeypatch.setattr(fields, "SLAB_BYTES", slab_bytes)
+        ta, tb = ([whole_plane(g16, d, n_eval) for d in gradient_planes(VectorField(
+            fractional_laplacian(f.stack, 0.75)))] for f in (j.j_cos, j.j_sin))
+        p = sum(x * x for x in ta)
+        mu = np.divide(sum(x * y for x, y in zip(ta, tb)), p, where=p > 0, out=np.zeros_like(p))
+        r11 = np.sqrt(p)
+        want = (r11, mu * r11, np.sqrt(sum((y - mu * x) ** 2 for x, y in zip(ta, tb))))
+        got = j.smoothed_gradient_planes(0.75, n_eval)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_planes_memory(self, g16):
+        rng = np.random.default_rng(8)
+        j = HarmonicCurrentDensity(*(random_vector_field(g16, rng) for _ in range(2)), 0.9)
+        j.smoothed_gradient_planes(0.75)  # the grid's cached multipliers are not the planes'
+        assert traced_peak(lambda: j.smoothed_gradient_planes(0.75, 32)) <= 4.5 * 2**20
 
     def test_three_plane_norm_at_cancellation(self, g16):
         # j_sin = j_cos at sigma t = 3 pi/4: cos + sin, and so the true

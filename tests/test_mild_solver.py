@@ -18,6 +18,7 @@ from vortexlab.mild_solver import (
     picard_solve,
     reference_stepper,
     snapshot_norms,
+    solution_norms,
 )
 from vortexlab.oseen import oseen_dipole
 from vortexlab.random_data import smooth_bump, two_mode_vorticity
@@ -408,6 +409,25 @@ class TestSnapshotNorms:
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="norm 'W11' must be finite and >= 0, got inf"):
                 snapshot_norms(w)
+
+    @pytest.mark.parametrize("family", ["two-mode", "dipole"])
+    def test_solution_norms_equal_snapshot_norms_bitwise(self, monkeypatch, family):
+        # the criterion-3 pair: the trace's L1 and W11 come from the last sweep
+        grid = Grid(2, 64, 2.5 if family == "dipole" else TWO_PI)
+        w0, t0 = {"two-mode": (two_mode_vorticity(grid, 0.05), 0.2),
+                  "dipole": (oseen_dipole(1.0, 0.6, grid, 0.002), 0.016)}[family]
+        traj, trace = picard_solve(w0, MildSolveConfig(grid=grid, t0=t0, nt=32, tol=1e-10))
+        assert trace.converged and trace.w11 and max(trace.w11) == trace.sup_w11[-1]
+        want = snapshot_norms(traj.field)
+        sampled = []
+        irfftn = np.fft.irfftn
+        monkeypatch.setattr(np.fft, "irfftn", lambda a, *args, **kwargs:
+                            sampled.append(a.shape[:-2]) or irfftn(a, *args, **kwargs))
+        got = solution_norms(traj, trace)
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        # v and its gradient only: 6 planes per snapshot
+        assert sum(np.prod(shape) for shape in sampled) == 6 * len(traj)
 
     def test_stack_rows_match_the_field_layer_norms(self, g64):
         traj, _trace = picard_solve(dipole(g64), MildSolveConfig(grid=g64, t0=0.02, nt=8))
