@@ -97,6 +97,7 @@ def bb_ratio_3d(omega: VectorField, n_eval: int | None = None) -> float:
     den = magnitude_norm(sample, curl.stack.spectrum(), 1, "bb_ratio_3d |curl w|")
     _check_nonconstant(den, omega.stack.spectrum(), sample, "bb_ratio_3d")
     v = velocity_from_curl_3d(omega, curl)
+    del curl  # not held through the velocity norms
     return (magnitude_norm(sample, v.stack.spectrum(), 3, "bb_ratio_3d |v|")
             + magnitude_norm(sample, gradient_planes(v), 1.5, "bb_ratio_3d |grad v|")) / den
 

@@ -55,7 +55,8 @@ def _check(ok, message):
 class Experiment:
     keys: dict  # key name -> (converter, required, default), besides _COMMON's
     build: Callable  # cfg -> what run takes; raises ValueError naming the violation
-    run: Callable  # (built, cfg, threads) -> (columns, rows, footer, summary, *after)
+    run: Callable  # (built, cfg, threads) -> (columns, rows, footer, summary, *after);
+    # footer: {name: float}, written below the CSV rows as "# name = value"
     dim: int  # of every grid the kind samples
 
 
@@ -86,9 +87,8 @@ def _run_oseen(grid, cfg, _threads):
     report = sharpness_scaling_experiment(grid, ts, cfg["alpha0"])
     fits = ("slope_Linf_v", "slope_W11", "prefactor_grad_L1", "prefactor_Linf_v")
     rows = [(r["t"], r["W11"], r["grad_L1"], r["Linf_v"]) for r in report["rows"]]
-    footer = [f"# {k} = {vio.format_float(report[k])}" for k in fits]
     summary = {k: report[k] for k in fits + ("alpha0",)}
-    return ("t", "W11", "grad_L1", "Linf_v"), rows, footer, summary
+    return ("t", "W11", "grad_L1", "Linf_v"), rows, {k: report[k] for k in fits}, summary
 
 
 _MILD_KEYS = {
@@ -144,7 +144,7 @@ def _run_picard(solve_cfg, cfg, _threads):
     summary.update(t0=solve_cfg.t0, calibrated_first_ratio=calibrated_ratio,
                    sup_Linf_v=max(norms["Linf_v"].tolist()))
     # a fifth item, called once the reports are written: a missed tolerance must not lose them
-    return ("t", *norms), rows, (), summary, lambda: require_converged(trace, solve_cfg)
+    return ("t", *norms), rows, {}, summary, lambda: require_converged(trace, solve_cfg)
 
 
 def _build_continuous_dependence(cfg):
@@ -159,8 +159,8 @@ def _run_continuous_dependence(solve_cfg, cfg, _threads):
     report = continuous_dependence_experiment(omega0, perts, solve_cfg)
     rows = [(eps, r["input_w11"], r["output_w11"], r["ratio"])
             for eps, r in zip(cfg["epsilons"], report["rows"])]
-    footer = [f"# slope = {vio.format_float(report['slope'])}"]
     summary = {"slope": report["slope"], "rows": report["rows"]}
+    footer = {"slope": report["slope"]}
     return ("epsilon", "input_w11", "output_w11", "ratio"), rows, footer, summary
 
 
@@ -194,7 +194,7 @@ def _run_ratio(ratio_fn, spec, cfg, threads):
     rows = [(cfg["seed"], lv["n_eval"], cfg["beta"], r["sample"], r["ratio"])
             for lv in levels for r in lv["rows"]]
     summary = {"levels": [{k: v for k, v in lv.items() if k != "rows"} for lv in levels]}
-    return ("seed", "n_eval", "beta", "sample", "ratio"), rows, (), summary
+    return ("seed", "n_eval", "beta", "sample", "ratio"), rows, {}, summary
 
 
 def _build_wave(cfg):
@@ -204,6 +204,11 @@ def _build_wave(cfg):
            "horizon must be <= box_length/4 (pre-wrap light cone)")
     _check(horizon > 0, f"horizon must be positive, got {horizon}")
     _check(cfg["nt"] >= 2, "nt must be >= 2")
+    step = horizon / (cfg["nt"] - 1)
+    _check(step * step < np.inf,  # a float product: inf, where ** raises OverflowError
+           f"horizon {horizon:g} too long for nt = {cfg['nt']}: (horizon / (nt - 1))^2 overflows"
+           if cfg["horizon"] else f"box_length {grid.box_length:g} too large for nt = "
+           f"{cfg['nt']}: the default horizon box_length/4 gives (horizon / (nt - 1))^2 = inf")
     return grid, horizon
 
 
@@ -225,7 +230,7 @@ def _run_maxwell_strichartz(built, cfg, threads):
     rows = [(cfg["seed"], r["fixture"], r["lhs"], r["rhs"], r["ratio"]) for r in report["rows"]]
     summary = {k: v for k, v in report.items() if k != "rows"}
     summary["exponents"] = asdict(e)
-    return ("seed", "fixture", "lhs", "rhs", "ratio"), rows, (), summary
+    return ("seed", "fixture", "lhs", "rhs", "ratio"), rows, {}, summary
 
 
 def _run_wave_fixture(built, cfg, _threads):
@@ -243,7 +248,7 @@ def _run_wave_fixture(built, cfg, _threads):
         # the L2 norm samples b's stack first, so its component 1 is a view of those samples
         rows.append((t, lp_norm(b, 2), float(np.max(np.abs(b.components[1].samples - exact)))))
     summary = {"max_error": max(err for _t, _l2, err in rows), "nt": cfg["nt"], "horizon": horizon}
-    return ("t", "L2_B", "max_err_vs_closed_form"), rows, (), summary
+    return ("t", "L2_B", "max_err_vs_closed_form"), rows, {}, summary
 
 
 # The ratio functions are named inside lambdas, so they are looked up when a run starts.
@@ -329,13 +334,32 @@ def validate_config(kind, cfg):
     return built
 
 
+def _nan_key(value, key=""):
+    """The dotted key of the first NaN in a report value (nested dicts and
+    lists), else None; +-inf pass (q = inf is an admissible exponent)."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return key if isinstance(value, float) and np.isnan(value) else None
+    return next((found for k, v in items
+                 if (found := _nan_key(v, f"{key}.{k}" if key else str(k))) is not None), None)
+
+
 def run_experiment(kind, built, cfg, out_dir, threads=1):
-    """Run a config built by ``validate_config`` and write its reports."""
+    """Run a config built by ``validate_config`` and write its reports, or none
+    of them when a row, footer or summary value is NaN."""
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()
     columns, rows, footer, summary, *after = EXPERIMENTS[kind].run(built, cfg, threads)
+    for what, table in (("rows", [dict(zip(columns, row)) for row in rows]),
+                        ("footer", footer), ("summary", summary)):
+        if (key := _nan_key(table)) is not None:
+            raise ValueError(f"report {what} key {key!r} is NaN; no report written")
     stem = os.path.join(out_dir, f"{kind}-{cfg['seed']}")
-    vio.write_csv(stem + ".csv", columns, rows, footer)
+    vio.write_csv(stem + ".csv", columns, rows,
+                  [f"# {k} = {vio.format_float(v)}" for k, v in footer.items()])
     vio.write_json(stem + ".json", summary)
     for check in after:
         check()

@@ -18,9 +18,11 @@ Conventions, fixed once for the whole package:
 * A field keeps the grid it was built on, and spectral work never leaves
   it.  A norm on an evaluation grid is ``magnitude_norm``: a ``PlaneSampler``
   samples each half spectrum there as blocks of axis-0 slabs, its staged
-  transform's later stages one block at a time into a buffer it keeps, exact
-  for a field without Nyquist content; no evaluation-grid spectrum is built,
-  and the one full-size array a norm holds is its accumulator.
+  transform's first stage in place in one padded buffer and its later stages
+  one block at a time into a buffer it keeps, exact for a field without
+  Nyquist content; no evaluation-grid spectrum is built, the one full-size
+  array a norm holds is its accumulator, and ``gradient_planes`` forms one
+  derivative plane at a time.
 * A field may be a stack (a trajectory): its arrays carry leading axes
   ``lead`` before the grid's own, and ``f[i]`` is row i, over views.  Its
   transforms and each rule below (norms, mean, mean-zero test, Biot-Savart,
@@ -64,6 +66,10 @@ class Grid:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
         if not 0 < self.box_length < np.inf:
             raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
+        k_max = np.pi * self.n / float(self.box_length)  # Python floats: inf, never a raise
+        if not self.dim * k_max * k_max < np.inf:
+            raise ValueError(f"box_length {self.box_length:g} too small for n = {self.n}: the "
+                             f"largest |k|^2, dim * (pi n / box_length)^2, overflows")
 
     @property
     def h(self) -> float:
@@ -432,8 +438,9 @@ def gradient_spectra(grid: Grid, spectra: np.ndarray, with_field: bool = False) 
 
 
 def gradient_planes(v: VectorField):
-    """Half spectra of every d_a v_c, component-major, one component's at a time."""
-    return (d for c in v.stack.spectrum() for d in gradient_spectra(v.grid, c))
+    """Half spectra of every d_a v_c, component-major, one plane at a time."""
+    g = v.grid
+    return (_dspec(g, c, a) for c in v.stack.spectrum() for a in range(g.dim))
 
 
 def derivative(f: ScalarField, axis: int) -> ScalarField:
@@ -473,10 +480,11 @@ class PlaneSampler:
     """Samples on the n_eval grid (the field grid's own by default) of half
     spectra on `grid`, handed out as blocks of axis-0 slabs, ``rows``: on the
     grid's own, views of one ``batch_samples``; else the staged transform
-    runs its first stage on the whole plane and its later stages one block at
-    a time, into one block buffer.  A block covers SLAB_BYTES of samples of
-    each of `planes` planes, so that many blocks may be held at once.  What a
-    call returns is valid until the next call."""
+    runs its first stage on the whole plane, in place in the one padded
+    buffer it keeps, and its later stages one block at a time, into one block
+    buffer.  A block covers SLAB_BYTES of samples of each of `planes` planes,
+    so that many blocks may be held at once.  What a call returns is valid
+    until the next call."""
 
     def __init__(self, grid: Grid, n_eval: int | None = None, planes: int = 1):
         check_n_eval(grid, n_eval)
@@ -495,7 +503,8 @@ class PlaneSampler:
 
     def first_stage(self, spectrum: np.ndarray) -> np.ndarray:
         """What ``block`` reads of one plane: its samples (a fresh array) on
-        the grid's own, else the staged transform's first stage."""
+        the grid's own, else the staged transform's first stage, in the
+        sampler's padded buffer, which the next call overwrites."""
         return batch_samples(self.grid, spectrum) if self.own else self._first(spectrum)
 
     def block(self, first: np.ndarray, rows: slice) -> np.ndarray:
@@ -517,25 +526,28 @@ class PlaneSampler:
         return out
 
     def _first(self, spectrum: np.ndarray) -> np.ndarray:
-        """The scaled kept modes, padded along axis 0 and transformed there."""
+        """The scaled kept modes, padded along axis 0 and transformed there,
+        in place: the gap rows the last transform filled are zeroed first."""
         g, m, half = self.grid, self.eval_grid.n, self.grid.n // 2
-        if self._buffers is None:  # the padded stage inputs are zeroed once
+        if self._buffers is None:  # the later stages' padded inputs are zeroed once
             step = self.rows[0].stop
             shapes = [(m if a == 0 else step,) + (m,) * a + (g.n,) * (g.dim - 2 - a) + (half,)
                       for a in range(g.dim - 1)]
-            self._buffers = ([(np.zeros(s, dtype=np.complex128), np.empty(s, dtype=np.complex128))
-                              for s in shapes], np.empty((step,) + self.eval_grid.shape[1:]))
-        padded, out = self._buffers[0][0]
+            self._buffers = (np.empty(shapes[0], dtype=np.complex128),
+                             [(np.zeros(s, dtype=np.complex128), np.empty(s, dtype=np.complex128))
+                              for s in shapes[1:]], np.empty((step,) + self.eval_grid.shape[1:]))
+        padded = self._buffers[0]
+        padded[half:m - half + 1] = 0.0
         for k in self._kept:
             np.multiply(spectrum[k, ..., :half], (m / g.n) ** g.dim, out=padded[k])
-        return np.fft.ifft(padded, axis=0, out=out)
+        return np.fft.ifft(padded, axis=0, out=padded)
 
     def _later(self, first: np.ndarray, rows: slice) -> np.ndarray:
         """Rows `rows` of the samples from a plane's first stage: the ``ifft``
         of each middle axis, then ``irfft``, in the block buffers."""
-        stages, result = self._buffers
+        _, stages, result = self._buffers
         count, a = rows.stop - rows.start, first[rows]
-        for axis, (padded, out) in enumerate(stages[1:], start=1):
+        for axis, (padded, out) in enumerate(stages, start=1):
             padded, out = padded[:count], out[:count]
             for k in self._kept:
                 padded[(slice(None),) * axis + (k,)] = a[(slice(None),) * axis + (k,)]

@@ -125,6 +125,11 @@ def sharpness_scaling_experiment(grid: Grid, t_list, alpha0: float = 1.0):
             "grad_L1": grad_l1,
             "Linf_v": lp_norm(v, np.inf),
         }
+        for key in ("W11", "Linf_v"):  # fitted in logs below
+            if not row[key] > 0:
+                raise ValueError(
+                    f"{key} is {row[key]} at t = {t:g}: no log-log slope can be fitted "
+                    f"(core width sqrt(4t) = {np.sqrt(4.0 * t):.3g}, grid spacing {grid.h:.3g})")
         rows.append(row)
     ts = np.log(t_list)
     slope_v = float(np.polyfit(ts, np.log([r["Linf_v"] for r in rows]), 1)[0])

@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -280,7 +281,72 @@ k = 0.25
                          ("q_tilde = 4.0", "q_tilde = inf"), ("s = 0.5", "s = 0.0"),
                          ("k = 0.75", "k = 0.5")):
             body = body.replace(old, new)
-        assert main(["validate", write_config(tmp_path, "c.ini", body)]) == 0
+        path, out_dir = write_config(tmp_path, "c.ini", body), tmp_path / "out"
+        assert main(["validate", path]) == 0
+        # +-inf is no NaN: a run writes them in its summary
+        assert main(["--out", str(out_dir), "run", path]) == 0
+        exponents = json.loads((out_dir / "maxwell-strichartz-7.json").read_text())["exponents"]
+        assert exponents["q"] == exponents["q_tilde"] == np.inf
+
+    @pytest.mark.parametrize("kind, old, new, message", [
+        # the vortex core sqrt(4 t_min) is far below h, so W11 is 0 and its log -inf
+        ("oseen-scaling", "n = 16\nbox_length = 6.283185307179586\nt_min = 0.001",
+         "n = 64\nbox_length = 8.0\nt_min = 1e-12",
+         "W11 is 0.0 at t = 1e-12: no log-log slope can be fitted (core width sqrt(4t) "
+         "= 2e-06, grid spacing 0.125)"),
+        ("bb-ratio-3d", "box_length = 6.283185307179586", "box_length = 1e-300",
+         "box_length 1e-300 too small for n = 8: the largest |k|^2, dim * (pi n / "
+         "box_length)^2, overflows"),
+        ("maxwell-strichartz", "box_length = 6.283185307179586\ncount = 1\nnt = 9",
+         "box_length = 1e300\ncount = 1\nnt = 5",
+         "box_length 1e+300 too large for nt = 5: the default horizon box_length/4 gives "
+         "(horizon / (nt - 1))^2 = inf"),
+        ("wave-fixture", "box_length = 6.283185307179586\nnt = 16",
+         "box_length = 1e300\nnt = 5",
+         "box_length 1e+300 too large for nt = 5: the default horizon box_length/4 gives "
+         "(horizon / (nt - 1))^2 = inf"),
+        ("wave-fixture", "box_length = 6.283185307179586\nnt = 16",
+         "box_length = 1e300\nnt = 5\nhorizon = 1e299",
+         "horizon 1e+299 too long for nt = 5: (horizon / (nt - 1))^2 overflows"),
+    ], ids=["oseen-t_min", "bb3-box_length", "strichartz-box_length", "wave-box_length",
+            "wave-horizon"])
+    def test_numeric_fault_named(self, tmp_path, capsys, kind, old, new, message):
+        body = tiny_config(kind)
+        assert old in body
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, "c.ini", body.replace(old, new))
+        assert main(["--out", str(out_dir), "run", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == message
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("where, message", [
+        ("row", "report rows key '1.W11' is NaN; no report written"),
+        ("footer", "report footer key 'slope_W11' is NaN; no report written"),
+        ("summary", "report summary key 'rows.1.W11' is NaN; no report written"),
+    ], ids=["row", "footer", "summary"])
+    def test_nan_report_refused(self, tmp_path, capsys, monkeypatch, where, message):
+        experiment = cli.EXPERIMENTS["oseen-scaling"]
+
+        def with_nan(*args):
+            columns, rows, footer, summary = experiment.run(*args)
+            if where == "row":
+                rows[1] = (rows[1][0], np.nan, *rows[1][2:])
+            elif where == "footer":
+                footer["slope_W11"] = np.nan
+            else:
+                summary = {"rows": [{"W11": 1.0}, {"W11": np.nan}]}
+            return columns, rows, footer, summary
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "oseen-scaling", replace(experiment, run=with_nan))
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, "c.ini", tiny_config("oseen-scaling"))
+        assert main(["--out", str(out_dir), "run", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == message
+        assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize("kind, beta, level", [
         ("bb-ratio-2d", "1e5", "n_eval 16"),

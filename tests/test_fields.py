@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -88,6 +89,18 @@ class TestGrid:
             Grid(4, 16, 1.0)
         with pytest.raises(ValueError):
             Grid(2, 16, 0.0)
+
+    @pytest.mark.parametrize("dim, box_length", [(3, 1e-300), (2, 1e-160), (3, 1e-154)])
+    def test_overflowing_wavenumbers_name_box_length(self, dim, box_length):
+        # dim * (pi n / L)^2 past the largest double; Python's ** would raise OverflowError
+        message = (f"box_length {box_length:g} too small for n = 8: the largest |k|^2, "
+                   "dim * (pi n / box_length)^2, overflows")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Grid(dim, 8, box_length)
+
+    def test_largest_wavenumbers_below_overflow_are_finite(self):
+        # 3 * (pi 8 / 1e-150)^2 is about 1.9e303: kept, and its multipliers raise no warning
+        assert np.all(np.isfinite(Grid(3, 8, 1e-150).ksq()))
 
     def test_wavenumbers_match_fftfreq(self, g64):
         k = g64.wavenumber(0)
@@ -646,6 +659,16 @@ class TestSlabBlocks:
         bb_ratio_3d(family[0], 64)  # the grid's cached multipliers are not the member's
         omega = family[1]
         assert traced_peak(lambda: bb_ratio_3d(omega, 64)) <= 7.5 * 2**20
+
+    def test_bb_ratio_3d_member_holds_each_plane_once(self):
+        # the first stage in place, one derivative plane at a time and no curl
+        # through the velocity norms: the 2 MiB accumulator, v's spectra, the
+        # sampler's buffers and one plane are what is live at the peak
+        spec = RandomFieldSpec(seed=7, beta=2.0, dim=3, n=32, box_length=TWO_PI, count=2)
+        family = random_family(spec)
+        bb_ratio_3d(family[0], 64)  # the grid's cached multipliers are not the member's
+        omega = family[1]
+        assert traced_peak(lambda: bb_ratio_3d(omega, 64)) <= 5.0 * 2**20
 
 
 def test_fields_import_loads_no_other_package_module():

@@ -145,6 +145,11 @@ class TestScalingExperiment:
         with pytest.raises(ValueError):
             sharpness_scaling_experiment(g, [0.001])
 
+    def test_vanishing_norm_named_before_the_log_fit(self):
+        # a core width sqrt(4t) far below h: every vorticity sample underflows to 0
+        with pytest.raises(ValueError, match=r"^W11 is 0.0 at t = 1e-12: no log-log slope"):
+            sharpness_scaling_experiment(Grid(2, 64, 8.0), [1e-12, 0.01])
+
     def test_alpha_scales_linearly(self):
         g = Grid(2, 128, 2.0)
         ts = np.geomspace(1e-4, 1e-3, 3)
