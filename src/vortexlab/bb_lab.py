@@ -131,9 +131,3 @@ def refinement_study(spec: RandomFieldSpec, ratio_fn, n_levels, map_fn=map) -> l
                              f"discarded; member 0: {rows[0]}")
         levels.append({"n_eval": m, **family_report(rows, lambda i, r: r)})  # rows as members
     return levels
-
-
-def family_ratio_report(spec: RandomFieldSpec, ratio_fn, n_eval: int | None = None,
-                        map_fn=map) -> dict:
-    """The one level n_eval of ``refinement_study``."""
-    return refinement_study(spec, ratio_fn, [n_eval], map_fn)[0]

@@ -11,10 +11,10 @@ import numpy as np
 from .fields import (
     ScalarField,
     VectorField,
+    _l2_sizes,
     _readonly,
     curl3d,
     fractional_laplacian,
-    hs_sq,
     mean_is_negligible,
 )
 
@@ -41,13 +41,11 @@ class SolenoidalVectorField(VectorField):
     def __init__(self, components):
         super().__init__(components)
         g, uh = self.grid, self.stack.spectrum()
-        size = np.sqrt(sum(hs_sq(g, uh)))
-        div = np.sqrt(hs_sq(g, sum(g.deriv_wavenumber(a) * uh[a] for a in range(g.dim))))
+        size, div = _l2_sizes(g, uh, sum(g.deriv_wavenumber(a) * uh[a] for a in range(g.dim))[None])
         bad = np.flatnonzero((size > 0) & (div > 1e-8 * size))
         if bad.size:
-            raise ValueError(
-                f"field is not solenoidal: |div|_2 = {np.ravel(div)[bad[0]]:.3e} vs 1e-8 * |u|_2"
-            )
+            ratio = np.ravel(div)[bad[0]] / np.ravel(size)[bad[0]]
+            raise ValueError(f"field is not solenoidal: |div|_2 / |u|_2 = {ratio:.3e} > 1e-8")
 
 
 def velocity_from_vorticity_2d(omega: ScalarField) -> SolenoidalVectorField:
@@ -94,6 +92,6 @@ def leray_project(u: VectorField) -> SolenoidalVectorField:
         np.subtract(uh[a], k[a] * k_dot_u * inv, out=proj[a])
     # pure-gradient inputs leave only roundoff; snap that to exact zero so
     # the solenoidal invariant is not tested against noise
-    size_in, size_out = (np.sqrt(sum(hs_sq(g, x))) for x in (uh, proj))
+    size_in, size_out = _l2_sizes(g, uh, proj)
     proj[:, size_out <= 1e-12 * size_in] = 0.0  # one field: a 0-d mask, all or nothing
     return SolenoidalVectorField(ScalarField.from_spectrum(g, proj))

@@ -17,12 +17,9 @@ Conventions, fixed once for the whole package:
 * Vector magnitudes (including gradient tensors) are pointwise Euclidean.
 * A field keeps the grid it was built on, and spectral work never leaves
   it.  A norm on an evaluation grid is ``magnitude_norm``: a ``PlaneSampler``
-  samples each half spectrum there as blocks of axis-0 slabs, its staged
-  transform's first stage in place in one padded buffer and its later stages
-  one block at a time into a buffer it keeps, exact for a field without
-  Nyquist content; no evaluation-grid spectrum is built, the one full-size
-  array a norm holds is its accumulator, and ``gradient_planes`` forms one
-  derivative plane at a time.
+  samples each half spectrum there as blocks of axis-0 slabs, exact for a
+  field without Nyquist content, so the one full-size array a norm holds is
+  its accumulator; ``gradient_planes`` forms one derivative plane at a time.
 * A field may be a stack (a trajectory): its arrays carry leading axes
   ``lead`` before the grid's own, and ``f[i]`` is row i, over views.  Its
   transforms and each rule below (norms, mean, mean-zero test, Biot-Savart,
@@ -34,6 +31,7 @@ Conventions, fixed once for the whole package:
   shape ``(dim,) + lead + grid.shape``; its components are rows of the stack.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,6 +64,8 @@ class Grid:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
         if not 0 < self.box_length < np.inf:
             raise ValueError(f"box_length must be positive and finite, got {self.box_length}")
+        if not math.prod([float(self.box_length)] * self.dim) < np.inf:  # float products: inf
+            raise ValueError(f"box_length {self.box_length:g} too large: L^{self.dim} overflows")
         k_max = np.pi * self.n / float(self.box_length)  # Python floats: inf, never a raise
         if not self.dim * k_max * k_max < np.inf:
             raise ValueError(f"box_length {self.box_length:g} too small for n = {self.n}: the "
@@ -95,10 +95,6 @@ class Grid:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         x = self.axis_coords()
         return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
-
-    def wavenumber(self, axis: int) -> np.ndarray:
-        """Physical wavenumbers 2*pi*k/L along `axis`, broadcastable to the half spectrum."""
-        return self._wavenumbers(False)[axis]
 
     def deriv_wavenumber(self, axis: int) -> np.ndarray:
         """Wavenumbers for odd derivatives: Nyquist mode zeroed."""
@@ -320,12 +316,6 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self._linear(np.negative)
-
-    def __repr__(self):
-        return f"ScalarField(dim={self.grid.dim}, n={self.grid.n}, L={self.grid.box_length})"
-
 
 class VectorField:
     """dim components sharing one grid and one ``lead``, held as one
@@ -382,9 +372,6 @@ class VectorField:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"VectorField(dim={self.grid.dim}, n={self.grid.n}, L={self.grid.box_length})"
 
 
 class Trajectory:
@@ -443,13 +430,6 @@ def gradient_planes(v: VectorField):
     return (_dspec(g, c, a) for c in v.stack.spectrum() for a in range(g.dim))
 
 
-def derivative(f: ScalarField, axis: int) -> ScalarField:
-    g = f.grid
-    if not 0 <= axis < g.dim:
-        raise ValueError(f"axis {axis} out of range for dim {g.dim}")
-    return ScalarField.from_spectrum(g, _dspec(g, f.spectrum(), axis))
-
-
 def gradient(f: ScalarField) -> VectorField:
     return VectorField(ScalarField.from_spectrum(f.grid, gradient_spectra(f.grid, f.spectrum())))
 
@@ -477,14 +457,13 @@ def curl3d(v: VectorField) -> VectorField:
 
 
 class PlaneSampler:
-    """Samples on the n_eval grid (the field grid's own by default) of half
-    spectra on `grid`, handed out as blocks of axis-0 slabs, ``rows``: on the
-    grid's own, views of one ``batch_samples``; else the staged transform
-    runs its first stage on the whole plane, in place in the one padded
-    buffer it keeps, and its later stages one block at a time, into one block
-    buffer.  A block covers SLAB_BYTES of samples of each of `planes` planes,
-    so that many blocks may be held at once.  What a call returns is valid
-    until the next call."""
+    """Samples on the n_eval grid (by default the field's own) of half spectra
+    on `grid`, in blocks of axis-0 slabs, ``rows`` (SLAB_BYTES for each of the
+    `planes` planes held at once): views of one ``batch_samples`` on the own
+    grid, else bitwise ``irfftn`` of the spectrum zero-padded without its
+    Nyquist planes, staged: the axis-0 ``ifft`` of the whole plane in a padded
+    buffer it keeps, then the other axes line by line per block, into one
+    block buffer.  A block is valid until the next ``slabs`` call."""
 
     def __init__(self, grid: Grid, n_eval: int | None = None, planes: int = 1):
         check_n_eval(grid, n_eval)
@@ -512,17 +491,10 @@ class PlaneSampler:
         return first[rows] if self.own else self._later(first, rows)
 
     def __call__(self, spectrum: np.ndarray) -> np.ndarray:
-        """The samples of one plane, whole: ``batch_samples`` on the grid's own, else ``staged``."""
-        return batch_samples(self.grid, spectrum) if self.own else self.staged(spectrum)
-
-    def staged(self, spectrum: np.ndarray) -> np.ndarray:
-        """The samples, Nyquist planes dropped (ambiguous under embedding): an
-        ``ifft`` per axis but the last over the kept modes, writing only their
-        rows, then ``irfft``; bitwise ``irfftn`` of the zero-padded spectrum.
-        Each line is transformed alone, so the blocks change no bit."""
-        first, out = self._first(spectrum), np.empty(self.eval_grid.shape)
-        for rows in self.rows:
-            out[rows] = self._later(first, rows)
+        """The samples of one plane, whole: its ``slabs`` put together."""
+        out = np.empty(self.eval_grid.shape)
+        for rows, x in self.slabs(spectrum):
+            out[rows] = x
         return out
 
     def _first(self, spectrum: np.ndarray) -> np.ndarray:
@@ -671,22 +643,34 @@ def hs_sq(grid: Grid, coeffs: np.ndarray, s: float = 0.0):
     return total * grid.cell_measure / grid.n**grid.dim
 
 
+def _l2_sizes(grid: Grid, *stacks: np.ndarray) -> list:
+    """``np.sqrt(sum(hs_sq(grid, x)))`` of each x of `stacks`; where a square may
+    overflow or the first's underflow, each field at the power of two that
+    brings its max|c| in the first into [0.5, 1), so ratios stay plain, bitwise."""
+    with np.errstate(over="ignore"):  # an overflowing square is taken again at that scale
+        sizes = [np.sqrt(sum(hs_sq(grid, x))) for x in stacks]
+        if all(np.all(np.isfinite(s)) for s in sizes) and np.all(sizes[0] > 2.0**-400):
+            return sizes
+        peak = np.max(np.abs(stacks[0]), axis=(0, *range(-grid.dim, 0)), keepdims=True)[0]
+        return [np.sqrt(sum(hs_sq(grid, np.ldexp(1.0, -np.frexp(peak)[1]) * x))) for x in stacks]
+
+
 def mean_is_negligible(f: ScalarField):
     """Whether |mean| <= 1e-10 * max|f| for a field or for each field of a
     stack (an all-zero field passes).
 
     Decided from the spectrum when the mean is exactly 0, or else when
     |mean| <= 1e-10 * rms: rms <= max|f|, so that implies the sample test.
-    Only the other fields are sampled.
+    Only the other fields are sampled, and those whose rms overflows.
     """
-    grid = f.grid
-    spectra = _stacked(f.spectrum(), grid.dim)
+    grid, spectra = f.grid, _stacked(f.spectrum(), f.grid.dim)
     mean = np.abs(spectra.reshape(len(spectra), -1)[:, 0].real) / grid.n**grid.dim
     ok = mean == 0
     rest = np.flatnonzero(~ok)
     if rest.size:
-        rms = np.sqrt(hs_sq(grid, spectra[rest]) / grid.box_length**grid.dim)
-        ok[rest] = mean[rest] <= 1e-10 * rms
+        with np.errstate(over="ignore"):  # an rms past the float range decides nothing
+            rms = np.sqrt(hs_sq(grid, spectra[rest]) / grid.box_length**grid.dim)
+        ok[rest] = (mean[rest] <= 1e-10 * rms) & (rms < np.inf)
     for i in np.flatnonzero(~ok):
         x = batch_samples(grid, spectra[i])
         ok[i] = abs(float(x.mean())) <= 1e-10 * float(np.max(np.abs(x)))

@@ -104,9 +104,10 @@ def _flux_divergence(omega: ScalarField) -> np.ndarray:
         w, v = w_and_v[0], w_and_v[1:]
     else:
         w, v = omega._samples, batch_samples(grid, v)
-    flux = np.fft.rfftn(v * w, axes=(-2, -1))
-    div = sum(1j * grid.deriv_wavenumber(a) * flux[a] for a in range(2))
-    return np.where(grid.dealias_mask(), -div, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # _duhamel_block names an overflow
+        flux = np.fft.rfftn(v * w, axes=(-2, -1))
+        div = sum(1j * grid.deriv_wavenumber(a) * flux[a] for a in range(2))
+        return np.where(grid.dealias_mask(), -div, 0.0)
 
 
 @lru_cache(maxsize=32)
@@ -271,8 +272,11 @@ def _norm_columns(omega: ScalarField, l1: list, w11: list) -> dict:
 def calibrate_horizon(omega0: ScalarField, grid: Grid, t_max: float):
     """Pick t0 = c/A0^2 adaptively: halve until the first measured
     contraction ratio is <= 1/2.  Returns (t0, ratio)."""
-    a0 = w11_norm(omega0)
-    t0 = min(1.0 / a0**2, t_max) if a0 > 0 else t_max
+    with np.errstate(over="ignore"):  # an A0 past the float range is named below
+        a0 = w11_norm(omega0)
+    t0 = min(1.0 / (a0 * a0), t_max) if a0 > 0 else t_max  # a float product: inf, never a raise
+    if not t0 > 0:
+        raise ValueError(f"initial vorticity: its W11 norm A0 = {a0:.3e} leaves no t0 = 1/A0^2 > 0")
     for _ in range(MAX_HALVINGS):
         cfg = MildSolveConfig(grid=grid, t0=t0, nt=CALIBRATION_NT)
         ratio = first_contraction_ratio(omega0, cfg)

@@ -10,7 +10,6 @@ from vortexlab.bb_lab import (
     RandomFieldSpec,
     bb_ratio_2d,
     bb_ratio_3d,
-    family_ratio_report,
     gn_ratio,
     random_family,
     refinement_study,
@@ -27,7 +26,6 @@ from vortexlab.fields import (
     ScalarField,
     VectorField,
     curl3d,
-    derivative,
     divergence,
     gradient,
     lp_norm,
@@ -139,16 +137,16 @@ class TestRandomFamily:
     @pytest.mark.parametrize("n_eval", [65, 32])  # odd, and coarser than n = 64
     def test_bad_n_eval_rejected_at_the_call(self, n_eval):
         with pytest.raises(ValueError, match="n_eval must be even and >= n = 64"):
-            family_ratio_report(self.spec2d(), gn_ratio, n_eval=n_eval,
-                                map_fn=lambda *_: pytest.fail("a member was mapped"))
+            refinement_study(self.spec2d(), gn_ratio, [n_eval],
+                             map_fn=lambda *_: pytest.fail("a member was mapped"))
 
     @pytest.mark.parametrize("dim, n", [(2, 32), (3, 16)])
     def test_members_stay_on_the_spec_grid(self, dim, n):
         spec = RandomFieldSpec(seed=1, beta=2.0, dim=dim, n=n, box_length=TWO_PI, count=2)
         assert all(w.grid == spec.grid for w in random_family(spec))
         seen = []
-        family_ratio_report(spec, lambda w, n_eval: seen.append((w.grid, n_eval)) or 1.0,
-                            n_eval=2 * n)
+        refinement_study(spec, lambda w, n_eval: seen.append((w.grid, n_eval)) or 1.0,
+                         [2 * n])
         assert seen == [(spec.grid, 2 * n)] * 2
 
     def test_refined_family_same_mode_content(self):
@@ -169,7 +167,7 @@ class TestFamilyReports:
         spec = RandomFieldSpec(
             seed=11, beta=2.0, dim=2, n=64, box_length=TWO_PI, count=8
         )
-        rep = family_ratio_report(spec, gn_ratio)
+        rep = refinement_study(spec, gn_ratio, [None])[0]
         assert len(rep["rows"]) == 8 and rep["discarded"] == 0
         ratios = [r["ratio"] for r in rep["rows"]]
         assert rep["family_max"] == pytest.approx(max(ratios))
@@ -187,7 +185,7 @@ class TestFamilyReports:
                 raise ValueError("denominator vanishes")
             return gn_ratio(f, n_eval)
 
-        rep = family_ratio_report(spec, flaky)
+        rep = refinement_study(spec, flaky, [None])[0]
         assert rep["discarded"] == 1 and len(rep["rows"]) == 3
 
     def test_refinement_study_trace(self):
@@ -219,7 +217,7 @@ class TestFamilyReports:
             spec = RandomFieldSpec(
                 seed=5, beta=beta, dim=2, n=64, box_length=TWO_PI, count=8
             )
-            rep = family_ratio_report(spec, gn_ratio)
+            rep = refinement_study(spec, gn_ratio, [None])[0]
             ratios = [r["ratio"] for r in rep["rows"]]
             assert all(np.isfinite(ratios)) and min(ratios) > 0
             print(f"beta={beta}: mean={np.mean(ratios):.4f} "
@@ -243,7 +241,7 @@ def full_grid_check(den, omega, what):
 def full_grid_jacobian(v):
     g = v.grid
     return ScalarField(g, stacked_magnitude(
-        [derivative(c, a).samples for c in v.components for a in range(g.dim)]))
+        [d.samples for c in v.components for d in gradient(c).components]))
 
 
 def full_grid_bb_2d(omega):
@@ -311,7 +309,7 @@ class TestBandLatticeRatios:
         spec = RandomFieldSpec(seed=11, beta=2.0, dim=2, n=32, box_length=TWO_PI, count=6)
         want = [bb_ratio_2d(f, 64) for f in random_family(spec)]
         with ThreadPoolExecutor(max_workers=3) as ex:
-            rep = family_ratio_report(spec, bb_ratio_2d, n_eval=64, map_fn=ex.map)
+            rep = refinement_study(spec, bb_ratio_2d, [64], map_fn=ex.map)[0]
         assert [(r["sample"], r["ratio"]) for r in rep["rows"]] == list(enumerate(want))
 
     def test_3d_member_projected_before_refinement_matches_full_grid(self):
@@ -352,7 +350,7 @@ class TestBandLatticeRatios:
                             lambda w, *curl: inverted.append(w.grid.n) or invert(w, *curl))
         shapes = irfftn_shapes(monkeypatch)
         sampled = sampler_calls(monkeypatch)
-        rep = family_ratio_report(spec, fn, n_eval=n_eval)
+        rep = refinement_study(spec, fn, [n_eval])[0]
         assert len(rep["rows"]) == 2
         assert sampled == [n_eval] * (2 * per_sample)
         assert (n_eval,) * dim not in shapes  # no evaluation-grid spectrum to invert

@@ -227,3 +227,41 @@ def test_3d_velocity_is_inverse_laplacian_of_curl(n):
     for c, e in zip(v.components, expect):
         assert np.array_equal(c.spectrum(), e)
         assert np.array_equal(c.samples, np.fft.irfftn(e, s=g.shape, axes=range(3)))
+
+
+class TestUnmeasurableSizes:
+    """Fields whose squared L2 norms overflow (size 1e200) or underflow (size
+    1e-200): the mean-zero, solenoidal and projection checks still measure
+    them, by the samples or at a power-of-two scale."""
+
+    def test_constant_vorticity_has_nonzero_mean(self, g2):
+        with pytest.raises(CirculationObstructionError,
+                           match="vorticity has nonzero mean 1.000e\\+200"):
+            velocity_from_vorticity_2d(ScalarField(g2, np.full(g2.shape, 1e200)))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_gradient_field_is_not_solenoidal(self, dim, scale):
+        g = Grid(dim, 16, TWO_PI)
+        f = ScalarField.from_function(g, lambda x, y, *z: scale * np.sin(x + 2.0 * y))
+        with pytest.raises(ValueError, match="field is not solenoidal"):
+            SolenoidalVectorField(gradient(f).stack)
+
+    def test_each_field_of_a_stack_at_its_own_scale(self, g2):
+        # row 0 solenoidal at 1e200, row 1 a gradient at 1e-100: at row 0's
+        # scale row 1's squares would underflow to 0 and pass as a zero field
+        x, y = g2.meshgrid()
+        sol = np.stack([np.sin(y), np.zeros(g2.shape)])
+        grad = np.stack([np.cos(x + 2.0 * y), 2.0 * np.cos(x + 2.0 * y)])
+        SolenoidalVectorField(ScalarField(g2, np.stack([1e200 * sol, 1e-100 * sol], axis=1)))
+        with pytest.raises(ValueError, match="field is not solenoidal"):
+            SolenoidalVectorField(ScalarField(g2, np.stack([1e200 * sol, 1e-100 * grad], axis=1)))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_solenoidal_field_is_kept_by_the_projection(self, g2, scale):
+        # u = (scale sin y, 0) has k . u_hat = 0 exactly, so it projects to itself
+        u = VectorField([ScalarField.from_function(g2, lambda x, y: scale * np.sin(y)),
+                         ScalarField.zeros(g2)])
+        p = leray_project(u)
+        assert np.max(np.abs(p.stack.spectrum())) > 0.5 * scale
+        assert np.array_equal(p.stack.spectrum(), u.stack.spectrum())

@@ -297,19 +297,32 @@ k = 0.25
         ("bb-ratio-3d", "box_length = 6.283185307179586", "box_length = 1e-300",
          "box_length 1e-300 too small for n = 8: the largest |k|^2, dim * (pi n / "
          "box_length)^2, overflows"),
+        # a box whose volume L^dim overflows, named by the Grid before any time step
         ("maxwell-strichartz", "box_length = 6.283185307179586\ncount = 1\nnt = 9",
-         "box_length = 1e300\ncount = 1\nnt = 5",
-         "box_length 1e+300 too large for nt = 5: the default horizon box_length/4 gives "
-         "(horizon / (nt - 1))^2 = inf"),
+         "box_length = 1e300\ncount = 1\nnt = 5", "box_length 1e+300 too large: L^3 overflows"),
         ("wave-fixture", "box_length = 6.283185307179586\nnt = 16",
-         "box_length = 1e300\nnt = 5",
-         "box_length 1e+300 too large for nt = 5: the default horizon box_length/4 gives "
-         "(horizon / (nt - 1))^2 = inf"),
+         "box_length = 1e300\nnt = 5", "box_length 1e+300 too large: L^3 overflows"),
         ("wave-fixture", "box_length = 6.283185307179586\nnt = 16",
          "box_length = 1e300\nnt = 5\nhorizon = 1e299",
-         "horizon 1e+299 too long for nt = 5: (horizon / (nt - 1))^2 overflows"),
+         "box_length 1e+300 too large: L^3 overflows"),
+        # |k|^2 and the time step are finite here; the cell volume h^3 was not
+        ("maxwell-strichartz", "box_length = 6.283185307179586\ncount = 1\nnt = 9",
+         "box_length = 1e150\ncount = 1\nnt = 5", "box_length 1e+150 too large: L^3 overflows"),
+        ("wave-fixture", "box_length = 6.283185307179586\nnt = 16",
+         "box_length = 1e150\nnt = 5", "box_length 1e+150 too large: L^3 overflows"),
+        ("gn-ratio", "box_length = 6.283185307179586", "box_length = 1e160",
+         "box_length 1e+160 too large: L^2 overflows"),
+        # finite data whose norms overflow: named before any solve, with no numpy warning
+        ("picard", "family = two-mode", "family = two-mode\namplitude = 1e200",
+         "initial vorticity: its W11 norm A0 = inf leaves no t0 = 1/A0^2 > 0"),
+        ("picard", "family = two-mode\nnt = 8\nt_horizon_cap = 0.2",
+         "family = two-mode\nnt = 8\nt0 = 0.1\namplitude = 1e200",
+         "non-finite values in Duhamel term: iteration diverged"),
+        ("continuous-dependence", "epsilons = 1e-3 1e-2", "epsilons = 1e-3 1e300",
+         "perturbation W11 norm overflows at epsilon 1e+300"),
     ], ids=["oseen-t_min", "bb3-box_length", "strichartz-box_length", "wave-box_length",
-            "wave-horizon"])
+            "wave-horizon", "strichartz-box_volume", "wave-box_volume", "gn-box_volume",
+            "picard-calibrated-amplitude", "picard-amplitude", "cd-epsilon"])
     def test_numeric_fault_named(self, tmp_path, capsys, kind, old, new, message):
         body = tiny_config(kind)
         assert old in body

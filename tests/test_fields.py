@@ -18,7 +18,6 @@ from vortexlab.fields import (
     Trajectory,
     VectorField,
     curl2d,
-    derivative,
     divergence,
     gradient,
     hs_norm,
@@ -30,6 +29,7 @@ from vortexlab.fields import (
     lp_norm,
     magnitude_norm,
     mean_is_negligible,
+    _l2_sizes,
     time_lq_norm,
     w11_norm,
 )
@@ -98,26 +98,39 @@ class TestGrid:
         with pytest.raises(ValueError, match=re.escape(message)):
             Grid(dim, 8, box_length)
 
+    @pytest.mark.parametrize("dim, box_length", [(3, 1e150), (3, 1e300), (2, 1e160)])
+    def test_overflowing_volume_names_box_length(self, dim, box_length):
+        # L^dim past the largest double; Python's ** would raise OverflowError
+        message = f"box_length {box_length:g} too large: L^{dim} overflows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Grid(dim, 8, box_length)
+
+    def test_largest_volume_below_overflow_is_finite(self):
+        # (5e102)^3 is about 1.25e308; the cell measure and the time step stay finite
+        g = Grid(3, 8, 5e102)
+        assert 0 < g.cell_measure < np.inf and 0 < g.box_length**3 < np.inf
+
     def test_largest_wavenumbers_below_overflow_are_finite(self):
         # 3 * (pi 8 / 1e-150)^2 is about 1.9e303: kept, and its multipliers raise no warning
         assert np.all(np.isfinite(Grid(3, 8, 1e-150).ksq()))
 
     def test_wavenumbers_match_fftfreq(self, g64):
-        k = g64.wavenumber(0)
         expect = TWO_PI * np.fft.fftfreq(64, d=g64.h)
-        assert np.allclose(k[:, 0], expect)
+        assert np.allclose(g64.ksq()[:, 0], expect**2)
+        expect[32] = 0.0  # signed, as the derivatives read them (Nyquist zeroed)
+        assert np.allclose(g64.deriv_wavenumber(0)[:, 0], expect)
 
     def test_deriv_wavenumber_zeroes_nyquist(self, g64):
         kd = g64.deriv_wavenumber(0)
         assert kd[32, 0] == 0.0
-        assert g64.wavenumber(0)[32, 0] != 0.0
+        assert g64.ksq()[32, 0] != 0.0  # |k|^2 keeps the Nyquist wavenumber
 
     def test_dealias_mask_cuts_top_third(self, g64):
         mask = g64.dealias_mask()
         cut = (2.0 / 3.0) * np.pi * 64 / TWO_PI
-        keep = np.ones(g64.spectral_shape, dtype=bool)
-        for a in range(2):
-            keep &= np.abs(g64.wavenumber(a)) < cut
+        k0 = TWO_PI * np.fft.fftfreq(64, d=g64.h)
+        k1 = TWO_PI * np.fft.rfftfreq(64, d=g64.h)
+        keep = (np.abs(k0)[:, None] < cut) & (np.abs(k1)[None, :] < cut)
         assert np.array_equal(mask, keep)
         assert mask[0, 0]
         assert not mask[32, 0] and not mask[0, 32]
@@ -169,7 +182,7 @@ class TestHalfSpectrumField:
     def test_linear_arithmetic_keeps_domains(self, g64, fft_calls):
         f, h = random_smooth(g64, 11), random_smooth(g64, 12)
         before = dict(fft_calls)
-        combo = -(f * 2.0 + h - f)
+        combo = (f * 2.0 + h - f) * -1.0
         combo.spectrum()
         assert fft_calls == before
         expect = -(f.samples + h.samples)
@@ -209,10 +222,28 @@ class TestMeanZeroCheck:
         assert len(sums) == 1
 
 
+    @pytest.mark.parametrize("dim, lead", [(2, ()), (2, (3,)), (3, (2,))])
+    def test_l2_sizes_plain_or_at_one_scale_per_field(self, dim, lead):
+        g = Grid(dim, 8, TWO_PI)
+        x = np.random.default_rng(dim).standard_normal((dim,) + lead + g.shape)
+        u, w = (ScalarField(g, a).spectrum() for a in (x, x[:1] * 0.25))
+        plain = [np.sqrt(sum(hs_sq(g, a))) for a in (u, w)]
+        for got, want in zip(_l2_sizes(g, u, w), plain):
+            assert np.array_equal(got, want)
+        # squares past the float range: each field at one power of two, so ratios hold bitwise
+        big_u, big_w = _l2_sizes(g, 2.0**600 * u, 2.0**600 * w)
+        assert np.all(np.isfinite(big_u)) and np.array_equal(big_w / big_u, plain[1] / plain[0])
+        if lead:  # a field far below another in the stack keeps its own scale
+            tiny = np.ones(lead + (1,) * dim)
+            tiny[0] = 2.0**-900
+            small_u, small_w = _l2_sizes(g, 2.0**600 * tiny * u, 2.0**600 * tiny * w)
+            assert np.array_equal(small_w / small_u, plain[1] / plain[0])
+
+
 class TestCalculus:
     def test_eigenmode_derivative(self, g64):
         f = ScalarField.from_function(g64, lambda x, y: np.sin(x))
-        df = derivative(f, 0)
+        df = gradient(f).components[0]
         exact = ScalarField.from_function(g64, lambda x, y: np.cos(x))
         assert np.max(np.abs(df.samples - exact.samples)) < 1e-10
 
@@ -229,7 +260,7 @@ class TestCalculus:
     def test_divergence_of_rotated_gradient_vanishes(self, g64):
         f = random_smooth(g64, 4)
         gr = gradient(f)
-        rot = VectorField([-gr.components[1], gr.components[0]])
+        rot = VectorField([gr.components[1] * -1.0, gr.components[0]])
         assert np.max(np.abs(divergence(rot).samples)) < 1e-10
 
     def test_gradient_magnitude_of_single_mode(self, g64):
@@ -421,7 +452,7 @@ class TestContainers:
 
     def test_arithmetic(self, g64):
         f = ScalarField.from_function(g64, lambda x, y: np.sin(x))
-        h = f * 2.0 - f + (-f)
+        h = f * 2.0 - f + f * -1.0
         assert np.max(np.abs(h.samples)) < 1e-14
 
     def test_grid_mismatch_rejected(self, g64):

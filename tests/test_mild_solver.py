@@ -5,7 +5,7 @@ import pytest
 
 from vortexlab import fields, mild_solver
 from vortexlab.biot_savart import CirculationObstructionError, velocity_from_vorticity_2d
-from vortexlab.fields import (Grid, ScalarField, Trajectory, _magnitude, derivative, lp_norm,
+from vortexlab.fields import (Grid, ScalarField, Trajectory, _magnitude, gradient, lp_norm,
                               w11_norm)
 from vortexlab.heat import etd_weights, heat_evolve
 from vortexlab.mild_solver import (
@@ -30,7 +30,7 @@ def jacobian_magnitude(v):
     """Pointwise Frobenius magnitude of the gradient tensor of v, from the
     field-layer derivatives."""
     return ScalarField(v.grid, _magnitude(
-        derivative(c, a).samples for c in v.components for a in range(v.grid.dim)))
+        d.samples for c in v.components for d in gradient(c).components))
 
 
 @pytest.fixture
