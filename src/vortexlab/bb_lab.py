@@ -129,5 +129,5 @@ def refinement_study(spec: RandomFieldSpec, ratio_fn, n_levels, map_fn=map) -> l
         if not any(isinstance(r, dict) for r in rows):
             raise ValueError(f"{ratio_fn.__name__} at n_eval {m}: all {len(rows)} members "
                              f"discarded; member 0: {rows[0]}")
-        levels.append({"n_eval": m, **family_report(rows, lambda i, r: r)})  # rows as members
+        levels.append({"n_eval": m, **family_report(rows)})
     return levels

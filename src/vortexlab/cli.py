@@ -79,6 +79,12 @@ def _build_oseen(cfg):
            "vortex too wide for box: sqrt(4*t_max) must be <= box_length/16")
     _check(cfg["t_count"] >= 2, "t_count must be >= 2")
     _check(cfg["alpha0"] != 0, f"alpha0 must be nonzero, got {cfg['alpha0']}")  # logs are fitted
+    # a finite alpha0's peak, in Python floats (inf, never a raise); a non-finite
+    # alpha0 is named after the build
+    _check(not abs(cfg["alpha0"]) < np.inf
+           or abs(cfg["alpha0"]) / (4.0 * np.pi * cfg["t_min"]) < np.inf,
+           f"peak vorticity |alpha0| / (4 pi t_min) overflows: alpha0 = {cfg['alpha0']:g}, "
+           f"t_min = {cfg['t_min']:g}")
     return grid
 
 
@@ -157,6 +163,7 @@ def _run_continuous_dependence(solve_cfg, cfg, _threads):
     bump = smooth_bump(solve_cfg.grid)
     perts = [eps * bump for eps in cfg["epsilons"]]
     with np.errstate(over="ignore"):  # named below, by epsilon, before any solve
+        _check(w11_norm(omega0) < np.inf, "initial vorticity W11 norm overflows")
         for eps, delta in zip(cfg["epsilons"], perts):
             _check(w11_norm(delta) < np.inf, f"perturbation W11 norm overflows at epsilon {eps:g}")
     report = continuous_dependence_experiment(omega0, perts, solve_cfg)

@@ -27,10 +27,9 @@ def family_map(members, task, map_fn=map) -> list:
     return list(map_fn(lambda i: task(i, members[i]), range(len(members))))
 
 
-def family_report(members, row, map_fn=map) -> dict:
-    """Rows of ``family_map(members, row, map_fn)``, with the max and mean of their
-    "ratio"; a row that is not a dict (None, or why a member was dropped) is counted."""
-    rows = family_map(members, row, map_fn)
+def family_report(rows) -> dict:
+    """The rows that are dicts, with the max and mean of their "ratio"; a row
+    that is not a dict (None, or why a member was dropped) is counted."""
     kept = [r for r in rows if isinstance(r, dict)]
     ratios = [r["ratio"] for r in kept]
     return {"rows": kept, "family_max": float(np.max(ratios)) if ratios else 0.0,

@@ -17,7 +17,8 @@ Conventions, fixed once for the whole package:
 * Vector magnitudes (including gradient tensors) are pointwise Euclidean.
 * A field keeps the grid it was built on, and spectral work never leaves
   it.  A norm on an evaluation grid is ``magnitude_norm``: a ``PlaneSampler``
-  samples each half spectrum there as blocks of axis-0 slabs, exact for a
+  samples each half spectrum there as blocks of axis-0 slabs, bitwise
+  ``batch_samples`` on the field's own grid and exact on a finer one for a
   field without Nyquist content, so the one full-size array a norm holds is
   its accumulator; ``gradient_planes`` forms one derivative plane at a time.
 * A field may be a stack (a trajectory): its arrays carry leading axes
@@ -276,8 +277,15 @@ class ScalarField:
         return self._samples
 
     def spectrum(self) -> np.ndarray:
+        """The half spectra, formed from the samples on first use (ValueError if that overflows)."""
         if self._spectrum is None:
-            self._spectrum = _readonly(np.fft.rfftn(self._samples, axes=range(-self.grid.dim, 0)))
+            try:  # the samples are finite, so a non-finite coefficient raised a flag
+                with np.errstate(over="raise", invalid="raise"):
+                    spectrum = np.fft.rfftn(self._samples, axes=range(-self.grid.dim, 0))
+            except FloatingPointError:
+                raise ValueError("field spectrum must be finite: the transform of its "
+                                 "finite samples overflows") from None
+            self._spectrum = _readonly(spectrum)
         return self._spectrum
 
     def mean(self):
@@ -459,36 +467,33 @@ def curl3d(v: VectorField) -> VectorField:
 class PlaneSampler:
     """Samples on the n_eval grid (by default the field's own) of half spectra
     on `grid`, in blocks of axis-0 slabs, ``rows`` (SLAB_BYTES for each of the
-    `planes` planes held at once): views of one ``batch_samples`` on the own
-    grid, else bitwise ``irfftn`` of the spectrum zero-padded without its
-    Nyquist planes, staged: the axis-0 ``ifft`` of the whole plane in a padded
-    buffer it keeps, then the other axes line by line per block, into one
-    block buffer.  A block is valid until the next ``slabs`` call."""
+    `planes` planes held at once): bitwise ``irfftn`` of the spectrum zero-padded,
+    staged: the axis-0 ``ifft`` of the whole plane in a padded buffer it keeps,
+    then the other axes line by line per block, into one block buffer.  On the
+    own grid that is ``batch_samples``; a finer one drops the Nyquist planes.
+    A block is valid until the next ``slabs`` call."""
 
     def __init__(self, grid: Grid, n_eval: int | None = None, planes: int = 1):
         check_n_eval(grid, n_eval)
         self.grid, self.eval_grid = grid, Grid(grid.dim, n_eval or grid.n, grid.box_length)
-        self.own = self.eval_grid == grid
         m, half = self.eval_grid.n, grid.n // 2
         self.rows = blocks(m, planes * 8 * m ** (grid.dim - 1), SLAB_BYTES)
-        # wavenumbers 0..half-1 and -(half-1)..-1: the same index on both grids
-        self._kept = (slice(0, half), slice(1 - half, None))
-        self._buffers = None  # the staged transform's, built on its first call
+        # wavenumbers 0..half-1 and -(half-1)..-1, the same index on both grids, and
+        # the Nyquist -half (and last-axis +half) where the n_eval grid has them too
+        nyquist = int(m == grid.n)
+        self._kept, self._cols = (slice(0, half), slice(1 - half - nyquist, None)), half + nyquist
+        step = self.rows[0].stop
+        shapes = [(m if a == 0 else step,) + (m,) * a + (grid.n,) * (grid.dim - 2 - a)
+                  + (self._cols,) for a in range(grid.dim - 1)]
+        # the later stages' padded inputs are zeroed once: only kept modes are written
+        self._buffers = (np.empty(shapes[0], dtype=np.complex128),
+                         [(np.zeros(s, dtype=np.complex128), np.empty(s, dtype=np.complex128))
+                          for s in shapes[1:]], np.empty((step,) + self.eval_grid.shape[1:]))
 
     def slabs(self, spectrum: np.ndarray):
         """(rows, samples of those rows) of one plane, block by block."""
         first = self.first_stage(spectrum)
         return ((rows, self.block(first, rows)) for rows in self.rows)
-
-    def first_stage(self, spectrum: np.ndarray) -> np.ndarray:
-        """What ``block`` reads of one plane: its samples (a fresh array) on
-        the grid's own, else the staged transform's first stage, in the
-        sampler's padded buffer, which the next call overwrites."""
-        return batch_samples(self.grid, spectrum) if self.own else self._first(spectrum)
-
-    def block(self, first: np.ndarray, rows: slice) -> np.ndarray:
-        """Samples of `rows` of the plane whose ``first_stage`` is `first`."""
-        return first[rows] if self.own else self._later(first, rows)
 
     def __call__(self, spectrum: np.ndarray) -> np.ndarray:
         """The samples of one plane, whole: its ``slabs`` put together."""
@@ -497,26 +502,20 @@ class PlaneSampler:
             out[rows] = x
         return out
 
-    def _first(self, spectrum: np.ndarray) -> np.ndarray:
-        """The scaled kept modes, padded along axis 0 and transformed there,
-        in place: the gap rows the last transform filled are zeroed first."""
+    def first_stage(self, spectrum: np.ndarray) -> np.ndarray:
+        """What ``block`` reads of one plane: the scaled kept modes, padded along
+        axis 0 and transformed there, in place in the sampler's padded buffer,
+        whose gap rows the last call filled are zeroed first."""
         g, m, half = self.grid, self.eval_grid.n, self.grid.n // 2
-        if self._buffers is None:  # the later stages' padded inputs are zeroed once
-            step = self.rows[0].stop
-            shapes = [(m if a == 0 else step,) + (m,) * a + (g.n,) * (g.dim - 2 - a) + (half,)
-                      for a in range(g.dim - 1)]
-            self._buffers = (np.empty(shapes[0], dtype=np.complex128),
-                             [(np.zeros(s, dtype=np.complex128), np.empty(s, dtype=np.complex128))
-                              for s in shapes[1:]], np.empty((step,) + self.eval_grid.shape[1:]))
         padded = self._buffers[0]
-        padded[half:m - half + 1] = 0.0
+        padded[half:m + self._kept[1].start] = 0.0
         for k in self._kept:
-            np.multiply(spectrum[k, ..., :half], (m / g.n) ** g.dim, out=padded[k])
+            np.multiply(spectrum[k, ..., :self._cols], (m / g.n) ** g.dim, out=padded[k])
         return np.fft.ifft(padded, axis=0, out=padded)
 
-    def _later(self, first: np.ndarray, rows: slice) -> np.ndarray:
-        """Rows `rows` of the samples from a plane's first stage: the ``ifft``
-        of each middle axis, then ``irfft``, in the block buffers."""
+    def block(self, first: np.ndarray, rows: slice) -> np.ndarray:
+        """Samples of `rows` of the plane whose ``first_stage`` is `first`: the
+        ``ifft`` of each middle axis, then ``irfft``, in the block buffers."""
         _, stages, result = self._buffers
         count, a = rows.stop - rows.start, first[rows]
         for axis, (padded, out) in enumerate(stages, start=1):
@@ -611,17 +610,15 @@ def w11_norm(f: ScalarField):
 
 def w11_columns(f: ScalarField) -> tuple[list, list]:
     """The L1 and W^{1,1} norms of each field of f (a 2D field or a stack),
-    in ``w11_rows``' arithmetic.  Held samples are used as they are; what
-    else is read is sampled in one batched inverse transform per block."""
+    in ``w11_rows``' arithmetic; the gradient is sampled in one batched
+    inverse transform per block."""
     g = f.grid
     if g.dim != 2:
         raise ValueError("w11_norm is defined for 2D scalar fields")
-    spectra, held = _stacked(f.spectrum(), 2), f._samples is not None
+    samples, spectra = _stacked(f.samples, 2), _stacked(f.spectrum(), 2)
     l1, w11 = [], []
-    for b in blocks(len(spectra), 3 * spectra[0].nbytes):
-        # f itself too, unless its samples are held
-        x = batch_samples(g, gradient_spectra(g, spectra[b], with_field=not held))
-        rows = w11_rows(g, _stacked(f._samples, 2)[b] if held else x[0], x[-2:])
+    for b in blocks(len(spectra), 2 * spectra[0].nbytes):
+        rows = w11_rows(g, samples[b], batch_samples(g, gradient_spectra(g, spectra[b])))
         l1 += rows[0]
         w11 += rows[1]
     return l1, w11
@@ -652,7 +649,9 @@ def _l2_sizes(grid: Grid, *stacks: np.ndarray) -> list:
         if all(np.all(np.isfinite(s)) for s in sizes) and np.all(sizes[0] > 2.0**-400):
             return sizes
         peak = np.max(np.abs(stacks[0]), axis=(0, *range(-grid.dim, 0)), keepdims=True)[0]
-        return [np.sqrt(sum(hs_sq(grid, np.ldexp(1.0, -np.frexp(peak)[1]) * x))) for x in stacks]
+        e = -np.frexp(peak)[1]  # in two factors: 2^e alone is inf for a subnormal peak
+        return [np.sqrt(sum(hs_sq(grid, x * np.ldexp(1.0, e // 2) * np.ldexp(1.0, e - e // 2))))
+                for x in stacks]
 
 
 def mean_is_negligible(f: ScalarField):

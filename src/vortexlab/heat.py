@@ -36,9 +36,9 @@ def _series_or_closed(z: np.ndarray, coeff, closed):
     SERIES_TERMS terms where z < SERIES_Z, else closed(z), which is never
     handed a z below SERIES_Z (those entries get 1, so z = 0 stays finite)."""
     small = z < SERIES_Z
-    series = 0.0
+    series, zs = 0.0, np.where(small, z, 0.0)  # the series only where it is kept
     for n in reversed(range(SERIES_TERMS)):
-        series = coeff(n) - z * series
+        series = coeff(n) - zs * series
     return np.where(small, series, closed(np.where(small, 1.0, z)))
 
 
@@ -51,6 +51,7 @@ def etd_weights(ksq: np.ndarray, dt: float):
         raise ValueError(f"etd_weights requires dt > 0, got {dt}")
     z = np.asarray(ksq, dtype=np.float64) * dt
     phi1 = _series_or_closed(z, lambda n: 1.0 / factorial(n + 1), lambda z: -np.expm1(-z) / z)
-    psi = _series_or_closed(z, lambda n: 1.0 / (factorial(n) * (n + 2)),
-                            lambda z: (-np.expm1(-z) - z * np.exp(-z)) / z**2)
+    with np.errstate(over="ignore"):  # a z^2 past the float range gives psi's limit, 0
+        psi = _series_or_closed(z, lambda n: 1.0 / (factorial(n) * (n + 2)),
+                                lambda z: (-np.expm1(-z) - z * np.exp(-z)) / z**2)
     return np.exp(-z), dt * psi, dt * (phi1 - psi)

@@ -24,7 +24,7 @@ from math import factorial
 
 import numpy as np
 
-from .family import family_report
+from .family import family_map, family_report
 from .fields import (
     Grid,
     PlaneSampler,
@@ -307,5 +307,5 @@ def strichartz_ratio_experiment(e: StrichartzExponents, fixtures, T: float, nt: 
         lhs, rhs = strichartz_sides(e, B0, B1, j, T, nt, n_eval)
         return None if rhs < 1e-12 else {"fixture": i, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
 
-    return {**family_report(fixtures, row, map_fn),
+    return {**family_report(family_map(fixtures, row, map_fn)),
             "time_horizon_restriction": "T <= L/4 (pre-wrap light cone)"}

@@ -10,9 +10,11 @@ the iterate's samples of (w, d1 w, d2 w): per block of snapshots it samples
 v for the flux, runs the recurrence into the iterate's own spectra, and
 samples the new (w, d1 w, d2 w) for the W11 norms of the iterate and of its
 difference from the held samples, which it then overwrites: 5 inverse and 2
-forward transformed planes per snapshot.  ``apply_T`` shares that code.  The
-last sweep's L1 and W11 norms per snapshot stay in the trace, so the report
-(``solution_norms``) samples only v and grad v.
+forward transformed planes per snapshot.  ``apply_T`` shares that code and
+samples w too.  Biot-Savart is handed each iterate without its zero mode:
+an iterate keeps omega0's roundoff mean bitwise, and omega0 is checked at entry.
+The last sweep's L1 and W11 norms per snapshot stay in the trace, so the
+report (``solution_norms``) samples only v and grad v.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -94,18 +96,22 @@ class PicardTrace:
     w11: list = dc_field(default_factory=list)
 
 
+def _mean_dropped(omega: ScalarField) -> ScalarField:
+    """omega without its zero mode, which Biot-Savart does not read: the heat
+    evolution and the recurrence keep omega0's roundoff mean (checked at
+    entry) bitwise, and a decayed iterate's own max must not judge it."""
+    spectra = omega.spectrum().copy()
+    spectra[..., 0, 0] = 0.0
+    return ScalarField._held(omega.grid, spectrum=_readonly(spectra))
+
+
 def _flux_divergence(omega: ScalarField) -> np.ndarray:
     """Dealiased spectra of -div(v w), the advective source, for each w of a
-    stack of vorticities; v by Biot-Savart.  Samples of w that the stack
-    holds are read as they are, else w is sampled with v in one transform."""
-    grid, v = omega.grid, velocity_from_vorticity_2d(omega).stack.spectrum()
-    if omega._samples is None:
-        w_and_v = batch_samples(grid, np.concatenate((omega.spectrum()[None], v)))
-        w, v = w_and_v[0], w_and_v[1:]
-    else:
-        w, v = omega._samples, batch_samples(grid, v)
+    stack of iterates; v by Biot-Savart."""
+    grid = omega.grid
+    v = batch_samples(grid, velocity_from_vorticity_2d(_mean_dropped(omega)).stack.spectrum())
     with np.errstate(over="ignore", invalid="ignore"):  # _duhamel_block names an overflow
-        flux = np.fft.rfftn(v * w, axes=(-2, -1))
+        flux = np.fft.rfftn(v * omega.samples, axes=(-2, -1))
         div = sum(1j * grid.deriv_wavenumber(a) * flux[a] for a in range(2))
         return np.where(grid.dealias_mask(), -div, 0.0)
 
@@ -247,7 +253,7 @@ def snapshot_norms(omega: ScalarField) -> dict:
 def solution_norms(traj: Trajectory, trace: PicardTrace) -> dict:
     """``snapshot_norms`` of a Picard solution, whose L1 and W11 its trace
     holds from the last sweep, so that only v and grad v are sampled."""
-    return _norm_columns(traj.field, trace.l1, trace.w11)
+    return _norm_columns(_mean_dropped(traj.field), trace.l1, trace.w11)
 
 
 def _norm_columns(omega: ScalarField, l1: list, w11: list) -> dict:

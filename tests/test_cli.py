@@ -3,14 +3,16 @@
 import json
 import os
 import platform
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vortexlab import cli, maxwell_wave
+from vortexlab import cli, maxwell_wave, mild_solver
 from vortexlab.cli import EXPERIMENTS, main, parse_config, validate_config, ConfigError
-from vortexlab.fields import ScalarField, VectorField, curl3d, lp_norm
+from vortexlab.fields import Grid, ScalarField, VectorField, curl3d, lp_norm
 from vortexlab.maxwell_wave import CurrentDensity, solve_wave
 
 
@@ -274,6 +276,17 @@ k = 0.25
         assert json.loads(captured.err)["error"] == "alpha0 must be nonzero, got 0.0"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("alpha0, t_min", [("1e306", "1e-05"), ("1.0", "5e-324")])
+    def test_overflowing_peak_vorticity_rejected(self, tmp_path, capsys, alpha0, t_min):
+        body = tiny_config("oseen-scaling").replace("t_min = 0.001", f"t_min = {t_min}")
+        path = write_config(tmp_path, "c.ini", body + f"alpha0 = {alpha0}\n")
+        assert main(["validate", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == (
+            "peak vorticity |alpha0| / (4 pi t_min) overflows: "
+            f"alpha0 = {float(alpha0):g}, t_min = {float(t_min):g}")
+
     def test_infinite_strichartz_time_exponents_allowed(self, tmp_path):
         # (q, r, q_tilde, s, k) = (inf, 2, inf, 0, 1/2) is admissible
         body = tiny_config("maxwell-strichartz")
@@ -527,6 +540,39 @@ class TestEveryKind:
         assert set(os.listdir(out_dir)) == {f"{kind}-7.csv", f"{kind}-7.json", "manifest.json"}
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["experiment"] == kind
+
+
+# extreme finite values, zero and the smallest subnormal: one key at a time
+EXTREME_VALUES = ("1e300", "1e-300", "0", "5e-324", "1e306", "-1e300", "1e-12", "1e12")
+FLOAT_KEYS = [(kind, key) for kind in sorted(TINY_KEYS)
+              for key, (conv, _req, _default) in {**cli._COMMON, **EXPERIMENTS[kind].keys}.items()
+              if conv is float]
+
+
+@pytest.mark.parametrize("kind, key", FLOAT_KEYS, ids=[f"{k}-{key}" for k, key in FLOAT_KEYS])
+def test_extreme_float_value_is_a_result_or_one_error_line(tmp_path, capsys, kind, key):
+    # exit 0 with nothing on stderr and no NaN in a report, or exit 1 with one JSON line;
+    # a numpy warning counts as a stderr line
+    faults = []
+    for i, value in enumerate(EXTREME_VALUES):
+        # each run as in its own process: a cached multiplier or panel weight would not warn again
+        for fn in (mild_solver._panel_weights, *vars(Grid).values()):
+            getattr(fn, "cache_clear", lambda: None)()
+        lines = [line for line in tiny_config(kind).splitlines() if not line.startswith(key + " =")]
+        path = write_config(tmp_path, f"c{i}.ini", "\n".join(lines + [f"{key} = {value}", ""]))
+        out_dir = tmp_path / f"out{i}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--out", str(out_dir), "run", path])
+        err = [str(w.message) for w in caught] + capsys.readouterr().err.splitlines()
+        if code == 0:
+            ok = not err and not any(re.search(r"\bnan\b", p.read_text(), re.IGNORECASE)
+                                     for p in out_dir.iterdir())
+        else:
+            ok = code == 1 and len(err) == 1 and "error" in json.loads(err[0])
+        if not ok:
+            faults.append((value, code, err))
+    assert faults == []
 
 
 class TestNonConvergence:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vortexlab.family import Family, family_report
+from vortexlab.family import Family, family_map, family_report
 
 
 def counting_family(count, built):
@@ -49,12 +49,13 @@ class TestFamilyReport:
             return out
 
         family = counting_family(4, built)
-        family_report(family, lambda i, x: {"ratio": float(x[0])}, recording_map)
+        family_map(family, lambda i, x: {"ratio": float(x[0])}, recording_map)
         assert events == [("submitted", 0)] + [("task", 1)] * 4
 
     def test_reduction(self):
         ratios = [3.0, None, 1.0, None, 2.0]
-        rep = family_report(ratios, lambda i, r: None if r is None else {"i": i, "ratio": r})
+        rep = family_report([None if r is None else {"i": i, "ratio": r}
+                             for i, r in enumerate(ratios)])
         assert rep == {
             "rows": [{"i": 0, "ratio": 3.0}, {"i": 2, "ratio": 1.0}, {"i": 4, "ratio": 2.0}],
             "family_max": 3.0,
@@ -63,5 +64,5 @@ class TestFamilyReport:
         }
 
     def test_all_degenerate(self):
-        rep = family_report([1, 2], lambda i, m: None)
+        rep = family_report([None, "why member 1 was dropped"])
         assert rep == {"rows": [], "family_max": 0.0, "family_mean": 0.0, "discarded": 2}

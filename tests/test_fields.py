@@ -173,6 +173,14 @@ class TestHalfSpectrumField:
         with pytest.raises(ValueError, match="finite"):
             ScalarField.from_spectrum(g64, coeffs)
 
+    def test_overflowing_transform_of_finite_samples_rejected(self, g64):
+        # each coefficient of a constant 1e306 sums 4096 samples: past the float range
+        f = ScalarField(g64, np.full(g64.shape, 1e306))
+        with pytest.raises(ValueError, match="field spectrum must be finite: the transform"):
+            f.spectrum()
+        with pytest.raises(ValueError, match="field spectrum must be finite: the transform"):
+            mean_is_negligible(f)
+
     def test_samples_computed_once_on_first_read(self, g64, fft_calls):
         f = ScalarField.from_spectrum(g64, np.ones(g64.spectral_shape, dtype=np.complex128))
         assert fft_calls["irfftn"] == 0
@@ -604,13 +612,6 @@ class TestStackedField:
             f[0]
         with pytest.raises(TypeError):  # nor is a stack unpacked by iteration
             list(ScalarField(g64, np.zeros((2,) + g64.shape)))
-
-    def test_sampler_builds_staged_buffers_on_first_use(self, g64):
-        own, finer = PlaneSampler(g64), PlaneSampler(g64, 96)
-        own(ScalarField.zeros(g64).spectrum())
-        assert own._buffers is None and finer._buffers is None
-        finer(ScalarField.zeros(g64).spectrum())
-        assert finer._buffers is not None
 
 
 def whole_plane(grid, spectrum, n_eval):

@@ -109,6 +109,16 @@ class TestEtdWeights:
         for weights in etd_weights(z, 1.0):
             assert abs(weights[0] - weights[1]) <= 1e-13 * abs(weights[1])
 
+    def test_huge_panel_takes_the_limit(self):
+        # z^2 past the float range, and the series on those entries too: no
+        # warning; psi's limit is 0, and the other entries are as without them
+        z = np.array([0.0, 0.05, 1.0, 1e200, 1e307])
+        e, w_old, w_new = etd_weights(z, 1.0)
+        assert np.array_equal(e[3:], [0.0, 0.0]) and np.array_equal(w_old[3:], [0.0, 0.0])
+        assert np.array_equal(w_new[3:], 1.0 / z[3:])
+        for a, b in zip(etd_weights(z[:3], 1.0), (e, w_old, w_new)):
+            assert np.array_equal(a, b[:3])
+
     def test_nonpositive_dt_rejected(self, g64):
         with pytest.raises(ValueError):
             etd_weights(g64.ksq(), 0.0)

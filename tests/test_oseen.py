@@ -150,6 +150,12 @@ class TestScalingExperiment:
         with pytest.raises(ValueError, match=r"^W11 is 0.0 at t = 1e-12: no log-log slope"):
             sharpness_scaling_experiment(Grid(2, 64, 8.0), [1e-12, 0.01])
 
+    @pytest.mark.parametrize("alpha0", [1e300, -1e300])
+    def test_overflowing_norm_named_before_the_log_fit(self, alpha0):
+        # a finite profile whose W11 norm overflows: named, with no numpy warning
+        with pytest.raises(ValueError, match=r"^W11 is inf at t = 0.001: no log-log slope"):
+            sharpness_scaling_experiment(Grid(2, 16, TWO_PI), [1e-3, 1e-2], alpha0)
+
     def test_alpha_scales_linearly(self):
         g = Grid(2, 128, 2.0)
         ts = np.geomspace(1e-4, 1e-3, 3)

@@ -122,13 +122,13 @@ def spectral_refine(f, n_new):
     return ScalarField(fine, PlaneSampler(g, n_new)(f.spectrum()))
 
 
-def staged_sampler(grid, n_new):
-    """A PlaneSampler that runs the staged transform even onto the field's own
-    grid, where it otherwise takes ``batch_samples``, so that its Nyquist-free
-    zero padding is checked at factor 1 too."""
-    sample = PlaneSampler(grid, n_new)
-    sample.own = False
-    return sample
+def sampled_plane(f, n_new):
+    """What a PlaneSampler onto the n_new grid must give of f's spectrum,
+    Nyquist planes and all: ``batch_samples`` on f's own grid, else the
+    zero-padded spectrum without them (``padded_refine``)."""
+    if n_new == f.grid.n:
+        return batch_samples(f.grid, f.spectrum())
+    return padded_refine(f, n_new).samples
 
 
 def ref_inv_ksq(grid):
@@ -277,12 +277,12 @@ def test_sampler_on_own_grid_and_finer(grid, seed, factor):
                       box_length=st.sampled_from([2.0 * np.pi, 3.0])),
        seed=seeds, factor=st.sampled_from([1, 2, 3, 4]))
 def test_refined_samples_equal_zero_padding_bitwise(grid, seed, factor):
-    # unrestricted input, so the dropped Nyquist planes matter too
+    # unrestricted input, so the Nyquist planes matter too: dropped on a finer
+    # grid, kept on the field's own
     f = ScalarField(grid, np.random.default_rng(seed).standard_normal(grid.shape))
     n_new = factor * grid.n
-    want = padded_refine(f, n_new).samples
-    assert np.array_equal(staged_sampler(grid, n_new)(f.spectrum()), want)
-    assert_close(want, ref_refine(f, n_new))
+    assert np.array_equal(PlaneSampler(grid, n_new)(f.spectrum()), sampled_plane(f, n_new))
+    assert_close(padded_refine(f, n_new).samples, ref_refine(f, n_new))
 
 
 @PROPERTY
@@ -293,13 +293,10 @@ def test_reused_sampler_equals_zero_padding_bitwise(grid, seed, factor):
     # one sampler over a sequence of different spectra: its kept buffers must
     # hold nothing of an earlier call (unrestricted input, Nyquist planes too)
     rng = np.random.default_rng(seed)
-    sample, staged = PlaneSampler(grid, factor * grid.n), staged_sampler(grid, factor * grid.n)
+    sample = PlaneSampler(grid, factor * grid.n)
     for _ in range(3):
         f = ScalarField(grid, rng.standard_normal(grid.shape))
-        want = padded_refine(f, factor * grid.n).samples
-        assert np.array_equal(staged(f.spectrum()), want)
-        if factor > 1:
-            assert np.array_equal(sample(f.spectrum()), want)
+        assert np.array_equal(sample(f.spectrum()), sampled_plane(f, factor * grid.n))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
