@@ -72,6 +72,12 @@ _COMMON = {
 }
 
 
+# the fewest grid cells across the narrowest core sqrt(4 t_min): on criterion 1's
+# grid (n 256, L 2) its two-decade window's W11 slope leaves -1/2 +- 0.03 below
+# 1.175 cells (-0.517 at 1.25, -0.548 at 1.10, -0.667 at 0.80)
+_MIN_CORE_CELLS = 1.25
+
+
 def _build_oseen(cfg):
     grid = Grid(2, cfg["n"], cfg["box_length"])
     _check(0 < cfg["t_min"] < cfg["t_max"], "need 0 < t_min < t_max")
@@ -85,6 +91,10 @@ def _build_oseen(cfg):
            or abs(cfg["alpha0"]) / (4.0 * np.pi * cfg["t_min"]) < np.inf,
            f"peak vorticity |alpha0| / (4 pi t_min) overflows: alpha0 = {cfg['alpha0']:g}, "
            f"t_min = {cfg['t_min']:g}")
+    cells = np.sqrt(4.0 * cfg["t_min"]) / grid.h
+    _check(cells >= _MIN_CORE_CELLS,
+           f"vortex core too narrow for grid: sqrt(4*t_min) spans {cells:.3g} cells at "
+           f"t_min = {cfg['t_min']:g}, must be >= {_MIN_CORE_CELLS} (h = {grid.h:.3g})")
     return grid
 
 
@@ -136,10 +146,17 @@ def _build_picard(cfg):
     return _build_mild(cfg, cfg["t0"] or cap)
 
 
+def _check_w11_finite(f, message):
+    with np.errstate(over="ignore"):  # named here, before any solve
+        _check(w11_norm(f) < np.inf, message)
+
+
 def _run_picard(solve_cfg, cfg, _threads):
     omega0 = _initial_vorticity(cfg, solve_cfg.grid)
     calibrated_ratio = None
-    if not cfg["t0"]:
+    if cfg["t0"]:  # calibrate_horizon names an overflowing A0 itself
+        _check_w11_finite(omega0, "initial vorticity W11 norm overflows")
+    else:
         t0, calibrated_ratio = calibrate_horizon(omega0, solve_cfg.grid, cfg["t_horizon_cap"])
         solve_cfg = replace(solve_cfg, t0=t0)
     traj, trace = picard_solve(omega0, solve_cfg)
@@ -162,10 +179,9 @@ def _run_continuous_dependence(solve_cfg, cfg, _threads):
     omega0 = _initial_vorticity(cfg, solve_cfg.grid)
     bump = smooth_bump(solve_cfg.grid)
     perts = [eps * bump for eps in cfg["epsilons"]]
-    with np.errstate(over="ignore"):  # named below, by epsilon, before any solve
-        _check(w11_norm(omega0) < np.inf, "initial vorticity W11 norm overflows")
-        for eps, delta in zip(cfg["epsilons"], perts):
-            _check(w11_norm(delta) < np.inf, f"perturbation W11 norm overflows at epsilon {eps:g}")
+    _check_w11_finite(omega0, "initial vorticity W11 norm overflows")
+    for eps, delta in zip(cfg["epsilons"], perts):
+        _check_w11_finite(delta, f"perturbation W11 norm overflows at epsilon {eps:g}")
     report = continuous_dependence_experiment(omega0, perts, solve_cfg)
     rows = [(eps, r["input_w11"], r["output_w11"], r["ratio"])
             for eps, r in zip(cfg["epsilons"], report["rows"])]

@@ -14,7 +14,9 @@ forward transformed planes per snapshot.  ``apply_T`` shares that code and
 samples w too.  Biot-Savart is handed each iterate without its zero mode:
 an iterate keeps omega0's roundoff mean bitwise, and omega0 is checked at entry.
 The last sweep's L1 and W11 norms per snapshot stay in the trace, so the
-report (``solution_norms``) samples only v and grad v.
+report (``solution_norms``) samples only v and grad v, and it takes them,
+Biot-Savart and its checks included, one block of snapshots at a time: it
+holds one block of velocity spectra and samples, so a run peaks in its solve.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -30,6 +32,7 @@ from .fields import (
     _magnitude,
     _readonly,
     _per_field,
+    _stacked,
     batch_samples,
     blocks,
     gradient_spectra,
@@ -245,7 +248,9 @@ def require_converged(trace: PicardTrace, cfg: MildSolveConfig):
 def snapshot_norms(omega: ScalarField) -> dict:
     """Norm bundle of a vorticity, or of each of a stack, in report-column
     order: L1 and W11 by ``w11_columns``, velocity sup and gradient L2.
-    Each must be finite and >= 0."""
+    Each must be finite and >= 0; the stack is checked mean-zero whole
+    first, so a bad snapshot is named by its index."""
+    _check_mean_zero(omega, "vorticity")
     with np.errstate(over="ignore"):  # an overflow is reported by the norm it reaches
         return _norm_columns(omega, *w11_columns(omega))
 
@@ -253,26 +258,36 @@ def snapshot_norms(omega: ScalarField) -> dict:
 def solution_norms(traj: Trajectory, trace: PicardTrace) -> dict:
     """``snapshot_norms`` of a Picard solution, whose L1 and W11 its trace
     holds from the last sweep, so that only v and grad v are sampled."""
-    return _norm_columns(_mean_dropped(traj.field), trace.l1, trace.w11)
+    return _norm_columns(traj.field, trace.l1, trace.w11)
 
 
 def _norm_columns(omega: ScalarField, l1: list, w11: list) -> dict:
-    """The ``snapshot_norms`` of omega given its L1 and W11 columns: v and
-    its gradient are sampled in one batched inverse transform per block."""
-    g, v_hat = omega.grid, velocity_from_vorticity_2d(omega).stack.spectrum()
-    v_hat = v_hat.reshape((2, -1) + g.spectral_shape)
+    """The ``snapshot_norms`` of omega given its L1 and W11 columns, taken
+    one block of snapshots at a time by ``_velocity_rows``."""
+    spectra = _stacked(omega.spectrum(), 2)
     columns = {"L1": l1, "W11": w11, "Linf_v": [], "L2_gradv": []}
-    for b in blocks(v_hat.shape[1], 6 * v_hat[0, 0].nbytes):
-        # x[0] is v, x[1 + a] its derivative d_a; grad v is summed component-major
-        x = batch_samples(g, gradient_spectra(g, v_hat[:, b], with_field=True))
-        with np.errstate(over="ignore"):  # reported below, by the norm it reaches
-            for label, y, p in (("Linf_v", _magnitude(x[0]), np.inf), ("L2_gradv", _magnitude(
-                    d for dv_c in x[1:].swapaxes(0, 1) for d in dv_c), 2)):
-                columns[label] += lp_norm(ScalarField._held(g, y), p).tolist()
+    for b in blocks(len(spectra), 6 * spectra[0].nbytes):
+        for label, rows in zip(("Linf_v", "L2_gradv"), _velocity_rows(omega.grid, spectra[b])):
+            columns[label] += rows
     for label, value in ((k, x) for k, xs in columns.items() for x in xs):
         if not 0 <= value < np.inf:
             raise ValueError(f"norm {label!r} must be finite and >= 0, got {value}")
     return {k: _per_field(omega, xs) for k, xs in columns.items()}
+
+
+def _velocity_rows(g: Grid, spectra: np.ndarray) -> tuple[list, list]:
+    """sup|v| and the L2 norm of grad v of each vorticity of a stack of half
+    spectra: v by Biot-Savart without the zero mode, then v and its gradient
+    sampled in one batched inverse transform.  A function of its own, so
+    that a block's arrays are freed before the next block, and v's spectra
+    before the transform."""
+    # x[0] is v, x[1 + a] its derivative d_a; grad v is summed component-major
+    x = batch_samples(g, gradient_spectra(g, velocity_from_vorticity_2d(
+        _mean_dropped(ScalarField._held(g, spectrum=spectra))).stack.spectrum(), with_field=True))
+    with np.errstate(over="ignore"):  # reported by _norm_columns, by the norm it reaches
+        return tuple(lp_norm(ScalarField._held(g, y), p).tolist() for y, p in (
+            (_magnitude(x[0]), np.inf),
+            (_magnitude(d for dv_c in x[1:].swapaxes(0, 1) for d in dv_c), 2)))
 
 
 def calibrate_horizon(omega0: ScalarField, grid: Grid, t_max: float):

@@ -118,7 +118,9 @@ def sharpness_scaling_experiment(grid: Grid, t_list, alpha0: float = 1.0):
         p = OseenParams(alpha0, center, float(t))
         w = oseen_vorticity(p, grid)
         v = oseen_velocity(p, grid)
-        with np.errstate(over="ignore"):  # an overflowing norm is named below
+        # an overflowing norm is named below, as inf, or as NaN where a gradient
+        # spectrum overflowed before its transform
+        with np.errstate(over="ignore", invalid="ignore"):
             row = {
                 "t": float(t),
                 "W11": w11_norm(w),

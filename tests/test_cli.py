@@ -45,7 +45,7 @@ nt = 8
 
 # the kind-specific keys of one small config per experiment kind
 TINY_KEYS = {
-    "oseen-scaling": "t_min = 0.001\nt_max = 0.01\nt_count = 3\n",
+    "oseen-scaling": "t_min = 0.02\nt_max = 0.035\nt_count = 3\n",
     "picard": "family = two-mode\nnt = 8\nt_horizon_cap = 0.2\n",
     "continuous-dependence": "family = two-mode\nt0 = 0.1\nnt = 8\nepsilons = 1e-3 1e-2\n",
     "bb-ratio-2d": "count = 2\nn_eval = 16 24\n",
@@ -56,8 +56,13 @@ TINY_KEYS = {
 }
 
 
+# grid points per axis of each tiny config, 16 unless named: the 3D kinds take 8, and
+# oseen-scaling 32, so that its narrowest core sqrt(4 t_min) spans 1.44 cells
+TINY_N = {"bb-ratio-3d": 8, "maxwell-strichartz": 8, "wave-fixture": 8, "oseen-scaling": 32}
+
+
 def tiny_config(kind):
-    n = 8 if kind in ("bb-ratio-3d", "maxwell-strichartz", "wave-fixture") else 16
+    n = TINY_N.get(kind, 16)
     return f"[{kind}]\nseed = 7\nn = {n}\nbox_length = 6.283185307179586\n" + TINY_KEYS[kind]
 
 
@@ -278,7 +283,7 @@ k = 0.25
 
     @pytest.mark.parametrize("alpha0, t_min", [("1e306", "1e-05"), ("1.0", "5e-324")])
     def test_overflowing_peak_vorticity_rejected(self, tmp_path, capsys, alpha0, t_min):
-        body = tiny_config("oseen-scaling").replace("t_min = 0.001", f"t_min = {t_min}")
+        body = tiny_config("oseen-scaling").replace("t_min = 0.02", f"t_min = {t_min}")
         path = write_config(tmp_path, "c.ini", body + f"alpha0 = {alpha0}\n")
         assert main(["validate", path]) == 1
         captured = capsys.readouterr()
@@ -302,11 +307,16 @@ k = 0.25
         assert exponents["q"] == exponents["q_tilde"] == np.inf
 
     @pytest.mark.parametrize("kind, old, new, message", [
-        # the vortex core sqrt(4 t_min) is far below h, so W11 is 0 and its log -inf
-        ("oseen-scaling", "n = 16\nbox_length = 6.283185307179586\nt_min = 0.001",
+        # the vortex core sqrt(4 t_min) is far below h: at 1e-12 W11 would be 0 and its
+        # log -inf; at 1e-6 the W11 slope would read 35.8
+        ("oseen-scaling", "n = 32\nbox_length = 6.283185307179586\nt_min = 0.02",
          "n = 64\nbox_length = 8.0\nt_min = 1e-12",
-         "W11 is 0.0 at t = 1e-12: no log-log slope can be fitted (core width sqrt(4t) "
-         "= 2e-06, grid spacing 0.125)"),
+         "vortex core too narrow for grid: sqrt(4*t_min) spans 1.6e-05 cells at "
+         "t_min = 1e-12, must be >= 1.25 (h = 0.125)"),
+        ("oseen-scaling", "n = 32\nbox_length = 6.283185307179586\nt_min = 0.02",
+         "n = 64\nbox_length = 8.0\nt_min = 1e-06",
+         "vortex core too narrow for grid: sqrt(4*t_min) spans 0.016 cells at "
+         "t_min = 1e-06, must be >= 1.25 (h = 0.125)"),
         ("bb-ratio-3d", "box_length = 6.283185307179586", "box_length = 1e-300",
          "box_length 1e-300 too small for n = 8: the largest |k|^2, dim * (pi n / "
          "box_length)^2, overflows"),
@@ -330,12 +340,17 @@ k = 0.25
          "initial vorticity: its W11 norm A0 = inf leaves no t0 = 1/A0^2 > 0"),
         ("picard", "family = two-mode\nnt = 8\nt_horizon_cap = 0.2",
          "family = two-mode\nnt = 8\nt0 = 0.1\namplitude = 1e200",
-         "non-finite values in Duhamel term: iteration diverged"),
+         "initial vorticity W11 norm overflows"),
+        # a finite spectrum whose gradient overflows, named before the mean check re-samples it
+        ("picard", "family = two-mode\nnt = 8\nt_horizon_cap = 0.2",
+         "family = two-mode\nnt = 8\nt0 = 0.1\namplitude = 1e306",
+         "initial vorticity W11 norm overflows"),
         ("continuous-dependence", "epsilons = 1e-3 1e-2", "epsilons = 1e-3 1e300",
          "perturbation W11 norm overflows at epsilon 1e+300"),
-    ], ids=["oseen-t_min", "bb3-box_length", "strichartz-box_length", "wave-box_length",
-            "wave-horizon", "strichartz-box_volume", "wave-box_volume", "gn-box_volume",
-            "picard-calibrated-amplitude", "picard-amplitude", "cd-epsilon"])
+    ], ids=["oseen-t_min", "oseen-t_min-1e-6", "bb3-box_length", "strichartz-box_length",
+            "wave-box_length", "wave-horizon", "strichartz-box_volume", "wave-box_volume",
+            "gn-box_volume", "picard-calibrated-amplitude", "picard-amplitude",
+            "picard-amplitude-w11", "cd-epsilon"])
     def test_numeric_fault_named(self, tmp_path, capsys, kind, old, new, message):
         body = tiny_config(kind)
         assert old in body
@@ -544,13 +559,16 @@ class TestEveryKind:
 
 # extreme finite values, zero and the smallest subnormal: one key at a time
 EXTREME_VALUES = ("1e300", "1e-300", "0", "5e-324", "1e306", "-1e300", "1e-12", "1e12")
-FLOAT_KEYS = [(kind, key) for kind in sorted(TINY_KEYS)
+# the tiny configs, and a picard config with t0 given (the tiny one calibrates its horizon)
+SWEPT_CONFIGS = {**{kind: (kind, tiny_config(kind)) for kind in sorted(TINY_KEYS)},
+                 "picard-t0-given": ("picard", PICARD_CONFIG)}
+FLOAT_KEYS = [(name, key) for name, (kind, _body) in SWEPT_CONFIGS.items()
               for key, (conv, _req, _default) in {**cli._COMMON, **EXPERIMENTS[kind].keys}.items()
               if conv is float]
 
 
-@pytest.mark.parametrize("kind, key", FLOAT_KEYS, ids=[f"{k}-{key}" for k, key in FLOAT_KEYS])
-def test_extreme_float_value_is_a_result_or_one_error_line(tmp_path, capsys, kind, key):
+@pytest.mark.parametrize("name, key", FLOAT_KEYS, ids=[f"{n}-{key}" for n, key in FLOAT_KEYS])
+def test_extreme_float_value_is_a_result_or_one_error_line(tmp_path, capsys, name, key):
     # exit 0 with nothing on stderr and no NaN in a report, or exit 1 with one JSON line;
     # a numpy warning counts as a stderr line
     faults = []
@@ -558,7 +576,8 @@ def test_extreme_float_value_is_a_result_or_one_error_line(tmp_path, capsys, kin
         # each run as in its own process: a cached multiplier or panel weight would not warn again
         for fn in (mild_solver._panel_weights, *vars(Grid).values()):
             getattr(fn, "cache_clear", lambda: None)()
-        lines = [line for line in tiny_config(kind).splitlines() if not line.startswith(key + " =")]
+        lines = [line for line in SWEPT_CONFIGS[name][1].splitlines()
+                 if not line.startswith(key + " =")]
         path = write_config(tmp_path, f"c{i}.ini", "\n".join(lines + [f"{key} = {value}", ""]))
         out_dir = tmp_path / f"out{i}"
         with warnings.catch_warnings(record=True) as caught:

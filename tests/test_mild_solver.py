@@ -22,6 +22,7 @@ from vortexlab.mild_solver import (
 )
 from vortexlab.oseen import oseen_dipole
 from vortexlab.random_data import smooth_bump, two_mode_vorticity
+from test_fields import traced_peak
 
 TWO_PI = 2.0 * np.pi
 
@@ -439,6 +440,18 @@ class TestSnapshotNorms:
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
         # v and its gradient only: 6 planes per snapshot
         assert sum(np.prod(shape) for shape in sampled) == 6 * len(traj)
+
+    @pytest.mark.parametrize("family", ["two-mode", "dipole"])
+    def test_solution_norms_hold_one_block(self, family):
+        # the criterion-3 pair at n 64: Biot-Savart and v, grad v are taken one
+        # block at a time, so the report holds no stack the size of the trajectory
+        grid = Grid(2, 64, 2.5 if family == "dipole" else TWO_PI)
+        w0, t0 = {"two-mode": (two_mode_vorticity(grid, 0.05), 0.2),
+                  "dipole": (oseen_dipole(1.0, 0.6, grid, 0.002), 0.016)}[family]
+        traj, trace = picard_solve(w0, MildSolveConfig(grid=grid, t0=t0, nt=32, tol=1e-10))
+        solution_norms(traj, trace)  # the grid's cached multipliers are not the report's
+        assert traj.field.spectrum().nbytes > 2**20
+        assert traced_peak(lambda: solution_norms(traj, trace)) <= 2.0 * 2**20
 
     def test_stack_rows_match_the_field_layer_norms(self, g64):
         traj, _trace = picard_solve(dipole(g64), MildSolveConfig(grid=g64, t0=0.02, nt=8))

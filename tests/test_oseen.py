@@ -156,6 +156,12 @@ class TestScalingExperiment:
         with pytest.raises(ValueError, match=r"^W11 is inf at t = 0.001: no log-log slope"):
             sharpness_scaling_experiment(Grid(2, 16, TWO_PI), [1e-3, 1e-2], alpha0)
 
+    def test_overflowing_gradient_spectrum_named_before_the_log_fit(self):
+        # finite samples and spectrum whose gradient spectrum overflows: W11 is
+        # NaN, named with no numpy warning
+        with pytest.raises(ValueError, match=r"^W11 is nan at t = 0.02: no log-log slope"):
+            sharpness_scaling_experiment(Grid(2, 32, TWO_PI), [0.02, 0.035], 1e306)
+
     def test_alpha_scales_linearly(self):
         g = Grid(2, 128, 2.0)
         ts = np.geomspace(1e-4, 1e-3, 3)
