@@ -11,7 +11,8 @@ writes as ``<experiment>-<seed>.csv`` / ``.json`` plus ``manifest.json``; CSV
 values carry 17 significant digits so reruns are byte-identical.  ``validate``
 builds without running and prints the size of the largest grid a run samples.
 The ratio kinds and ``maxwell-strichartz`` map a family's members over
-min(threads, count) threads, in one map per run; an empty level is an error.
+min(threads, usable CPUs, count) threads, in one map per run; an empty level
+is an error, and so is an overflow, division by zero or invalid operation.
 Library functions are called by their module-global names, never stored in
 an entry, so rebinding a module global reaches every call.
 """
@@ -34,11 +35,12 @@ from . import __version__
 from . import io as vio
 from .bb_lab import RandomFieldSpec, bb_ratio_2d, bb_ratio_3d, gn_ratio, refinement_study
 from .fields import Grid, ScalarField, VectorField, check_n_eval, lp_norm, w11_norm
-from .maxwell_wave import (HarmonicCurrentDensity, StrichartzExponents, require_admissible,
-                           strichartz_ratio_experiment, wave_steps)
+from .maxwell_wave import (HarmonicCurrentDensity, StrichartzExponents, check_wave_times,
+                           require_admissible, strichartz_ratio_experiment, wave_steps)
 from .mild_solver import (MildSolveConfig, calibrate_horizon, continuous_dependence_experiment,
                           picard_solve, require_converged, solution_norms)
-from .oseen import oseen_dipole, sharpness_scaling_experiment
+from .oseen import (check_core_width, check_dipole_separation, check_time_count, oseen_dipole,
+                    sharpness_scaling_experiment)
 from .random_data import smooth_bump, two_mode_vorticity, wave_fixture_family
 
 
@@ -81,9 +83,8 @@ _MIN_CORE_CELLS = 1.25
 def _build_oseen(cfg):
     grid = Grid(2, cfg["n"], cfg["box_length"])
     _check(0 < cfg["t_min"] < cfg["t_max"], "need 0 < t_min < t_max")
-    _check(np.sqrt(4.0 * cfg["t_max"]) <= grid.box_length / 16.0,
-           "vortex too wide for box: sqrt(4*t_max) must be <= box_length/16")
-    _check(cfg["t_count"] >= 2, "t_count must be >= 2")
+    check_core_width(grid, cfg["t_max"])
+    check_time_count(cfg["t_count"])
     _check(cfg["alpha0"] != 0, f"alpha0 must be nonzero, got {cfg['alpha0']}")  # logs are fitted
     # a finite alpha0's peak, in Python floats (inf, never a raise); a non-finite
     # alpha0 is named after the build
@@ -118,23 +119,23 @@ _MILD_KEYS = {
 }
 
 
+def _separation(cfg, grid):
+    return cfg["separation"] or grid.box_length / 4.0
+
+
 def _build_mild(cfg, t0):
     grid = Grid(2, cfg["n"], cfg["box_length"])
     _check(cfg["family"] in ("dipole", "two-mode"),
            f"family must be 'dipole' or 'two-mode', got {cfg['family']!r}")
     if cfg["family"] == "dipole":
-        sep = cfg["separation"] or grid.box_length / 4.0
-        _check(sep >= 4.0 * np.sqrt(4.0 * cfg["t_init"]),
-               "dipole separation must be >= 4*sqrt(4*t_init)")
-        _check(sep <= grid.box_length / 2.0, "dipole separation must be <= box_length/2")
+        check_dipole_separation(grid, _separation(cfg, grid), cfg["t_init"])
     return MildSolveConfig(grid=grid, t0=t0, nt=cfg["nt"], tol=cfg["tol"],
                            max_iter=cfg["max_iter"])
 
 
 def _initial_vorticity(cfg, grid):
     if cfg["family"] == "dipole":
-        sep = cfg["separation"] or grid.box_length / 4.0
-        return oseen_dipole(cfg["alpha0"], sep, grid, cfg["t_init"])
+        return oseen_dipole(cfg["alpha0"], _separation(cfg, grid), grid, cfg["t_init"])
     return two_mode_vorticity(grid, cfg["amplitude"])
 
 
@@ -208,9 +209,10 @@ def _build_ratio(dim, cfg):
 
 @contextmanager
 def _pooled_map(threads, count):
-    """A map over min(threads, count) threads; no thread starts unless mapped."""
-    workers = min(threads, count)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
+    """A map over min(threads, count) threads, each under the caller's numpy error
+    state, which a new thread does not inherit; no thread starts unless mapped."""
+    workers, err = min(threads, count), np.geterr()
+    with ThreadPoolExecutor(max_workers=workers, initializer=lambda: np.seterr(**err)) as ex:
         yield ex.map if workers > 1 else map
 
 
@@ -228,8 +230,7 @@ def _build_wave(cfg):
     horizon = cfg["horizon"] or grid.box_length / 4.0
     _check(horizon <= grid.box_length / 4.0,
            "horizon must be <= box_length/4 (pre-wrap light cone)")
-    _check(horizon > 0, f"horizon must be positive, got {horizon}")
-    _check(cfg["nt"] >= 2, "nt must be >= 2")
+    check_wave_times(horizon, cfg["nt"])
     return grid, horizon
 
 
@@ -370,14 +371,14 @@ def _nan_key(value, key=""):
 
 def run_experiment(kind, built, cfg, out_dir, threads=1):
     """Run a config built by ``validate_config`` and write its reports, or none
-    of them when a row, footer or summary value is NaN."""
-    os.makedirs(out_dir, exist_ok=True)
+    of them, nor out_dir, when the run fails or a report value is NaN."""
     start = time.time()
     columns, rows, footer, summary, *after = EXPERIMENTS[kind].run(built, cfg, threads)
     for what, table in (("rows", [dict(zip(columns, row)) for row in rows]),
                         ("footer", footer), ("summary", summary)):
         if (key := _nan_key(table)) is not None:
             raise ValueError(f"report {what} key {key!r} is NaN; no report written")
+    os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, f"{kind}-{cfg['seed']}")
     vio.write_csv(stem + ".csv", columns, rows,
                   [f"# {k} = {vio.format_float(v)}" for k, v in footer.items()])
@@ -398,7 +399,7 @@ def run_experiment(kind, built, cfg, out_dir, threads=1):
 
 
 def _thread_count(flag):
-    """--threads if given, else VORTEXLAB_THREADS, else 1."""
+    """--threads if given, else VORTEXLAB_THREADS, else 1; at most the usable CPUs."""
     text = os.environ.get("VORTEXLAB_THREADS", "1") if flag is None else flag
     try:
         threads = int(text)
@@ -406,9 +407,11 @@ def _thread_count(flag):
         threads = 0
     _check(threads >= 1, "thread count (--threads or VORTEXLAB_THREADS) must be an integer"
            f" >= 1, got {text!r}")
-    return threads
+    return min(threads, len(os.sched_getaffinity(0)))
 
 
+# a numeric fault that no check names is an error too; underflow is not, by design
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="vortexlab",
@@ -419,7 +422,7 @@ def main(argv=None):
                         help="list experiment kinds and required keys")
     parser.add_argument("--threads", type=int, default=None,
                         help="threads per ratio or maxwell-strichartz family, at most its count "
-                        "(default: env VORTEXLAB_THREADS or 1)")
+                        "and the usable CPUs (default: env VORTEXLAB_THREADS or 1)")
     parser.add_argument("--out", default=None, help="output directory override")
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("run", help="run an experiment config").add_argument("config")

@@ -369,18 +369,6 @@ class VectorField:
     def zeros(cls, grid: Grid) -> "VectorField":
         return cls(ScalarField(grid, np.zeros((grid.dim,) + grid.shape)))
 
-    def __add__(self, other):
-        if isinstance(other, VectorField):
-            return VectorField(self.stack + other.stack)
-        return NotImplemented
-
-    def __mul__(self, c):
-        if isinstance(c, (int, float)):
-            return VectorField(self.stack * c)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
 
 class Trajectory:
     """Fields at the times of a uniform lattice over [0, t_max], held as one
@@ -404,9 +392,6 @@ class Trajectory:
     def snapshots(self) -> list:
         """The field at each time: the rows of the stack, over views."""
         return [self.field[i] for i in range(len(self.times))]
-
-    def __len__(self):
-        return len(self.times)
 
     def __iter__(self):
         return zip(self.times, self.snapshots)
@@ -494,13 +479,6 @@ class PlaneSampler:
         """(rows, samples of those rows) of one plane, block by block."""
         first = self.first_stage(spectrum)
         return ((rows, self.block(first, rows)) for rows in self.rows)
-
-    def __call__(self, spectrum: np.ndarray) -> np.ndarray:
-        """The samples of one plane, whole: its ``slabs`` put together."""
-        out = np.empty(self.eval_grid.shape)
-        for rows, x in self.slabs(spectrum):
-            out[rows] = x
-        return out
 
     def first_stage(self, spectrum: np.ndarray) -> np.ndarray:
         """What ``block`` reads of one plane: the scaled kept modes, padded along

@@ -136,7 +136,8 @@ class HarmonicCurrentDensity(CurrentDensity):
         self._grad_cache = {}
 
     def evaluate(self, t: float) -> VectorField:
-        return self.j_cos * np.cos(self.sigma * t) + self.j_sin * np.sin(self.sigma * t)
+        return VectorField(self.j_cos.stack * np.cos(self.sigma * t)
+                           + self.j_sin.stack * np.sin(self.sigma * t))
 
     def curl_spectra(self, t: float) -> np.ndarray:
         a, b = np.cos(self.sigma * t), np.sin(self.sigma * t)
@@ -206,6 +207,14 @@ def wave_weights(kmag: np.ndarray, dt: float):
     return np.cos(x), sinc, a0, a1, c1
 
 
+def check_wave_times(T: float, nt: int):
+    """Reject a lattice of nt uniform times over [0, T] unless nt >= 2 and T > 0."""
+    if nt < 2:
+        raise ValueError(f"nt must be >= 2, got {nt}")
+    if not T > 0:
+        raise ValueError(f"horizon must be positive, got {T}")
+
+
 def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
                T: float, nt: int):
     """Generator over (t, B, dB/dt) on nt uniform times.
@@ -218,10 +227,7 @@ def wave_steps(B0: VectorField, B1: VectorField, j: CurrentDensity | None,
         raise ValueError("wave solver expects 3D fields")
     if B1.grid != grid or (j is not None and j.grid != grid):
         raise ValueError("grid mismatch between initial data and source")
-    if nt < 2:
-        raise ValueError("nt must be >= 2")
-    if not T > 0:
-        raise ValueError("T must be positive")
+    check_wave_times(T, nt)
     times = np.linspace(0.0, T, nt)
     dt = times[1] - times[0]
     cos_x, sinc, a0, a1, c1 = wave_weights(grid.kmag(), dt)

@@ -158,7 +158,7 @@ def apply_T(omega_traj: Trajectory, omega0: ScalarField, cfg: MildSolveConfig) -
     _check_mean_zero(omega0, "initial vorticity")
     grid = cfg.grid
     times = cfg.times
-    if len(omega_traj) != cfg.nt or not np.allclose(omega_traj.times, times, atol=0):
+    if len(omega_traj.times) != cfg.nt or not np.allclose(omega_traj.times, times, atol=0):
         raise ValueError("input trajectory does not live on the config time lattice")
     _check_mean_zero(omega_traj.field, "vorticity")
     weights = _panel_weights(grid, times[1] - times[0])

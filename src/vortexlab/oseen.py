@@ -35,12 +35,11 @@ class OseenParams:
             raise ValueError("center must be a 2D point")
 
 
-def _check_width(t: float, grid: Grid):
+def check_core_width(grid: Grid, t: float):
+    """Reject a core sqrt(4t) wider than L/16 (see the module docstring)."""
     if np.sqrt(4.0 * t) > grid.box_length / 16.0:
-        raise ValueError(
-            f"vortex too wide for box: sqrt(4t) = {np.sqrt(4 * t):.3g} exceeds "
-            f"L/16 = {grid.box_length / 16.0:.3g}"
-        )
+        raise ValueError(f"vortex too wide for box: sqrt(4t) = {np.sqrt(4 * t):.3g} exceeds "
+                         f"L/16 = {grid.box_length / 16.0:.3g}")
 
 
 def min_image_displacements(grid: Grid, center):
@@ -56,7 +55,7 @@ def oseen_vorticity(p: OseenParams, grid: Grid) -> ScalarField:
     """w(x) = alpha0 / (4 pi t) * exp(-|x - c|^2 / 4t), minimum-image."""
     if grid.dim != 2:
         raise ValueError("Oseen profiles are 2D")
-    _check_width(p.t, grid)
+    check_core_width(grid, p.t)
     X, Y = min_image_displacements(grid, p.center)
     r2 = X * X + Y * Y
     return ScalarField(grid, p.alpha0 / (4.0 * np.pi * p.t) * np.exp(-r2 / (4.0 * p.t)))
@@ -66,7 +65,7 @@ def oseen_velocity(p: OseenParams, grid: Grid) -> VectorField:
     """Azimuthal profile alpha0/(2 pi r) (1 - exp(-r^2/4t)); zero at the center."""
     if grid.dim != 2:
         raise ValueError("Oseen profiles are 2D")
-    _check_width(p.t, grid)
+    check_core_width(grid, p.t)
     X, Y = min_image_displacements(grid, p.center)
     r2 = X * X + Y * Y
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -75,19 +74,22 @@ def oseen_velocity(p: OseenParams, grid: Grid) -> VectorField:
     return VectorField(ScalarField(grid, np.stack([-Y * fac, X * fac])))
 
 
+def check_dipole_separation(grid: Grid, separation: float, t: float):
+    """Reject overlapping cores, separation < 4 sqrt(4t), or a pair wider than L/2."""
+    with np.errstate(invalid="ignore"):  # t < 0 is named by its nan bound
+        least = 4.0 * np.sqrt(4.0 * t)
+    if not separation >= least:
+        raise ValueError(f"dipole cores overlap: separation {separation:.3g} < 4*sqrt(4t) "
+                         f"= {least:.3g}")
+    if separation > grid.box_length / 2.0:
+        raise ValueError(f"separation {separation:.3g} exceeds L/2 = {grid.box_length / 2.0:.3g}")
+
+
 def oseen_dipole(alpha0: float, separation: float, grid: Grid, t: float,
                  center=None) -> ScalarField:
     """Zero-circulation pair: +alpha0 and -alpha0 vortices a distance
     `separation` apart along the first axis."""
-    if separation < 4.0 * np.sqrt(4.0 * t):
-        raise ValueError(
-            f"dipole cores overlap: separation {separation:.3g} < 4*sqrt(4t) "
-            f"= {4 * np.sqrt(4 * t):.3g}"
-        )
-    if separation > grid.box_length / 2.0:
-        raise ValueError(
-            f"separation {separation:.3g} exceeds L/2 = {grid.box_length / 2.0:.3g}"
-        )
+    check_dipole_separation(grid, separation, t)
     if center is None:
         c = grid.box_length / 2.0
         center = (c, c)
@@ -100,6 +102,12 @@ def oseen_dipole(alpha0: float, separation: float, grid: Grid, t: float,
     return plus + minus
 
 
+def check_time_count(count: int):
+    """Reject fewer than the two times a log-log slope is fitted to."""
+    if count < 2:
+        raise ValueError(f"need at least two times to fit a slope, got {count}")
+
+
 def sharpness_scaling_experiment(grid: Grid, t_list, alpha0: float = 1.0):
     """Tabulate the W^{1,1} and velocity-sup norms of the profile over t_list
     and fit their log-log slopes (both should sit near -1/2).
@@ -109,8 +117,7 @@ def sharpness_scaling_experiment(grid: Grid, t_list, alpha0: float = 1.0):
     exactly on symmetry points, which inflates quadrature error.
     """
     t_list = np.asarray(list(t_list), dtype=float)
-    if len(t_list) < 2:
-        raise ValueError("need at least two times to fit a slope")
+    check_time_count(len(t_list))
     c = grid.box_length / 2.0 + 0.25 * grid.h
     center = (c, c)
     rows = []

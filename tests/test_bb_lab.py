@@ -91,7 +91,7 @@ class TestScaleInvariance:
     def test_homogeneity(self, fn, field):
         w = cos_mode_2d(64) if field == "2d" else cos_mode_3d(16)
         base = fn(w)
-        scaled = fn(w * 17.0)
+        scaled = fn(w * 17.0 if field == "2d" else VectorField(w.stack * 17.0))
         assert scaled == pytest.approx(base, rel=1e-10)
 
     def test_constant_field_rejected(self):

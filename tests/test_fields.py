@@ -39,7 +39,7 @@ from vortexlab.maxwell_wave import StrichartzExponents, strichartz_sides
 from vortexlab.mild_solver import snapshot_norms
 from vortexlab.oseen import oseen_dipole
 from vortexlab.random_data import random_vector_field, wave_fixture_family
-from test_spectral_properties import padded_refine, spectral_refine
+from test_spectral_properties import padded_refine, slab_samples, spectral_refine
 
 TWO_PI = 2.0 * np.pi
 
@@ -278,7 +278,7 @@ class TestCalculus:
         ])
         sample = PlaneSampler(g64)
         planes = list(gradient_planes(v))
-        jm = _magnitude(sample(d) for d in planes)
+        jm = _magnitude(slab_samples(sample, d) for d in planes)
         exact = np.abs(np.cos(g64.meshgrid()[0]))
         assert np.max(np.abs(jm - exact)) < 1e-10
         assert magnitude_norm(sample, planes, np.inf, "grad v") == pytest.approx(1.0, abs=1e-10)

@@ -135,7 +135,7 @@ class TestHomogeneousPropagator:
         B1 = random_vector_field(g16, rng)
         fwd_b, fwd_bt = solve_wave(B0, B1, None, 0.7, 9)
         tb, tbt = fwd_b.snapshots[-1], fwd_bt.snapshots[-1]
-        back_b, _ = solve_wave(tb, tbt * (-1.0), None, 0.7, 9)
+        back_b, _ = solve_wave(tb, VectorField(tbt.stack * -1.0), None, 0.7, 9)
         final = back_b.snapshots[-1]
         for a, c in zip(final.components, B0.components):
             assert np.max(np.abs(a.samples - c.samples)) < 1e-12
@@ -236,7 +236,7 @@ class TestPanelRecurrence:
         # interpolant, so from rest B_y = (t/2 - sin(2t)/4) sin 2x to roundoff
         x = g16.meshgrid()[0]
         j_field = cos2x_e3(g16)
-        j = CurrentDensity(g16, lambda t: j_field * t)
+        j = CurrentDensity(g16, lambda t: VectorField(j_field.stack * t))
         zero = VectorField.zeros(g16)
         traj_b, traj_bt = solve_wave(zero, zero, j, np.pi / 2, 9)
         for (t, b), (_, bt) in zip(traj_b, traj_bt):
@@ -349,7 +349,7 @@ class TestSourceGradientL1:
         # 1e-8 of either part, and not cancelled bitwise
         rng = np.random.default_rng(0)
         j_cos, d = random_vector_field(g16, rng), random_vector_field(g16, rng)
-        fast = HarmonicCurrentDensity(j_cos, j_cos + d * 1e-8, 1.0)
+        fast = HarmonicCurrentDensity(j_cos, VectorField(j_cos.stack + d.stack * 1e-8), 1.0)
         generic = CurrentDensity(g16, fast.evaluate)
         t = 0.75 * np.pi
         assert source_gradient_l1(fast, t, 0.75) == pytest.approx(

@@ -439,7 +439,7 @@ class TestSnapshotNorms:
         assert list(got) == list(want)
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
         # v and its gradient only: 6 planes per snapshot
-        assert sum(np.prod(shape) for shape in sampled) == 6 * len(traj)
+        assert sum(np.prod(shape) for shape in sampled) == 6 * len(traj.times)
 
     @pytest.mark.parametrize("family", ["two-mode", "dipole"])
     def test_solution_norms_hold_one_block(self, family):
