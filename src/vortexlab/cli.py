@@ -39,8 +39,8 @@ from .maxwell_wave import (HarmonicCurrentDensity, StrichartzExponents, check_wa
                            require_admissible, strichartz_ratio_experiment, wave_steps)
 from .mild_solver import (MildSolveConfig, calibrate_horizon, continuous_dependence_experiment,
                           picard_solve, require_converged, solution_norms)
-from .oseen import (check_core_width, check_dipole_separation, check_time_count, oseen_dipole,
-                    sharpness_scaling_experiment)
+from .oseen import (check_core_width, check_dipole_separation, check_peak_vorticity,
+                    check_time_count, oseen_dipole, sharpness_scaling_experiment)
 from .random_data import smooth_bump, two_mode_vorticity, wave_fixture_family
 
 
@@ -86,12 +86,7 @@ def _build_oseen(cfg):
     check_core_width(grid, cfg["t_max"])
     check_time_count(cfg["t_count"])
     _check(cfg["alpha0"] != 0, f"alpha0 must be nonzero, got {cfg['alpha0']}")  # logs are fitted
-    # a finite alpha0's peak, in Python floats (inf, never a raise); a non-finite
-    # alpha0 is named after the build
-    _check(not abs(cfg["alpha0"]) < np.inf
-           or abs(cfg["alpha0"]) / (4.0 * np.pi * cfg["t_min"]) < np.inf,
-           f"peak vorticity |alpha0| / (4 pi t_min) overflows: alpha0 = {cfg['alpha0']:g}, "
-           f"t_min = {cfg['t_min']:g}")
+    check_peak_vorticity(cfg["alpha0"], cfg["t_min"], "t_min")
     cells = np.sqrt(4.0 * cfg["t_min"]) / grid.h
     _check(cells >= _MIN_CORE_CELLS,
            f"vortex core too narrow for grid: sqrt(4*t_min) spans {cells:.3g} cells at "
@@ -129,6 +124,7 @@ def _build_mild(cfg, t0):
            f"family must be 'dipole' or 'two-mode', got {cfg['family']!r}")
     if cfg["family"] == "dipole":
         check_dipole_separation(grid, _separation(cfg, grid), cfg["t_init"])
+        check_peak_vorticity(cfg["alpha0"], cfg["t_init"], "t_init")
     return MildSolveConfig(grid=grid, t0=t0, nt=cfg["nt"], tol=cfg["tol"],
                            max_iter=cfg["max_iter"])
 
@@ -148,7 +144,7 @@ def _build_picard(cfg):
 
 
 def _check_w11_finite(f, message):
-    with np.errstate(over="ignore"):  # named here, before any solve
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, named before any solve
         _check(w11_norm(f) < np.inf, message)
 
 
@@ -161,7 +157,7 @@ def _run_picard(solve_cfg, cfg, _threads):
         t0, calibrated_ratio = calibrate_horizon(omega0, solve_cfg.grid, cfg["t_horizon_cap"])
         solve_cfg = replace(solve_cfg, t0=t0)
     traj, trace = picard_solve(omega0, solve_cfg)
-    norms = solution_norms(traj, trace)
+    norms = solution_norms(traj.field, trace.l1, trace.w11)
     rows = [(float(t), *n) for t, *n in zip(traj.times, *norms.values())]
     summary = {k: getattr(trace, k) for k in
                ("converged", "iterations", "diff_w11", "ratios", "sup_w11")}

@@ -582,24 +582,16 @@ def magnitude_norm(sample: PlaneSampler, planes, p: float, name: str) -> float:
 
 def w11_norm(f: ScalarField):
     """L1 norm of f plus L1 norm of its (Euclidean) gradient, of a 2D field
-    or of each field of a stack."""
-    return _per_field(f, w11_columns(f)[1])
-
-
-def w11_columns(f: ScalarField) -> tuple[list, list]:
-    """The L1 and W^{1,1} norms of each field of f (a 2D field or a stack),
-    in ``w11_rows``' arithmetic; the gradient is sampled in one batched
-    inverse transform per block."""
+    or of each field of a stack, in ``w11_rows``' arithmetic; the gradient is
+    sampled in one batched inverse transform per block."""
     g = f.grid
     if g.dim != 2:
         raise ValueError("w11_norm is defined for 2D scalar fields")
     samples, spectra = _stacked(f.samples, 2), _stacked(f.spectrum(), 2)
-    l1, w11 = [], []
+    w11 = []
     for b in blocks(len(spectra), 2 * spectra[0].nbytes):
-        rows = w11_rows(g, samples[b], batch_samples(g, gradient_spectra(g, spectra[b])))
-        l1 += rows[0]
-        w11 += rows[1]
-    return l1, w11
+        w11 += w11_rows(g, samples[b], batch_samples(g, gradient_spectra(g, spectra[b])))[1]
+    return _per_field(f, w11)
 
 
 def w11_rows(grid: Grid, samples: np.ndarray, gradient: np.ndarray) -> tuple[list, list]:

@@ -38,7 +38,6 @@ from .fields import (
     gradient_spectra,
     hs_sq,
     lp_norm,
-    w11_columns,
     w11_norm,
     w11_rows,
 )
@@ -188,13 +187,16 @@ def _picard_sweeps(omega0: ScalarField, cfg: MildSolveConfig):
         for b in steps:
             d_prev = _duhamel_block(spectra, b, ScalarField._held(grid, held[0, b], spectra[b]),
                                     omega0, weights, d_prev)
-            x = batch_samples(grid, gradient_spectra(grid, spectra[b], with_field=True))
-            rows = w11_rows(grid, x[0], x[1:])
+            with np.errstate(over="ignore", invalid="ignore"):  # a divergence, named below
+                x = batch_samples(grid, gradient_spectra(grid, spectra[b], with_field=True))
+                rows = w11_rows(grid, x[0], x[1:])
+                d = np.subtract(x, held[:, b], out=held[:, b])
+                diff += w11_rows(grid, d[0], d[1:])[1]
             l1 += rows[0]
             w11 += rows[1]
-            d = np.subtract(x, held[:, b], out=held[:, b])
-            diff += w11_rows(grid, d[0], d[1:])[1]
             held[:, b] = x
+        if not np.all(np.isfinite(w11 + diff)):
+            raise ArithmeticError("non-finite W11 norm of an iterate: iteration diverged")
         yield spectra, l1, w11, max(diff)
 
 
@@ -245,27 +247,14 @@ def require_converged(trace: PicardTrace, cfg: MildSolveConfig):
         )
 
 
-def snapshot_norms(omega: ScalarField) -> dict:
-    """Norm bundle of a vorticity, or of each of a stack, in report-column
-    order: L1 and W11 by ``w11_columns``, velocity sup and gradient L2.
-    Each must be finite and >= 0; the stack is checked mean-zero whole
-    first, so a bad snapshot is named by its index."""
-    _check_mean_zero(omega, "vorticity")
-    with np.errstate(over="ignore"):  # an overflow is reported by the norm it reaches
-        return _norm_columns(omega, *w11_columns(omega))
-
-
-def solution_norms(traj: Trajectory, trace: PicardTrace) -> dict:
-    """``snapshot_norms`` of a Picard solution, whose L1 and W11 its trace
-    holds from the last sweep, so that only v and grad v are sampled."""
-    return _norm_columns(traj.field, trace.l1, trace.w11)
-
-
-def _norm_columns(omega: ScalarField, l1: list, w11: list) -> dict:
-    """The ``snapshot_norms`` of omega given its L1 and W11 columns, taken
-    one block of snapshots at a time by ``_velocity_rows``."""
+def solution_norms(omega: ScalarField, l1, w11) -> dict:
+    """The report columns of a vorticity, or of each of a stack, given its L1
+    and W11 norms (a Picard trace holds them from its last sweep): L1, W11,
+    velocity sup and gradient L2, the last two taken one block of snapshots
+    at a time by ``_velocity_rows``.  Each must be finite and >= 0."""
     spectra = _stacked(omega.spectrum(), 2)
-    columns = {"L1": l1, "W11": w11, "Linf_v": [], "L2_gradv": []}
+    columns = {"L1": np.ravel(l1).tolist(), "W11": np.ravel(w11).tolist(),
+               "Linf_v": [], "L2_gradv": []}
     for b in blocks(len(spectra), 6 * spectra[0].nbytes):
         for label, rows in zip(("Linf_v", "L2_gradv"), _velocity_rows(omega.grid, spectra[b])):
             columns[label] += rows
@@ -284,7 +273,7 @@ def _velocity_rows(g: Grid, spectra: np.ndarray) -> tuple[list, list]:
     # x[0] is v, x[1 + a] its derivative d_a; grad v is summed component-major
     x = batch_samples(g, gradient_spectra(g, velocity_from_vorticity_2d(
         _mean_dropped(ScalarField._held(g, spectrum=spectra))).stack.spectrum(), with_field=True))
-    with np.errstate(over="ignore"):  # reported by _norm_columns, by the norm it reaches
+    with np.errstate(over="ignore"):  # reported by solution_norms, by the norm it reaches
         return tuple(lp_norm(ScalarField._held(g, y), p).tolist() for y, p in (
             (_magnitude(x[0]), np.inf),
             (_magnitude(d for dv_c in x[1:].swapaxes(0, 1) for d in dv_c), 2)))
@@ -293,10 +282,10 @@ def _velocity_rows(g: Grid, spectra: np.ndarray) -> tuple[list, list]:
 def calibrate_horizon(omega0: ScalarField, grid: Grid, t_max: float):
     """Pick t0 = c/A0^2 adaptively: halve until the first measured
     contraction ratio is <= 1/2.  Returns (t0, ratio)."""
-    with np.errstate(over="ignore"):  # an A0 past the float range is named below
-        a0 = w11_norm(omega0)
-    t0 = min(1.0 / (a0 * a0), t_max) if a0 > 0 else t_max  # a float product: inf, never a raise
-    if not t0 > 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN past the float range,
+        a0 = w11_norm(omega0)  # named below; float products give inf or 0, never a raise
+    t0 = min(1.0 / (a0 * a0), t_max) if a0 * a0 > 0 else t_max  # the cap if A0^2 underflows
+    if not (t0 > 0 and a0 < np.inf):
         raise ValueError(f"initial vorticity: its W11 norm A0 = {a0:.3e} leaves no t0 = 1/A0^2 > 0")
     for _ in range(MAX_HALVINGS):
         cfg = MildSolveConfig(grid=grid, t0=t0, nt=CALIBRATION_NT)
@@ -313,9 +302,7 @@ def first_contraction_ratio(omega0: ScalarField, cfg: MildSolveConfig) -> float:
     """Ratio of the first two successive-difference norms of the iteration."""
     sweeps = _picard_sweeps(omega0, cfg)
     (*_, d1), (*_, d2) = next(sweeps), next(sweeps)
-    if d1 == 0.0:
-        return 0.0
-    return d2 / d1
+    return d2 / d1 if d1 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,15 @@ def check_core_width(grid: Grid, t: float):
                          f"L/16 = {grid.box_length / 16.0:.3g}")
 
 
+def check_peak_vorticity(alpha0: float, t: float, key: str = "t"):
+    """Reject a finite alpha0 whose peak |alpha0| / (4 pi t), t > 0, overflows (Python
+    floats: inf, never a raise), naming the time `key`; a non-finite alpha0 is the caller's."""
+    size, t = abs(float(alpha0)), float(t)
+    if t > 0 and size < np.inf and not size / (4.0 * np.pi * t) < np.inf:
+        raise ValueError(f"peak vorticity |alpha0| / (4 pi {key}) overflows: "
+                         f"alpha0 = {alpha0:g}, {key} = {t:g}")
+
+
 def min_image_displacements(grid: Grid, center):
     """Meshgrids (X, Y) of grid point minus center, wrapped into [-L/2, L/2)."""
     L = grid.box_length
@@ -56,6 +65,7 @@ def oseen_vorticity(p: OseenParams, grid: Grid) -> ScalarField:
     if grid.dim != 2:
         raise ValueError("Oseen profiles are 2D")
     check_core_width(grid, p.t)
+    check_peak_vorticity(p.alpha0, p.t)
     X, Y = min_image_displacements(grid, p.center)
     r2 = X * X + Y * Y
     return ScalarField(grid, p.alpha0 / (4.0 * np.pi * p.t) * np.exp(-r2 / (4.0 * p.t)))

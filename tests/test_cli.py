@@ -198,9 +198,16 @@ k = 0.25
             ("maxwell-strichartz", "nt = 9", "nt = 1", "nt must be >= 2, got 1"),
             ("wave-fixture", "nt = 16\n", "nt = 16\nhorizon = -1\n",
              "horizon must be positive, got -1.0"),
+            ("picard", "family = two-mode", "family = dipole\nt_init = 5e-324",
+             "peak vorticity |alpha0| / (4 pi t_init) overflows: alpha0 = 1, "
+             "t_init = 4.94066e-324"),
+            ("continuous-dependence", "family = two-mode", "family = dipole\nt_init = 5e-324",
+             "peak vorticity |alpha0| / (4 pi t_init) overflows: alpha0 = 1, "
+             "t_init = 4.94066e-324"),
         ],
         ids=["picard-max_iter", "continuous-dependence-max_iter", "picard-t_horizon_cap",
-             "maxwell-strichartz-nt", "wave-fixture-horizon"],
+             "maxwell-strichartz-nt", "wave-fixture-horizon", "picard-dipole-t_init",
+             "continuous-dependence-dipole-t_init"],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, old, new, message):
         body = tiny_config(kind)
@@ -227,8 +234,12 @@ k = 0.25
          lambda: maxwell_wave.check_wave_times(-1.0, 16)),
         ("maxwell-strichartz", "nt = 9", "nt = 1",
          lambda: maxwell_wave.check_wave_times(TWO_PI / 4.0, 1)),
+        ("picard", "family = two-mode", "family = dipole\nt_init = 5e-324",
+         lambda: oseen.check_peak_vorticity(1.0, 5e-324, "t_init")),
+        ("oseen-scaling", "t_min = 0.02", "t_min = 5e-324",
+         lambda: oseen.check_peak_vorticity(1.0, 5e-324, "t_min")),
     ], ids=["dipole-overlap", "dipole-wide", "dipole-default-separation", "dipole-negative-t",
-            "core-width", "time-count", "horizon", "wave-nt"])
+            "core-width", "time-count", "horizon", "wave-nt", "dipole-peak", "oseen-peak"])
     def test_rule_error_is_the_library_message(self, tmp_path, capsys, kind, old, new, check):
         # each rule has one owner, which both the library and the CLI's build call
         with pytest.raises(ValueError) as raised:
@@ -401,10 +412,23 @@ k = 0.25
          "initial vorticity W11 norm overflows"),
         ("continuous-dependence", "epsilons = 1e-3 1e-2", "epsilons = 1e-3 1e300",
          "perturbation W11 norm overflows at epsilon 1e+300"),
+        # a dipole whose iterates overflow: an infinite W11 norm is a diverged iteration
+        ("picard", "family = two-mode\nnt = 8\nt_horizon_cap = 0.2",
+         "family = dipole\nnt = 8\nt0 = 0.1\nalpha0 = 1e12",
+         "non-finite W11 norm of an iterate: iteration diverged"),
+        ("continuous-dependence", "family = two-mode", "family = dipole\nalpha0 = 1e12",
+         "non-finite W11 norm of an iterate: iteration diverged"),
+        # a dipole whose gradient spectrum overflows, so its W11 norm samples NaN
+        ("picard", "family = two-mode\nnt = 8\nt_horizon_cap = 0.2",
+         "family = dipole\nnt = 8\nt0 = 0.1\nalpha0 = 1e306",
+         "initial vorticity W11 norm overflows"),
+        ("continuous-dependence", "family = two-mode", "family = dipole\nalpha0 = 1e306",
+         "initial vorticity W11 norm overflows"),
     ], ids=["oseen-t_min", "oseen-t_min-1e-6", "bb3-box_length", "strichartz-box_length",
             "wave-box_length", "wave-horizon", "strichartz-box_volume", "wave-box_volume",
             "gn-box_volume", "picard-calibrated-amplitude", "picard-amplitude",
-            "picard-amplitude-w11", "cd-epsilon"])
+            "picard-amplitude-w11", "cd-epsilon", "picard-dipole-diverges",
+            "cd-dipole-diverges", "picard-dipole-alpha0-w11", "cd-dipole-alpha0-w11"])
     def test_numeric_fault_named(self, tmp_path, capsys, kind, old, new, message):
         body = tiny_config(kind)
         assert old in body
@@ -614,9 +638,20 @@ class TestEveryKind:
 
 # extreme finite values, zero and the smallest subnormal: one key at a time
 EXTREME_VALUES = ("1e300", "1e-300", "0", "5e-324", "1e306", "-1e300", "1e-12", "1e12")
-# the tiny configs, and a picard config with t0 given (the tiny one calibrates its horizon)
+
+
+def as_dipole(body):
+    return body.replace("family = two-mode", "family = dipole")
+
+
+# the tiny configs, a picard config with t0 given (the tiny one calibrates its horizon),
+# and dipole configs of the two mild kinds, which read alpha0, separation and t_init
 SWEPT_CONFIGS = {**{kind: (kind, tiny_config(kind)) for kind in sorted(TINY_KEYS)},
-                 "picard-t0-given": ("picard", PICARD_CONFIG)}
+                 "picard-t0-given": ("picard", PICARD_CONFIG),
+                 "picard-dipole": ("picard", as_dipole(tiny_config("picard"))),
+                 "picard-t0-given-dipole": ("picard", as_dipole(PICARD_CONFIG)),
+                 "continuous-dependence-dipole": ("continuous-dependence",
+                                                  as_dipole(tiny_config("continuous-dependence")))}
 FLOAT_KEYS = [(name, key) for name, (kind, _body) in SWEPT_CONFIGS.items()
               for key, (conv, _req, _default) in {**cli._COMMON, **EXPERIMENTS[kind].keys}.items()
               if conv is float]

@@ -17,12 +17,11 @@ from vortexlab.mild_solver import (
     first_contraction_ratio,
     picard_solve,
     reference_stepper,
-    snapshot_norms,
     solution_norms,
 )
 from vortexlab.oseen import oseen_dipole
 from vortexlab.random_data import smooth_bump, two_mode_vorticity
-from test_fields import traced_peak
+from test_fields import report_norms, traced_peak
 
 TWO_PI = 2.0 * np.pi
 
@@ -137,7 +136,7 @@ class TestBlockedPath:
         for block_bytes in (1, 3 * block_bytes_for(g64, cfg.nt)):
             monkeypatch.setattr(fields, "BLOCK_BYTES", block_bytes)
             traj, trace = picard_solve(w0, cfg)
-            norms = {k: v.tolist() for k, v in snapshot_norms(traj.field).items()}
+            norms = {k: v.tolist() for k, v in report_norms(traj.field).items()}
             solves.append((traj.field.spectrum(), trace, norms))
         (a, trace_a, norms_a), (b, trace_b, norms_b) = solves
         assert trace_a.converged and trace_a.iterations > 2
@@ -185,9 +184,8 @@ class TestBlockedPath:
         spectra = heat_guess(w0, cfg).field.spectrum().copy()
         spectra[bad, 0, 0] += 0.5 * g64.n**2  # a mean of 0.5
         traj = Trajectory(cfg.times, ScalarField.from_spectrum(g64, spectra))
-        for run in (lambda: apply_T(traj, w0, cfg), lambda: snapshot_norms(traj.field)):
-            with pytest.raises(CirculationObstructionError, match=f"vorticity {bad} of 8 has"):
-                run()
+        with pytest.raises(CirculationObstructionError, match=f"vorticity {bad} of 8 has"):
+            apply_T(traj, w0, cfg)
 
     @pytest.mark.parametrize("bad", [0, 5, 7])
     def test_nonfinite_snapshot_in_a_block_rejected(self, g64, bad):
@@ -244,7 +242,7 @@ class TestInPlaceSweeps:
         assert trace.sup_w11 == sup
         # differenced from samples, not spectra: equal up to roundoff of the iterate's size
         assert all(abs(a - b) <= 1e-12 * s for a, b, s in zip(trace.diff_w11, diff, sup))
-        got, want = snapshot_norms(traj.field), snapshot_norms(expect.field)
+        got, want = report_norms(traj.field), report_norms(expect.field)
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
     def test_first_contraction_ratio_is_the_solves_first_ratio(self, g64):
@@ -311,7 +309,7 @@ class TestPicardSolve:
         traj, trace = picard_solve(w0, cfg)
         assert trace.converged
         assert all(abs(s.mean()) < 1e-12 for s in traj.snapshots)
-        assert all(snapshot_norms(s)["Linf_v"] < np.inf for s in traj.snapshots)
+        assert all(report_norms(s)["Linf_v"] < np.inf for s in traj.snapshots)
 
     def test_long_horizon_keeps_the_datums_roundoff_mean(self):
         # the iterates carry w0's roundoff mean bitwise while the rest decays
@@ -322,7 +320,16 @@ class TestPicardSolve:
         traj, trace = picard_solve(w0, cfg)
         assert trace.converged and w0.spectrum()[0, 0] != 0
         assert np.all(traj.field.spectrum()[:, 0, 0] == w0.spectrum()[0, 0])
-        assert all(np.all(np.isfinite(v)) for v in solution_norms(traj, trace).values())
+        norms = solution_norms(traj.field, trace.l1, trace.w11)
+        assert all(np.all(np.isfinite(v)) for v in norms.values())
+
+    def test_overflowing_iterate_is_a_divergence(self):
+        # the iterates of a strong dipole overflow within a few sweeps
+        grid = Grid(2, 16, TWO_PI)
+        w0 = dipole(grid, t_init=0.01, alpha0=1e12)
+        with pytest.raises(ArithmeticError, match="non-finite W11 norm of an iterate: "
+                                                  "iteration diverged"):
+            picard_solve(w0, MildSolveConfig(grid=grid, t0=0.1, nt=8))
 
     def test_noncontracting_horizon_raises(self, g64):
         w0 = dipole(g64, t_init=0.002, sep=np.pi / 4.0, alpha0=60.0)
@@ -353,6 +360,21 @@ class TestContractionDiagnostics:
         t0, ratio = calibrate_horizon(w0, g64, t_max=0.5)
         assert 0.0 < t0 <= 0.5
         assert ratio <= 0.5
+
+    def test_calibrate_horizon_takes_the_cap_when_a0_squared_underflows(self):
+        # A0 > 0 with A0^2 == 0 in floats: no 1/A0^2 to take, so the cap, as for A0 = 0
+        grid = Grid(2, 16, TWO_PI)
+        w0 = two_mode_vorticity(grid, 1e-200)
+        a0 = w11_norm(w0)
+        assert a0 > 0 and a0 * a0 == 0.0
+        assert calibrate_horizon(w0, grid, t_max=0.2) == (0.2, 0.0)
+
+    def test_calibrate_horizon_names_a_nan_a0(self):
+        # the gradient's spectrum overflows, so A0 samples NaN: named, not capped
+        grid = Grid(2, 16, TWO_PI)
+        w0 = dipole(grid, t_init=0.01, alpha0=1e306)
+        with pytest.raises(ValueError, match=r"its W11 norm A0 = nan leaves no t0"):
+            calibrate_horizon(w0, grid, t_max=0.2)
 
 
 class TestReferenceStepper:
@@ -404,7 +426,7 @@ class TestContinuousDependence:
 
 class TestSnapshotNorms:
     def test_report_column_order(self, g64):
-        assert list(snapshot_norms(dipole(g64))) == ["L1", "W11", "Linf_v", "L2_gradv"]
+        assert list(report_norms(dipole(g64))) == ["L1", "W11", "Linf_v", "L2_gradv"]
 
     def test_overflowing_norm_rejected(self):
         # finite samples whose squared gradient sums past the float range
@@ -412,7 +434,7 @@ class TestSnapshotNorms:
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError,
                                match="norm 'L2_gradv' must be finite and >= 0, got inf"):
-                snapshot_norms(w)
+                report_norms(w)
 
     @pytest.mark.parametrize("amplitude", [1e160, 1e200, 1e300])
     def test_overflowing_magnitude_names_its_norm(self, amplitude):
@@ -420,7 +442,7 @@ class TestSnapshotNorms:
         w = two_mode_vorticity(Grid(2, 16, TWO_PI), amplitude)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="norm 'W11' must be finite and >= 0, got inf"):
-                snapshot_norms(w)
+                report_norms(w)
 
     @pytest.mark.parametrize("family", ["two-mode", "dipole"])
     def test_solution_norms_equal_snapshot_norms_bitwise(self, monkeypatch, family):
@@ -430,12 +452,12 @@ class TestSnapshotNorms:
                   "dipole": (oseen_dipole(1.0, 0.6, grid, 0.002), 0.016)}[family]
         traj, trace = picard_solve(w0, MildSolveConfig(grid=grid, t0=t0, nt=32, tol=1e-10))
         assert trace.converged and trace.w11 and max(trace.w11) == trace.sup_w11[-1]
-        want = snapshot_norms(traj.field)
+        want = report_norms(traj.field)  # lp_norm and w11_norm of the final field
         sampled = []
         irfftn = np.fft.irfftn
         monkeypatch.setattr(np.fft, "irfftn", lambda a, *args, **kwargs:
                             sampled.append(a.shape[:-2]) or irfftn(a, *args, **kwargs))
-        got = solution_norms(traj, trace)
+        got = solution_norms(traj.field, trace.l1, trace.w11)
         assert list(got) == list(want)
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
         # v and its gradient only: 6 planes per snapshot
@@ -449,9 +471,9 @@ class TestSnapshotNorms:
         w0, t0 = {"two-mode": (two_mode_vorticity(grid, 0.05), 0.2),
                   "dipole": (oseen_dipole(1.0, 0.6, grid, 0.002), 0.016)}[family]
         traj, trace = picard_solve(w0, MildSolveConfig(grid=grid, t0=t0, nt=32, tol=1e-10))
-        solution_norms(traj, trace)  # the grid's cached multipliers are not the report's
-        assert traj.field.spectrum().nbytes > 2**20
-        assert traced_peak(lambda: solution_norms(traj, trace)) <= 2.0 * 2**20
+        solution_norms(traj.field, trace.l1, trace.w11)  # the grid's cached multipliers
+        assert traj.field.spectrum().nbytes > 2**20     # are not the report's
+        assert traced_peak(lambda: solution_norms(traj.field, trace.l1, trace.w11)) <= 2 * 2**20
 
     def test_stack_rows_match_the_field_layer_norms(self, g64):
         traj, _trace = picard_solve(dipole(g64), MildSolveConfig(grid=g64, t0=0.02, nt=8))
@@ -460,7 +482,7 @@ class TestSnapshotNorms:
             v = velocity_from_vorticity_2d(w)
             expect.append({"L1": lp_norm(w, 1), "W11": w11_norm(w), "Linf_v": lp_norm(v, np.inf),
                            "L2_gradv": lp_norm(jacobian_magnitude(v), 2)})
-        got = snapshot_norms(traj.field)
+        got = report_norms(traj.field)
         assert [dict(zip(got, row)) for row in zip(*(v.tolist() for v in got.values()))] == expect
 
 

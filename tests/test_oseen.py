@@ -99,6 +99,12 @@ class TestDipole:
         with pytest.raises(ValueError, match="exceeds"):
             oseen_dipole(1.0, 4.0, g256, 0.01)
 
+    def test_overflowing_peak_vorticity_rejected(self, g256):
+        # |alpha0| / (4 pi t) overflows though both are finite: named before any sample
+        with pytest.raises(ValueError, match=r"^peak vorticity \|alpha0\| / \(4 pi t\) "
+                                             r"overflows: alpha0 = -1, t = 4.94066e-324$"):
+            oseen_dipole(-1.0, g256.box_length / 4.0, g256, 5e-324)
+
     def test_w11_is_twice_single_vortex(self, g256):
         # separation pi >= 8 sqrt(4t): overlap exponentially small
         t = 0.01
